@@ -24,15 +24,19 @@
 //! {
 //!   "requests": 500000,
 //!   "events_per_sec": 123456.0,
-//!   "wall_secs": 4.05,
+//!   "wall_secs": 3.06,
 //!   "peak_rss_bytes": 104857600,
 //!   "threads": 4,
-//!   "runs": [ { "threads": 1, ... }, { "threads": 4, ... } ]
+//!   "runs": [ { "threads": 1, "requests": 500000, "records": 377816, ... }, ... ]
 //! }
 //! ```
 //!
-//! `events_per_sec` counts trace records replayed per wall second (each
-//! record expands into several device I/Os internally). `peak_rss_bytes`
+//! `requests` is the nominal `--requests` the synthetic trace was asked
+//! for; each run's `records` is how many trace records the replay actually
+//! processed (the report's request count), which the generator's scaling
+//! leaves below the nominal figure. `events_per_sec` divides `records` by
+//! the wall time (each record expands into several device I/Os
+//! internally). `peak_rss_bytes`
 //! is the process high-water mark (`VmHWM`), so later runs in the same
 //! invocation include earlier runs' footprint. With `--baseline`, the run
 //! exits non-zero if its top-level `events_per_sec` falls more than
@@ -41,7 +45,7 @@
 //!
 //! Each run also executes under the replay loop's per-stage profiler
 //! (`craid_obs::profile`); the highest-thread run's breakdown — mapping,
-//! redirect, pump, metrics fold — lands in the report's `stage_profile`
+//! redirect, pump, metrics fold, QoS — lands in the report's `stage_profile`
 //! array. The existing top-level fields are untouched, so older baseline
 //! files keep gating.
 
@@ -62,7 +66,10 @@ const SMOKE_REQUESTS: u64 = 60_000;
 #[derive(Debug, Clone, Copy, Serialize)]
 struct RunStat {
     threads: usize,
+    /// The nominal `--requests` the trace was generated for.
     requests: u64,
+    /// Trace records the replay processed (the report's request count).
+    records: u64,
     wall_secs: f64,
     events_per_sec: f64,
     peak_rss_bytes: u64,
@@ -80,7 +87,7 @@ struct BenchReport {
     threads: usize,
     runs: Vec<RunStat>,
     /// Per-stage wall-clock breakdown of the highest-thread run's replay
-    /// loop (mapping, redirect, pump, metrics fold).
+    /// loop (mapping, redirect, pump, metrics fold, QoS).
     stage_profile: Vec<StageSample>,
 }
 
@@ -175,16 +182,19 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
         }
 
+        let records = outcome.report.requests;
         let stat = RunStat {
             threads: t,
             requests,
+            records,
             wall_secs,
-            events_per_sec: requests as f64 / wall_secs,
+            events_per_sec: records as f64 / wall_secs,
             peak_rss_bytes: peak_rss_bytes(),
         };
         eprintln!(
-            "threads={:<2} wall={:.3}s events/sec={:.0} peak_rss={}MiB",
+            "threads={:<2} records={} wall={:.3}s events/sec={:.0} peak_rss={}MiB",
             stat.threads,
+            stat.records,
             stat.wall_secs,
             stat.events_per_sec,
             stat.peak_rss_bytes / (1024 * 1024),

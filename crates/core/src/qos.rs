@@ -11,12 +11,10 @@
 //!   depth — plus a maintenance-rate **floor** the throttle never drops
 //!   below and the controller gains;
 //! * a [`QosController`] watches client request completions through a
-//!   sliding window (reusing [`craid_metrics::Quantiles`] and
-//!   [`craid_metrics::StreamingSummary`]) and runs an **AIMD** loop: while
-//!   the SLO is violated the maintenance throttle decreases
-//!   multiplicatively (fast backoff), while it is met the throttle
-//!   recovers additively (slow probe), always clamped to
-//!   `[floor, 1.0]`;
+//!   sliding window and runs an **AIMD** loop: while the SLO is violated
+//!   the maintenance throttle decreases multiplicatively (fast backoff),
+//!   while it is met the throttle recovers additively (slow probe), always
+//!   clamped to `[floor, 1.0]`;
 //! * the simulation driver applies each retarget to the array's
 //!   [`BackgroundEngine`](crate::background::BackgroundEngine), which
 //!   scales both its per-poll batch budget and every task's pacing clock
@@ -30,6 +28,23 @@
 //! keeps its static cap — the no-QoS path is bit-for-bit identical to the
 //! pre-QoS behaviour.
 //!
+//! The controller decides once per client request, so each decision costs
+//! O(1) amortised: every sample enters and leaves the window once, and the
+//! verdict reads two running tallies instead of the window itself.
+//!
+//! * **Latency.** Under the nearest-rank rule
+//!   ([`craid_metrics::nearest_rank`]) the window's percentile exceeds the
+//!   target exactly when no more than the rank's index of samples sit at or
+//!   below the target, so the window counts those samples as they enter
+//!   and leave and never sorts.
+//! * **Queue depth.** The window keeps the exact integer sum of its client
+//!   I/O queue depths, and the verdict compares `sum / n` with the ceiling.
+//!   Below 2^53 that quotient is the correctly rounded mean; a streaming
+//!   (Welford) mean could land one ulp away, so the two verdicts can
+//!   differ only when the exact mean lies within one ulp of
+//!   `max_queue_depth`. Depths are buffered only when the spec sets that
+//!   ceiling, and latencies only when it sets a latency target.
+//!
 //! ```
 //! use craid::qos::SloSpec;
 //!
@@ -42,7 +57,6 @@
 
 use std::collections::VecDeque;
 
-use craid_metrics::{Quantiles, StreamingSummary};
 use craid_simkit::SimTime;
 use serde::{Deserialize, Serialize, Value};
 
@@ -253,10 +267,15 @@ pub struct Retarget {
 pub struct QosController {
     spec: SloSpec,
     /// Client request completions in the window: `(completion time,
-    /// worst-subrange latency ms)`.
+    /// worst-subrange latency ms)`. Empty without a latency target.
     latency: VecDeque<(SimTime, f64)>,
-    /// Device queue depths observed by client I/O in the window.
-    depth: VecDeque<(SimTime, f64)>,
+    /// How many of `latency`'s samples are at or below the latency target.
+    within_target: usize,
+    /// Device queue depths observed by client I/O in the window: `(submit
+    /// time, depth)`. Empty without a queue-depth target.
+    depth: VecDeque<(SimTime, u64)>,
+    /// The exact sum of `depth`'s queue depths.
+    depth_sum: u128,
     scale: f64,
     last_eval: Option<SimTime>,
     last_decrease: Option<SimTime>,
@@ -278,7 +297,9 @@ impl QosController {
         QosController {
             spec,
             latency: VecDeque::new(),
+            within_target: 0,
             depth: VecDeque::new(),
+            depth_sum: 0,
             scale: 1.0,
             last_eval: None,
             last_decrease: None,
@@ -311,10 +332,14 @@ impl QosController {
     /// queue-depth violation on an otherwise idle array).
     pub fn observe(&mut self, now: SimTime, worst_ms: f64, client_reports: &[RequestReport]) {
         self.first_seen.get_or_insert(now);
-        self.latency.push_back((now, worst_ms));
-        for report in client_reports {
-            for ev in &report.events {
-                self.depth.push_back((ev.submitted, ev.queue_depth as f64));
+        if let Some(target) = self.spec.target_latency_ms {
+            self.latency.push_back((now, worst_ms));
+            self.within_target += usize::from(worst_ms <= target);
+        }
+        if self.spec.max_queue_depth.is_some() {
+            for ev in client_reports.iter().flat_map(|report| &report.events) {
+                self.depth.push_back((ev.submitted, ev.queue_depth));
+                self.depth_sum += u128::from(ev.queue_depth);
             }
         }
         self.prune(now);
@@ -326,46 +351,45 @@ impl QosController {
         self.stats.maintenance_blocks += events.iter().map(|e| e.blocks).sum::<u64>();
     }
 
+    /// Drops the samples older than the window from the front of each
+    /// buffer, taking them out of the running tallies as they leave.
     fn prune(&mut self, now: SimTime) {
         let horizon = self.spec.window_secs;
-        while let Some(&(t, _)) = self.latency.front() {
-            if now.saturating_since(t).as_secs() > horizon {
-                self.latency.pop_front();
-            } else {
+        let expired = |t: SimTime| now.saturating_since(t).as_secs() > horizon;
+        let target = self.spec.target_latency_ms;
+        while let Some(&(t, ms)) = self.latency.front() {
+            if !expired(t) {
                 break;
             }
+            self.latency.pop_front();
+            self.within_target -= usize::from(target.is_some_and(|target| ms <= target));
         }
-        while let Some(&(t, _)) = self.depth.front() {
-            if now.saturating_since(t).as_secs() > horizon {
-                self.depth.pop_front();
-            } else {
+        while let Some(&(t, depth)) = self.depth.front() {
+            if !expired(t) {
                 break;
             }
+            self.depth.pop_front();
+            self.depth_sum -= u128::from(depth);
         }
     }
 
-    /// True while the window's observations violate the SLO.
-    fn violated(&mut self) -> bool {
-        if let Some(target) = self.spec.target_latency_ms {
-            if self.latency.len() >= MIN_WINDOW_SAMPLES {
-                let mut q = Quantiles::with_capacity(self.latency.len());
-                for &(_, ms) in &self.latency {
-                    q.record(ms);
-                }
-                if q.quantile(self.spec.percentile).unwrap_or(0.0) > target {
-                    return true;
-                }
+    /// True while the window's observations violate the SLO. Reads the
+    /// running tallies only, so it costs O(1).
+    fn violated(&self) -> bool {
+        if self.spec.target_latency_ms.is_some() {
+            let n = self.latency.len();
+            // The nearest-rank percentile exceeds the target exactly when
+            // no more than `rank` samples sit at or below it.
+            if n >= MIN_WINDOW_SAMPLES
+                && self.within_target <= craid_metrics::nearest_rank(self.spec.percentile, n)
+            {
+                return true;
             }
         }
         if let Some(max_depth) = self.spec.max_queue_depth {
-            if self.depth.len() >= MIN_WINDOW_SAMPLES {
-                let mut s = StreamingSummary::new();
-                for &(_, d) in &self.depth {
-                    s.record(d);
-                }
-                if s.mean() > max_depth {
-                    return true;
-                }
+            let n = self.depth.len();
+            if n >= MIN_WINDOW_SAMPLES && self.depth_sum as f64 / n as f64 > max_depth {
+                return true;
             }
         }
         false
@@ -475,9 +499,101 @@ impl QosController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use craid_metrics::Quantiles;
+    use proptest::prelude::*;
 
     fn observe_latency(c: &mut QosController, now: SimTime, worst_ms: f64) {
         c.observe(now, worst_ms, &[]);
+    }
+
+    /// The brute-force verdict the running tallies replace: the percentile
+    /// rebuilt from the whole latency window and the mean recomputed over
+    /// the whole depth window.
+    fn reference_violated(c: &QosController) -> bool {
+        if let Some(target) = c.spec.target_latency_ms {
+            if c.latency.len() >= MIN_WINDOW_SAMPLES {
+                let mut q = Quantiles::with_capacity(c.latency.len());
+                for &(_, ms) in &c.latency {
+                    q.record(ms);
+                }
+                if q.quantile(c.spec.percentile).unwrap_or(0.0) > target {
+                    return true;
+                }
+            }
+        }
+        if let Some(max_depth) = c.spec.max_queue_depth {
+            if c.depth.len() >= MIN_WINDOW_SAMPLES {
+                let sum: f64 = c.depth.iter().map(|&(_, d)| d as f64).sum();
+                if sum / c.depth.len() as f64 > max_depth {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    fn client_io(submitted: SimTime, queue_depth: u64) -> DeviceIoEvent {
+        DeviceIoEvent {
+            device: 0,
+            start_block: 0,
+            blocks: 1,
+            kind: craid_diskmodel::IoKind::Read,
+            purpose: craid_raid::IoPurpose::Data,
+            submitted,
+            finished: submitted,
+            queue_depth,
+            internal_cache_hit: false,
+        }
+    }
+
+    proptest! {
+        /// The counted window agrees with the rebuilt one at every decision:
+        /// latencies land exactly on the integer target, percentiles include
+        /// 0 and 1, and windows are short enough that samples age out.
+        fn counted_verdict_matches_the_rebuilt_window(
+            (targets, target_ms, max_depth) in (0u8..3, 1u32..6, 1u32..12),
+            (percentile_pick, percentile_draw, window_ms) in (0usize..7, 0.0f64..1.0, 50u64..500),
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..20, 0u32..9, proptest::collection::vec((0u64..9, 0u64..40), 0..4)),
+                1..400,
+            ),
+        ) {
+            let percentile = [0.0, 1.0, 0.5, 0.9, 0.95, 0.99, percentile_draw][percentile_pick];
+            // `targets`: 0 = latency only, 1 = queue depth only, 2 = both.
+            let spec = SloSpec {
+                target_latency_ms: (targets != 1).then_some(f64::from(target_ms)),
+                // Half-integer ceilings too, so the mean can sit just above,
+                // on, or just below them.
+                max_queue_depth: (targets != 0).then_some(f64::from(max_depth) / 2.0),
+                percentile,
+                window_secs: window_ms as f64 / 1e3,
+                ..SloSpec::default()
+            };
+            let mut c = QosController::new(spec);
+            let mut now_ms = 0u64;
+            for (op, step_ms, latency_ms, ios) in ops {
+                now_ms += step_ms;
+                let now = SimTime::from_millis(now_ms as f64);
+                if op == 0 {
+                    // `evaluate` prunes the window, then decides on it.
+                    c.evaluate(now);
+                    prop_assert_eq!(c.violated(), reference_violated(&c), "at {now_ms} ms");
+                } else {
+                    // Device I/O may be submitted after the request arrives,
+                    // so the depth window's front is not always its oldest.
+                    let report = RequestReport {
+                        events: ios
+                            .iter()
+                            .map(|&(depth, lag_ms)| {
+                                client_io(SimTime::from_millis((now_ms + lag_ms) as f64), depth)
+                            })
+                            .collect(),
+                        ..RequestReport::default()
+                    };
+                    c.observe(now, f64::from(latency_ms), &[report]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -340,6 +340,7 @@ impl Simulation {
                 array.pump_background_into(record.time, &mut background);
             }
             if let Some(controller) = qos.as_mut() {
+                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Qos);
                 if let Some(retarget) = controller.evaluate(record.time) {
                     array.set_background_throttle(record.time, retarget.scale);
                     if retarget.notable {
@@ -357,20 +358,10 @@ impl Simulation {
                 array.pump_background_into(record.time, &mut background);
             }
             if let Some(controller) = qos.as_mut() {
+                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Qos);
                 controller.note_maintenance(&background);
             }
-            for activation in array.take_activations() {
-                craid_obs::emit(|_| {
-                    craid_obs::TraceEvent::instant(
-                        craid_obs::SpanCategory::Activation,
-                        "deferred-activation",
-                        activation.at,
-                    )
-                    .arg("added_disks", activation.added_disks as u64)
-                });
-                craid_obs::counter_add("activations", 1);
-                observer.on_deferred_activation(activation.at, activation.added_disks);
-            }
+            forward_activations(array.as_mut(), observer);
 
             {
                 let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Mapping);
@@ -413,20 +404,21 @@ impl Simulation {
                 craid_obs::counter_add("requests", 1);
                 craid_obs::histogram_record("request.worst_ms", outcome.worst_ms);
             }
+            if let Some(controller) = qos.as_mut() {
+                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Qos);
+                // The first report carries the pump's maintenance batch (when
+                // one was issued); the controller must only see the *client*
+                // I/O, or it would throttle against the queue depths of the
+                // very maintenance it paces.
+                let client_from = usize::from(has_background_report);
+                controller.observe(
+                    record.time,
+                    outcome.worst_ms,
+                    &outcome.reports[client_from..],
+                );
+            }
             {
                 let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::MetricsFold);
-                if let Some(controller) = qos.as_mut() {
-                    // The first report carries the pump's maintenance batch
-                    // (when one was issued); the controller must only see the
-                    // *client* I/O, or it would throttle against the queue
-                    // depths of the very maintenance it paces.
-                    let client_from = usize::from(has_background_report);
-                    controller.observe(
-                        record.time,
-                        outcome.worst_ms,
-                        &outcome.reports[client_from..],
-                    );
-                }
                 metrics.on_request(record, &outcome);
                 observer.on_request(record, &outcome);
             }
@@ -488,18 +480,7 @@ impl Simulation {
                 drain_at = drain_at.max(eta);
             }
             let events = array.pump_background(drain_at);
-            for activation in array.take_activations() {
-                craid_obs::emit(|_| {
-                    craid_obs::TraceEvent::instant(
-                        craid_obs::SpanCategory::Activation,
-                        "deferred-activation",
-                        activation.at,
-                    )
-                    .arg("added_disks", activation.added_disks as u64)
-                });
-                craid_obs::counter_add("activations", 1);
-                observer.on_deferred_activation(activation.at, activation.added_disks);
-            }
+            forward_activations(array.as_mut(), observer);
             if events.is_empty() && !array.background_idle() {
                 // The eta is computed in f64 and can round a hair short of
                 // the instant the final block comes due (`rate × elapsed`
@@ -631,6 +612,23 @@ fn compose_phase_swaps(base: &Trace, events: &[ScheduledEvent]) -> Option<Trace>
         }));
     }
     Some(Trace::new(base.name(), footprint, records))
+}
+
+/// Hands every deferred expansion the last pump activated to the tracer
+/// (an activation instant), the metrics registry and the observer.
+fn forward_activations(array: &mut dyn crate::array::StorageArray, observer: &mut dyn Observer) {
+    for activation in array.take_activations() {
+        craid_obs::emit(|_| {
+            craid_obs::TraceEvent::instant(
+                craid_obs::SpanCategory::Activation,
+                "deferred-activation",
+                activation.at,
+            )
+            .arg("added_disks", activation.added_disks as u64)
+        });
+        craid_obs::counter_add("activations", 1);
+        observer.on_deferred_activation(activation.at, activation.added_disks);
+    }
 }
 
 /// Applies one scheduled event to the array, returning the expansion report

@@ -43,7 +43,7 @@ pub mod summary;
 
 pub use concurrency::ConcurrencyTracker;
 pub use cv::{coefficient_of_variation, LoadBalanceTracker};
-pub use quantiles::Quantiles;
+pub use quantiles::{nearest_rank, Quantiles};
 pub use sequentiality::SequentialityTracker;
 pub use shard::{merge_shards, MergedDeviceMetrics, ShardAccumulator, ShardEvent, ShardRouter};
 pub use summary::StreamingSummary;

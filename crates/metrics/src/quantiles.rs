@@ -2,6 +2,25 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The 0-based index of the `q`-quantile among `n` ascending samples under
+/// the nearest-rank method (`rank = ⌈q·n⌉`, `q = 0` selecting the minimum).
+///
+/// [`Quantiles::quantile`] reads the sample at this index. A caller that
+/// only compares a quantile with a threshold `t` can count instead of
+/// sorting: the quantile exceeds `t` exactly when at most this many samples
+/// are `≤ t`.
+///
+/// # Panics
+///
+/// Panics if `n` is zero and `q` is not.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    if q == 0.0 {
+        0
+    } else {
+        ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+    }
+}
+
 /// Collects samples and answers percentile / CDF queries exactly.
 ///
 /// Samples are stored (as `f64`); sorting happens lazily on the first query
@@ -75,13 +94,7 @@ impl Quantiles {
             return None;
         }
         self.ensure_sorted();
-        let n = self.samples.len();
-        let rank = if q == 0.0 {
-            0
-        } else {
-            ((q * n as f64).ceil() as usize).clamp(1, n) - 1
-        };
-        Some(self.samples[rank])
+        Some(self.samples[nearest_rank(q, self.samples.len())])
     }
 
     /// Median shortcut.
@@ -143,8 +156,7 @@ impl Quantiles {
         (1..=points)
             .map(|i| {
                 let frac = i as f64 / points as f64;
-                let rank = ((frac * n as f64).ceil() as usize).clamp(1, n) - 1;
-                (self.samples[rank], frac)
+                (self.samples[nearest_rank(frac, n)], frac)
             })
             .collect()
     }
@@ -231,6 +243,52 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 100);
         assert_eq!(a.median(), Some(50.0));
+    }
+
+    #[test]
+    fn nearest_rank_matches_quantile_and_counts_at_edge_percentiles() {
+        let edges = |n: usize| {
+            let n = n as f64;
+            [
+                0.0,
+                f64::MIN_POSITIVE,
+                1e-12,
+                1.0 / n,
+                0.5,
+                (n - 1.0) / n,
+                0.95,
+                0.99,
+                1.0 - f64::EPSILON,
+                1.0,
+            ]
+        };
+        for n in 1..=64usize {
+            // Samples recorded out of order, with ties, so the sort matters.
+            let samples: Vec<f64> = (0..n).map(|i| ((i * 7) % n / 2) as f64).collect();
+            let mut q = Quantiles::new();
+            for &s in &samples {
+                q.record(s);
+            }
+            let sorted = q.sorted_samples().to_vec();
+            for p in edges(n) {
+                let rank = nearest_rank(p, n);
+                assert!(rank < n, "n={n} p={p}: rank {rank} out of range");
+                assert_eq!(q.quantile(p), Some(sorted[rank]), "n={n} p={p}");
+                // The nearest-rank rule: the smallest rank covering p·n.
+                assert!(p == 0.0 || (rank + 1) as f64 >= p * n as f64, "n={n} p={p}");
+                assert!(rank == 0 || (rank as f64) < p * n as f64, "n={n} p={p}");
+                // Counting equivalence: the quantile exceeds a threshold
+                // exactly when at most `rank` samples sit at or below it.
+                for t in (-1..=(n as i64)).map(|t| t as f64) {
+                    let within = samples.iter().filter(|&&s| s <= t).count();
+                    assert_eq!(
+                        sorted[rank] > t,
+                        within <= rank,
+                        "n={n} p={p} threshold={t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! observability layer** (grandfathered under the `wall-clock` rule in
 //! `crates/xtask/lint.allow`): it measures where *host* time goes inside
 //! the replay loop — mapping, redirect/submit, background pump, metrics
-//! fold — so `replay_throughput` can publish a per-stage breakdown next to
+//! fold, QoS control — so `replay_throughput` can publish a per-stage breakdown next to
 //! its events/sec headline. Nothing here ever feeds back into simulated
 //! behaviour: stage timings are collected on the side and read out after a
 //! run, so enabling the profiler cannot change a report byte.
@@ -27,17 +27,21 @@ pub enum Stage {
     Redirect,
     /// Background-engine pumping (poll, batches, completions).
     Pump,
-    /// Per-request metrics / QoS / observer folding.
+    /// Per-request metrics and observer folding.
     MetricsFold,
+    /// The QoS controller's decisions, observations and maintenance
+    /// accounting, plus the throttle retargets they cause.
+    Qos,
 }
 
 impl Stage {
     /// Every stage, in replay-loop order.
-    pub const ALL: [Stage; 4] = [
+    pub const ALL: [Stage; 5] = [
         Stage::Mapping,
         Stage::Redirect,
         Stage::Pump,
         Stage::MetricsFold,
+        Stage::Qos,
     ];
 
     /// The stable serialized name.
@@ -47,6 +51,7 @@ impl Stage {
             Stage::Redirect => "redirect",
             Stage::Pump => "pump",
             Stage::MetricsFold => "metrics_fold",
+            Stage::Qos => "qos",
         }
     }
 
@@ -56,6 +61,7 @@ impl Stage {
             Stage::Redirect => 1,
             Stage::Pump => 2,
             Stage::MetricsFold => 3,
+            Stage::Qos => 4,
         }
     }
 }
@@ -79,7 +85,7 @@ struct StageAccum {
 
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static STAGES: RefCell<[StageAccum; 4]> = const { RefCell::new([StageAccum { nanos: 0, hits: 0 }; 4]) };
+    static STAGES: RefCell<[StageAccum; 5]> = const { RefCell::new([StageAccum { nanos: 0, hits: 0 }; 5]) };
 }
 
 /// Enables stage timing on this thread (and resets any prior accumulation).
@@ -166,7 +172,7 @@ mod tests {
         assert!(!enabled());
         drop(timer(Stage::Pump));
         let breakdown = take();
-        assert_eq!(breakdown.len(), 4);
+        assert_eq!(breakdown.len(), 5);
         assert!(breakdown.iter().all(|s| s.hits == 0));
     }
 
@@ -181,6 +187,9 @@ mod tests {
             let _guard = timer(Stage::MetricsFold);
             std::hint::black_box(0u64);
         }
+        for _ in 0..2 {
+            let _guard = timer(Stage::Qos);
+        }
         let breakdown = take();
         assert!(!enabled(), "take() disables the profiler");
         let mapping = &breakdown[Stage::Mapping.index()];
@@ -189,6 +198,16 @@ mod tests {
         let fold = &breakdown[Stage::MetricsFold.index()];
         assert_eq!(fold.hits, 1);
         assert!(fold.secs >= 0.0);
+        let qos = &breakdown[Stage::Qos.index()];
+        assert_eq!(qos.stage, "qos");
+        assert_eq!(qos.hits, 2);
+        assert_eq!(
+            breakdown
+                .iter()
+                .map(|s| s.stage.as_str())
+                .collect::<Vec<_>>(),
+            ["mapping", "redirect", "pump", "metrics_fold", "qos"]
+        );
         // A second take() starts from a clean slate.
         enable();
         let breakdown = take();
