@@ -4,8 +4,8 @@
 //! observability layer** (grandfathered under the `wall-clock` rule in
 //! `crates/xtask/lint.allow`): it measures where *host* time goes inside
 //! the replay loop — mapping, redirect/submit, background pump, metrics
-//! fold, QoS control — so `replay_throughput` can publish a per-stage breakdown next to
-//! its events/sec headline. Nothing here ever feeds back into simulated
+//! fold, QoS control — so `replay_throughput` can publish a per-stage
+//! breakdown next to its events/sec headline. Nothing here ever feeds back into simulated
 //! behaviour: stage timings are collected on the side and read out after a
 //! run, so enabling the profiler cannot change a report byte.
 //!
