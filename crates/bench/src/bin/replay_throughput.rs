@@ -1,53 +1,53 @@
 //! Replay-throughput benchmark: how many trace records per wall-clock
-//! second the simulator replays on a large synthetic drill, single- and
-//! multi-threaded.
+//! second the simulator replays on a large synthetic drill, on one thread.
 //!
 //! The drill is the paper-preset CRAID-5 array replaying the `wdev`
 //! synthetic workload (seed 14, `pc_fraction` 0.2) — the same shape the
 //! evaluation sweeps use, scaled up so the replay loop dominates. Each
-//! requested thread count replays the *same* pre-generated trace through
-//! [`Scenario::run_on_sharded`]; the resulting reports are asserted
-//! byte-identical across thread counts before any number is trusted, so
-//! the benchmark doubles as a determinism check on the sharded
-//! metrics pipeline.
+//! invocation generates the trace once and replays it once through
+//! [`Scenario::run_on`]. One replay per process keeps an earlier run's
+//! heap and caches from skewing the number; run the binary again for
+//! another sample.
 //!
 //! ```text
 //! cargo run --release -p craid-bench --bin replay_throughput -- \
-//!     [--requests N] [--threads 1,4] [--smoke] [--out BENCH_replay.json] \
+//!     [--requests N] [--smoke] [--out BENCH_replay.json] \
 //!     [--baseline path.json] [--max-regress 30]
 //! ```
 //!
-//! The JSON written to `--out` carries one entry per thread count plus
-//! top-level fields mirroring the highest-thread run:
+//! The JSON written to `--out`:
 //!
 //! ```json
 //! {
+//!   "benchmark": "replay_throughput",
+//!   "scenario": "replay throughput drill",
 //!   "requests": 500000,
+//!   "records": 377816,
 //!   "events_per_sec": 123456.0,
 //!   "wall_secs": 3.06,
 //!   "peak_rss_bytes": 104857600,
-//!   "threads": 4,
-//!   "runs": [ { "threads": 1, "requests": 500000, "records": 377816, ... }, ... ]
+//!   "cores": 2,
+//!   "stage_profile": [ { "stage": "mapping", "secs": 0.05, "hits": 377816 }, ... ]
 //! }
 //! ```
 //!
 //! `requests` is the nominal `--requests` the synthetic trace was asked
-//! for; each run's `records` is how many trace records the replay actually
-//! processed (the report's request count), which the generator's scaling
-//! leaves below the nominal figure. `events_per_sec` divides `records` by
-//! the wall time (each record expands into several device I/Os
-//! internally). `peak_rss_bytes`
-//! is the process high-water mark (`VmHWM`), so later runs in the same
-//! invocation include earlier runs' footprint. With `--baseline`, the run
-//! exits non-zero if its top-level `events_per_sec` falls more than
-//! `--max-regress` percent (default 30) below the baseline file's — the
-//! CI perf-smoke gate.
+//! for; `records` is how many trace records the replay actually processed
+//! (the report's request count), which the generator's scaling moves off
+//! the nominal figure (the full drill replays 377,816 of 500,000, the
+//! smoke drill 62,969 of 60,000). `events_per_sec` divides `records` by the
+//! replay's wall time (each record expands into several device I/Os
+//! internally). `peak_rss_bytes` is the process high-water mark
+//! (`VmHWM`), trace generation included. `cores` is the host's available
+//! parallelism, recorded so a number can be read against the machine
+//! that produced it; the replay itself uses one thread. With
+//! `--baseline`, the run exits non-zero if its `events_per_sec` falls
+//! more than `--max-regress` percent (default 30) below the baseline
+//! file's — the CI perf-smoke gate.
 //!
-//! Each run also executes under the replay loop's per-stage profiler
-//! (`craid_obs::profile`); the highest-thread run's breakdown — mapping,
-//! redirect, pump, metrics fold, QoS — lands in the report's `stage_profile`
-//! array. The existing top-level fields are untouched, so older baseline
-//! files keep gating.
+//! The replay executes under the replay loop's per-stage profiler
+//! (`craid_obs::profile`); its breakdown — mapping, redirect, pump,
+//! metrics fold, QoS — lands in the report's `stage_profile` array.
 
 use std::time::Instant;
 
@@ -56,38 +56,28 @@ use craid_obs::profile::{self, StageSample};
 use craid_trace::WorkloadId;
 use serde::{Serialize, Value};
 
-/// Default request count for the full drill (about 15–30 s of replay on a
-/// developer machine after the sharded-metrics and WLRU-index work).
+/// Default request count for the full drill: 377,816 replayed records,
+/// about 5 s of replay on a 2-vCPU Xeon VM.
 const FULL_REQUESTS: u64 = 500_000;
 /// Request count under `--smoke` — big enough that per-request costs
 /// dominate trace generation, small enough for a CI gate.
 const SMOKE_REQUESTS: u64 = 60_000;
 
-#[derive(Debug, Clone, Copy, Serialize)]
-struct RunStat {
-    threads: usize,
-    /// The nominal `--requests` the trace was generated for.
-    requests: u64,
-    /// Trace records the replay processed (the report's request count).
-    records: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-    peak_rss_bytes: u64,
-}
-
 #[derive(Debug, Serialize)]
 struct BenchReport {
     benchmark: String,
     scenario: String,
+    /// The nominal `--requests` the trace was generated for.
     requests: u64,
-    /// Mirrors the highest-thread run, the headline number CI gates on.
+    /// Trace records the replay processed (the report's request count).
+    records: u64,
     events_per_sec: f64,
     wall_secs: f64,
     peak_rss_bytes: u64,
-    threads: usize,
-    runs: Vec<RunStat>,
-    /// Per-stage wall-clock breakdown of the highest-thread run's replay
-    /// loop (mapping, redirect, pump, metrics fold, QoS).
+    /// The host's available parallelism (the replay uses one thread).
+    cores: usize,
+    /// Per-stage wall-clock breakdown of the replay loop (mapping,
+    /// redirect, pump, metrics fold, QoS).
     stage_profile: Vec<StageSample>,
 }
 
@@ -103,7 +93,6 @@ fn main() {
 
 fn run(args: Vec<String>) -> Result<(), String> {
     let mut requests: Option<u64> = None;
-    let mut threads: Vec<usize> = vec![1, 4];
     let mut smoke = false;
     let mut out = "BENCH_replay.json".to_string();
     let mut baseline: Option<String> = None;
@@ -117,22 +106,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
         };
         match arg.as_str() {
             "--requests" => requests = Some(parse(&value_of("--requests")?)?),
-            "--threads" => {
-                threads = value_of("--threads")?
-                    .split(',')
-                    .map(|t| parse::<usize>(t.trim()))
-                    .collect::<Result<_, _>>()?;
-                if threads.is_empty() {
-                    return Err("--threads needs at least one thread count".into());
-                }
-            }
             "--smoke" => smoke = true,
             "--out" => out = value_of("--out")?,
             "--baseline" => baseline = Some(value_of("--baseline")?),
             "--max-regress" => max_regress = parse(&value_of("--max-regress")?)?,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: replay_throughput [--requests N] [--threads 1,4] [--smoke] \
+                    "usage: replay_throughput [--requests N] [--smoke] \
                      [--out path.json] [--baseline path.json] [--max-regress PCT]"
                 );
                 return Ok(());
@@ -154,64 +134,36 @@ fn run(args: Vec<String>) -> Result<(), String> {
     eprintln!("generating {requests}-request wdev trace (paper preset, CRAID-5)...");
     let trace = scenario.trace();
 
-    let mut runs: Vec<RunStat> = Vec::with_capacity(threads.len());
-    let mut stage_profiles: Vec<Vec<StageSample>> = Vec::with_capacity(threads.len());
-    let mut reference_report: Option<String> = None;
-    for &t in &threads {
-        profile::enable();
-        let started = Instant::now();
-        let outcome = scenario
-            .run_on_sharded(&trace, &mut NullObserver, t)
-            .map_err(|e| format!("replay failed at {t} thread(s): {e}"))?;
-        let wall_secs = started.elapsed().as_secs_f64();
-        stage_profiles.push(profile::take());
+    profile::enable();
+    let started = Instant::now();
+    let outcome = scenario
+        .run_on(&trace, &mut NullObserver)
+        .map_err(|e| format!("replay failed: {e}"))?;
+    let wall_secs = started.elapsed().as_secs_f64();
+    let stage_profile = profile::take();
 
-        // The sharded pipeline must not be able to publish a fast number
-        // for a different answer: every thread count must reproduce the
-        // single-threaded report byte-for-byte.
-        let json = outcome.report.to_json();
-        match &reference_report {
-            None => reference_report = Some(json),
-            Some(reference) => {
-                if *reference != json {
-                    return Err(format!(
-                        "report at {t} thread(s) is not byte-identical to the first run \
-                         — sharded replay broke determinism"
-                    ));
-                }
-            }
-        }
-
-        let records = outcome.report.requests;
-        let stat = RunStat {
-            threads: t,
-            requests,
-            records,
-            wall_secs,
-            events_per_sec: records as f64 / wall_secs,
-            peak_rss_bytes: peak_rss_bytes(),
-        };
-        eprintln!(
-            "threads={:<2} records={} wall={:.3}s events/sec={:.0} peak_rss={}MiB",
-            stat.threads,
-            stat.records,
-            stat.wall_secs,
-            stat.events_per_sec,
-            stat.peak_rss_bytes / (1024 * 1024),
-        );
-        runs.push(stat);
-    }
-
-    let headline_at = runs
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, r)| r.threads)
-        .map(|(i, _)| i)
-        .expect("at least one thread count runs");
-    let headline = runs[headline_at];
-    let stage_profile = stage_profiles.swap_remove(headline_at);
-    let replay_secs: f64 = stage_profile.iter().map(|s| s.secs).sum();
-    for sample in &stage_profile {
+    let records = outcome.report.requests;
+    let report = BenchReport {
+        benchmark: "replay_throughput".to_string(),
+        scenario: scenario.name.clone(),
+        requests,
+        records,
+        events_per_sec: records as f64 / wall_secs,
+        wall_secs,
+        peak_rss_bytes: peak_rss_bytes(),
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        stage_profile,
+    };
+    eprintln!(
+        "records={} wall={:.3}s events/sec={:.0} peak_rss={}MiB cores={}",
+        report.records,
+        report.wall_secs,
+        report.events_per_sec,
+        report.peak_rss_bytes / (1024 * 1024),
+        report.cores,
+    );
+    let replay_secs: f64 = report.stage_profile.iter().map(|s| s.secs).sum();
+    for sample in &report.stage_profile {
         eprintln!(
             "stage {:<12} {:>8.3}s ({:>4.1}% of instrumented replay time, {} hits)",
             sample.stage,
@@ -224,17 +176,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             sample.hits,
         );
     }
-    let report = BenchReport {
-        benchmark: "replay_throughput".to_string(),
-        scenario: scenario.name.clone(),
-        requests,
-        events_per_sec: headline.events_per_sec,
-        wall_secs: headline.wall_secs,
-        peak_rss_bytes: headline.peak_rss_bytes,
-        threads: headline.threads,
-        runs,
-        stage_profile,
-    };
     let json = serde_json::to_string_pretty(&report)
         .map_err(|e| format!("serializing bench report: {e}"))?;
     std::fs::write(&out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;

@@ -68,9 +68,10 @@
 //! // A heavily scaled-down wdev workload on a small CRAID-5 array.
 //! let trace = SyntheticWorkload::paper(WorkloadId::Wdev).scale(100_000).generate(1);
 //! let config = ArrayConfig::small_test(StrategyKind::Craid5, trace.footprint_blocks());
-//! let report = Simulation::new(config).run(&trace);
+//! let report = Simulation::new(config).try_run(&trace)?;
 //! assert!(report.requests > 0);
 //! assert!(report.craid.is_some());
+//! # Ok::<(), craid::CraidError>(())
 //! ```
 //!
 //! # Declaring experiments

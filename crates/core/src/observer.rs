@@ -14,8 +14,7 @@
 
 use craid_diskmodel::IoKind;
 use craid_metrics::{
-    concurrency::ConcurrencySummary, ConcurrencyTracker, LoadBalanceTracker, Quantiles,
-    SequentialityTracker, ShardEvent, ShardRouter, StreamingSummary,
+    ConcurrencyTracker, LoadBalanceTracker, Quantiles, SequentialityTracker, StreamingSummary,
 };
 use craid_trace::{Trace, TraceRecord};
 
@@ -242,115 +241,27 @@ pub struct MetricsCollector {
     write_summary: StreamingSummary,
     read_quantiles: Quantiles,
     write_quantiles: Quantiles,
-    device_metrics: DeviceMetrics,
+    load: LoadBalanceTracker,
+    seq: SequentialityTracker,
+    conc: ConcurrencyTracker,
     requests: u64,
     /// Once closed (the last trace record was served), trailing events no
     /// longer contribute device traffic to the measurement window.
     closed: bool,
 }
 
-/// Where device-level events (the per-second load / sequentiality /
-/// concurrency pipeline) are processed: inline on the replay thread, or
-/// routed to per-parity-group shard workers whose observations merge back
-/// bit-for-bit.
-enum DeviceMetrics {
-    Inline {
-        load: LoadBalanceTracker,
-        seq: SequentialityTracker,
-        conc: ConcurrencyTracker,
-    },
-    Sharded(ShardRouter),
-}
-
-impl DeviceMetrics {
-    fn record(&mut self, ev: &DeviceIoEvent) {
-        match self {
-            DeviceMetrics::Inline { load, seq, conc } => {
-                load.record(ev.submitted, ev.device, ev.bytes());
-                seq.record(ev.submitted, ev.device, ev.start_block, ev.blocks);
-                conc.record(ev.submitted, ev.device, ev.queue_depth);
-            }
-            DeviceMetrics::Sharded(router) => router.record(ShardEvent {
-                at: ev.submitted,
-                device: ev.device,
-                start_block: ev.start_block,
-                blocks: ev.blocks,
-                queue_depth: ev.queue_depth,
-                bytes: ev.bytes(),
-            }),
-        }
-    }
-
-    /// Folds the backend into the sequential trackers' outputs:
-    /// `(sequential_fraction, seq samples, overall cv, cv samples, ioq,
-    /// cdev)`.
-    fn finish(
-        self,
-    ) -> (
-        f64,
-        Quantiles,
-        f64,
-        Quantiles,
-        ConcurrencySummary,
-        ConcurrencySummary,
-    ) {
-        match self {
-            DeviceMetrics::Inline { load, seq, conc } => {
-                let fraction = seq.overall_sequential_fraction();
-                let seq_samples = seq.finish();
-                let overall_cv = load.overall_cv();
-                let cv_samples = load.finish();
-                let (ioq, cdev) = conc.finish();
-                (fraction, seq_samples, overall_cv, cv_samples, ioq, cdev)
-            }
-            DeviceMetrics::Sharded(router) => {
-                let mut merged = router.finish();
-                let fraction = merged.overall_sequential_fraction();
-                let overall_cv = merged.overall_cv();
-                let ioq = ConcurrencySummary::from_quantiles(&mut merged.queue_depths);
-                let cdev = ConcurrencySummary::from_quantiles(&mut merged.concurrent_devices);
-                (
-                    fraction,
-                    merged.seq_samples,
-                    overall_cv,
-                    merged.cv_samples,
-                    ioq,
-                    cdev,
-                )
-            }
-        }
-    }
-}
-
 impl MetricsCollector {
     /// Creates a collector for an array that will grow to `device_slots`
     /// devices over the run (initial devices plus every scheduled addition).
     pub fn new(device_slots: usize) -> Self {
-        Self::with_backend(DeviceMetrics::Inline {
-            load: LoadBalanceTracker::new(device_slots),
-            seq: SequentialityTracker::new(),
-            conc: ConcurrencyTracker::new(),
-        })
-    }
-
-    /// Creates a collector whose device-event pipeline is sharded across
-    /// `threads` worker threads, one shard per `parity_group`-sized device
-    /// group. Reports are bit-identical to the inline collector's.
-    pub fn new_sharded(device_slots: usize, parity_group: usize, threads: usize) -> Self {
-        Self::with_backend(DeviceMetrics::Sharded(ShardRouter::new(
-            device_slots,
-            parity_group,
-            threads,
-        )))
-    }
-
-    fn with_backend(device_metrics: DeviceMetrics) -> Self {
         MetricsCollector {
             read_summary: StreamingSummary::new(),
             write_summary: StreamingSummary::new(),
             read_quantiles: Quantiles::new(),
             write_quantiles: Quantiles::new(),
-            device_metrics,
+            load: LoadBalanceTracker::new(device_slots),
+            seq: SequentialityTracker::new(),
+            conc: ConcurrencyTracker::new(),
             requests: 0,
             closed: false,
         }
@@ -363,11 +274,12 @@ impl MetricsCollector {
         self.closed = true;
     }
 
-    fn record_device_events(&mut self, reports: &[RequestReport]) {
-        for report in reports {
-            for ev in &report.events {
-                self.device_metrics.record(ev);
-            }
+    fn record_device_events(&mut self, events: &[DeviceIoEvent]) {
+        for ev in events {
+            self.load.record(ev.submitted, ev.device, ev.bytes());
+            self.seq
+                .record(ev.submitted, ev.device, ev.start_block, ev.blocks);
+            self.conc.record(ev.submitted, ev.device, ev.queue_depth);
         }
     }
 
@@ -380,8 +292,11 @@ impl MetricsCollector {
         craid: Option<CraidStats>,
         device_bytes: Vec<u64>,
     ) -> SimulationReport {
-        let (sequential_fraction, mut seq_samples, overall_cv, mut cv_samples, ioq, cdev) =
-            self.device_metrics.finish();
+        let sequential_fraction = self.seq.overall_sequential_fraction();
+        let mut seq_samples = self.seq.finish();
+        let overall_cv = self.load.overall_cv();
+        let mut cv_samples = self.load.finish();
+        let (ioq, cdev) = self.conc.finish();
 
         SimulationReport {
             strategy: strategy.to_string(),
@@ -415,7 +330,9 @@ impl MetricsCollector {
 impl Observer for MetricsCollector {
     fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
         self.requests += 1;
-        self.record_device_events(&outcome.reports);
+        for report in &outcome.reports {
+            self.record_device_events(&report.events);
+        }
         match record.kind {
             IoKind::Read => {
                 self.read_summary.record(outcome.worst_ms);
@@ -433,9 +350,7 @@ impl Observer for MetricsCollector {
             return;
         }
         if let Some(report) = expansion {
-            for ev in &report.events {
-                self.device_metrics.record(ev);
-            }
+            self.record_device_events(&report.events);
         }
     }
 }
@@ -543,5 +458,69 @@ mod tests {
         assert_eq!(report.write.mean_ms, 2.5);
         assert_eq!(report.read.count, 0);
         assert_eq!(report.strategy, "RAID-5");
+    }
+
+    /// An 8-block device write submitted `at_secs` into the run.
+    fn device_write(at_secs: f64, device: usize, start_block: u64, depth: u64) -> DeviceIoEvent {
+        let submitted = SimTime::from_secs(at_secs);
+        DeviceIoEvent {
+            device,
+            start_block,
+            blocks: 8,
+            kind: IoKind::Write,
+            purpose: craid_raid::IoPurpose::Data,
+            submitted,
+            finished: submitted,
+            queue_depth: depth,
+            internal_cache_hit: false,
+        }
+    }
+
+    #[test]
+    fn expansion_io_counts_only_inside_the_measurement_window() {
+        let record = TraceRecord::new(SimTime::ZERO, IoKind::Write, 0, 8);
+        let outcome = RequestOutcome {
+            worst_ms: 1.0,
+            reports: vec![RequestReport {
+                events: vec![device_write(0.5, 0, 0, 1), device_write(0.5, 1, 100, 1)],
+                ..RequestReport::default()
+            }],
+        };
+        // Two write-backs in the next second, each continuing device 0's
+        // run and finding a deeper queue than any client I/O did.
+        let expand = ScheduledEvent::expand(SimTime::from_secs(1.5), 2);
+        let writeback = ExpansionReport {
+            added_disks: 2,
+            writeback_blocks: 16,
+            events: vec![device_write(1.5, 0, 8, 7), device_write(1.5, 0, 16, 7)],
+            ..ExpansionReport::default()
+        };
+        let report = |expansion: Option<&ExpansionReport>, closed_first: bool| {
+            let mut m = MetricsCollector::new(4);
+            m.on_request(&record, &outcome);
+            if closed_first {
+                m.close();
+            }
+            if expansion.is_some() {
+                m.on_event(&expand, expansion);
+            }
+            m.close();
+            m.finish("CRAID-5", "wdev", None, vec![0; 4])
+        };
+        let quiet = report(None, false);
+        assert_eq!(quiet.ioq.max, 1.0);
+
+        let inside = report(Some(&writeback), false);
+        assert_eq!(inside.ioq.max, 7.0, "write-backs count into ioq");
+        assert_ne!(
+            inside.sequentiality_cdf, quiet.sequentiality_cdf,
+            "write-backs count into the sequentiality CDF"
+        );
+
+        let outside = report(Some(&writeback), true);
+        assert_eq!(
+            outside, quiet,
+            "events after close() fall outside the measurement window"
+        );
     }
 }

@@ -718,50 +718,6 @@ impl Scenario {
         trace: &Trace,
         extra: &mut dyn Observer,
     ) -> Result<ScenarioOutcome, CraidError> {
-        self.run_on_sharded(trace, extra, 1)
-    }
-
-    /// Runs the scenario with its device-metrics pipeline sharded across
-    /// `threads` worker threads ([`Simulation::try_run_events_sharded`]).
-    /// The outcome — including every floating-point metric — is
-    /// bit-identical to the single-threaded run; `threads <= 1` stays on
-    /// the inline path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CraidError`] if the resolved configuration or an event
-    /// is invalid.
-    pub fn run_sharded(&self, threads: usize) -> Result<ScenarioOutcome, CraidError> {
-        self.run_sharded_observed(threads, &mut NullObserver)
-    }
-
-    /// [`Scenario::run_sharded`] with an extra observer attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CraidError`] if the resolved configuration or an event
-    /// is invalid.
-    pub fn run_sharded_observed(
-        &self,
-        threads: usize,
-        extra: &mut dyn Observer,
-    ) -> Result<ScenarioOutcome, CraidError> {
-        self.validate()?; // before trace generation, which asserts on its inputs
-        self.run_on_sharded(&self.trace(), extra, threads)
-    }
-
-    /// [`Scenario::run_on`] with a sharded device-metrics pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CraidError`] if the resolved configuration or an event
-    /// is invalid.
-    pub fn run_on_sharded(
-        &self,
-        trace: &Trace,
-        extra: &mut dyn Observer,
-        threads: usize,
-    ) -> Result<ScenarioOutcome, CraidError> {
         // The validation funnel: every execution path ends here. The extra
         // `validate` calls in `run_observed` and `Campaign::run` exist only
         // to guard trace *generation*, which asserts on its inputs.
@@ -772,12 +728,8 @@ impl Scenario {
             first: &mut declared,
             second: extra,
         };
-        let (report, expansions, applied_events) = Simulation::new(config).try_run_events_sharded(
-            trace,
-            &self.events,
-            &mut observers,
-            threads,
-        )?;
+        let (report, expansions, applied_events) =
+            Simulation::new(config).try_run_events(trace, &self.events, &mut observers)?;
         Ok(ScenarioOutcome {
             name: self.name.clone(),
             strategy: self.strategy,
@@ -792,8 +744,7 @@ impl Scenario {
     /// Runs the scenario with a [`craid_obs::Tracer`] installed, returning
     /// the outcome together with the captured trace. `capacity` bounds the
     /// tracer's ring buffer (events beyond it are counted as dropped, never
-    /// reallocated); `threads` shards the device-metrics pipeline as in
-    /// [`Scenario::run_sharded`]. The outcome's report carries an
+    /// reallocated). The outcome's report carries an
     /// [`craid_obs::ObsSnapshot`] in its `obs` field; everything else is
     /// bit-identical to an untraced run because tracing only *records* —
     /// it never feeds back into simulated behaviour.
@@ -802,7 +753,7 @@ impl Scenario {
     /// use craid::ScenarioBuilder;
     ///
     /// let scenario = ScenarioBuilder::new().name("traced").build();
-    /// let (outcome, trace) = scenario.run_traced(1 << 16, 1).unwrap();
+    /// let (outcome, trace) = scenario.run_traced(1 << 16).unwrap();
     /// std::fs::write("trace.json", trace.to_chrome_json()).unwrap();
     /// assert!(outcome.report.obs.is_some());
     /// ```
@@ -814,13 +765,12 @@ impl Scenario {
     pub fn run_traced(
         &self,
         capacity: usize,
-        threads: usize,
     ) -> Result<(ScenarioOutcome, craid_obs::Trace), CraidError> {
         self.validate()?; // before trace generation, which asserts on its inputs
         let trace = self.trace();
         let (outcome, mut obs_trace) =
             craid_obs::with_tracer(craid_obs::Tracer::with_capacity(capacity), || {
-                self.run_on_sharded(&trace, &mut NullObserver, threads)
+                self.run_on(&trace, &mut NullObserver)
             });
         let mut outcome = outcome?;
         outcome.report.obs = Some(obs_trace.snapshot());
@@ -1392,7 +1342,7 @@ mod tests {
 
     #[test]
     fn run_traced_attaches_snapshot_and_captures_request_spans() {
-        let (outcome, trace) = tiny().run_traced(1 << 16, 1).unwrap();
+        let (outcome, trace) = tiny().run_traced(1 << 16).unwrap();
         let obs = outcome.report.obs.as_ref().expect("traced run sets obs");
         let requests = outcome.report.requests;
         assert_eq!(obs.metrics.counters.get("requests"), Some(&requests));
@@ -1402,6 +1352,16 @@ mod tests {
         // The same scenario untraced leaves the field unset.
         let untraced = tiny().run().unwrap();
         assert!(untraced.report.obs.is_none());
+    }
+
+    #[test]
+    fn run_traced_rejects_an_empty_workload_before_generating_it() {
+        // Trace generation asserts on a zero request count; validation
+        // must turn that into an error first.
+        let mut empty = tiny();
+        empty.workload.requests = 0;
+        let outcome = empty.run_traced(1 << 10);
+        assert!(matches!(outcome, Err(CraidError::InvalidConfig(_))));
     }
 
     #[test]

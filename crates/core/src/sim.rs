@@ -142,17 +142,6 @@ impl Simulation {
 
     /// Replays `trace` and returns the full measurement report.
     ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (use [`Simulation::try_run`]
-    /// for a fallible variant).
-    pub fn run(&self, trace: &Trace) -> SimulationReport {
-        self.try_run(trace)
-            .expect("simulation configuration is valid")
-    }
-
-    /// Fallible variant of [`Simulation::run`].
-    ///
     /// # Errors
     ///
     /// Returns a [`CraidError`] if the configuration is inconsistent.
@@ -213,30 +202,6 @@ impl Simulation {
         events: &[ScheduledEvent],
         observer: &mut dyn Observer,
     ) -> Result<(SimulationReport, Vec<ExpansionReport>, Vec<AppliedEvent>), CraidError> {
-        self.try_run_events_sharded(trace, events, observer, 1)
-    }
-
-    /// Like [`Simulation::try_run_events`], but with the device-event
-    /// metrics pipeline sharded across `threads` worker threads (one shard
-    /// per parity group of devices, merged deterministically at the end).
-    ///
-    /// The report is **bit-identical** to the single-threaded one for any
-    /// `threads`: devices are partitioned across shards, so every per-device
-    /// accumulation happens on one worker in replay order, and the merge
-    /// reassembles exactly the per-second aggregates the inline trackers
-    /// compute. `threads <= 1` runs the inline pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CraidError`] if the configuration or an event is
-    /// invalid.
-    pub fn try_run_events_sharded(
-        &self,
-        trace: &Trace,
-        events: &[ScheduledEvent],
-        observer: &mut dyn Observer,
-        threads: usize,
-    ) -> Result<(SimulationReport, Vec<ExpansionReport>, Vec<AppliedEvent>), CraidError> {
         let composed = compose_phase_swaps(trace, events);
         let trace = composed.as_ref().unwrap_or(trace);
         let mut config = self.config.clone();
@@ -267,11 +232,7 @@ impl Simulation {
             })
             .sum();
         let device_slots = array.device_count() + total_added;
-        let mut metrics = if threads > 1 {
-            MetricsCollector::new_sharded(device_slots, config.parity_group.max(1), threads)
-        } else {
-            MetricsCollector::new(device_slots)
-        };
+        let mut metrics = MetricsCollector::new(device_slots);
         observer.on_start(&config, trace);
 
         let mut expansion_reports = Vec::new();
@@ -762,7 +723,7 @@ mod tests {
     fn simulation_produces_complete_report() {
         let trace = tiny_trace();
         let config = ArrayConfig::small_test(StrategyKind::Craid5, trace.footprint_blocks());
-        let report = Simulation::new(config).run(&trace);
+        let report = Simulation::new(config).try_run(&trace).unwrap();
         assert_eq!(report.requests, trace.len() as u64);
         assert_eq!(report.workload, "wdev");
         assert_eq!(report.strategy, "CRAID-5");
@@ -781,9 +742,18 @@ mod tests {
     fn baseline_report_has_no_craid_stats() {
         let trace = tiny_trace();
         let config = ArrayConfig::small_test(StrategyKind::Raid5, trace.footprint_blocks());
-        let report = Simulation::new(config).run(&trace);
+        let report = Simulation::new(config).try_run(&trace).unwrap();
         assert!(report.craid.is_none());
         assert!(report.requests > 0);
+    }
+
+    #[test]
+    fn invalid_configuration_is_an_error_not_a_panic() {
+        let trace = tiny_trace();
+        let mut config = ArrayConfig::small_test(StrategyKind::Craid5, trace.footprint_blocks());
+        config.parity_group = 3; // does not divide the 8 disks
+        let result = Simulation::new(config).try_run(&trace);
+        assert!(matches!(result, Err(CraidError::InvalidConfig(_))));
     }
 
     #[test]

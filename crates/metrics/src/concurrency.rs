@@ -26,19 +26,6 @@ pub struct ConcurrencySummary {
     pub max: f64,
 }
 
-impl ConcurrencySummary {
-    /// Builds the summary from a raw sample set (zeros when empty) — the
-    /// same folding [`ConcurrencyTracker::finish`] applies, exposed so the
-    /// sharded merge can reproduce it exactly.
-    pub fn from_quantiles(q: &mut Quantiles) -> Self {
-        ConcurrencySummary {
-            mean: q.mean().unwrap_or(0.0),
-            p99: q.quantile(0.99).unwrap_or(0.0),
-            max: q.max().unwrap_or(0.0),
-        }
-    }
-}
-
 /// Tracks queue-depth samples and per-second concurrently-active device
 /// counts. Feed events in non-decreasing time order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -107,12 +94,18 @@ impl ConcurrencyTracker {
 }
 
 fn summarize(q: &mut Quantiles) -> ConcurrencySummary {
-    ConcurrencySummary::from_quantiles(q)
+    ConcurrencySummary {
+        mean: q.mean().unwrap_or(0.0),
+        p99: q.quantile(0.99).unwrap_or(0.0),
+        max: q.max().unwrap_or(0.0),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn empty_tracker_yields_zero_summaries() {
@@ -177,5 +170,43 @@ mod tests {
         let mut t = ConcurrencyTracker::new();
         t.record(SimTime::from_secs(2.0), 0, 0);
         t.record(SimTime::from_secs(1.0), 0, 0);
+    }
+
+    /// Mean, nearest-rank p99 and max of integer samples, by integer math.
+    fn reference_summary(samples: &[u64]) -> ConcurrencySummary {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let rank = (99 * n).div_ceil(100).max(1);
+        ConcurrencySummary {
+            mean: sorted.iter().sum::<u64>() as f64 / n as f64,
+            p99: sorted[rank - 1] as f64,
+            max: sorted[n - 1] as f64,
+        }
+    }
+
+    proptest! {
+        /// The summaries equal a recount of the raw stream: one `ioq` sample
+        /// per submission, one `cdev` sample (distinct devices) per second
+        /// with traffic.
+        #[test]
+        fn prop_summaries_match_a_per_second_recount(
+            raw in proptest::collection::vec((0u64..30_000_000, 0usize..12, 0u64..64), 1..400),
+        ) {
+            let mut raw = raw;
+            raw.sort_by_key(|&(micros, _, _)| micros);
+            let mut tracker = ConcurrencyTracker::new();
+            let mut active: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+            for &(micros, device, depth) in &raw {
+                let at = SimTime::from_micros(micros as f64);
+                tracker.record(at, device, depth);
+                active.entry(at.second_bucket()).or_default().insert(device);
+            }
+            let depths: Vec<u64> = raw.iter().map(|&(_, _, depth)| depth).collect();
+            let devices: Vec<u64> = active.values().map(|set| set.len() as u64).collect();
+            let (ioq, cdev) = tracker.finish();
+            prop_assert_eq!(ioq, reference_summary(&depths));
+            prop_assert_eq!(cdev, reference_summary(&devices));
+        }
     }
 }

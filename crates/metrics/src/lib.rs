@@ -15,8 +15,6 @@
 //!   sequential device accesses behind Fig. 5.
 //! * [`ConcurrencyTracker`] — per-second count of concurrently active devices
 //!   and queue-depth samples behind Table 5.
-//! * [`shard`] — shard-local accumulators and a deterministic merge so the
-//!   sharded replay engine reproduces single-threaded reports bit-for-bit.
 //!
 //! # Example
 //!
@@ -38,12 +36,10 @@ pub mod concurrency;
 pub mod cv;
 pub mod quantiles;
 pub mod sequentiality;
-pub mod shard;
 pub mod summary;
 
 pub use concurrency::ConcurrencyTracker;
 pub use cv::{coefficient_of_variation, LoadBalanceTracker};
 pub use quantiles::{nearest_rank, Quantiles};
 pub use sequentiality::SequentialityTracker;
-pub use shard::{merge_shards, MergedDeviceMetrics, ShardAccumulator, ShardEvent, ShardRouter};
 pub use summary::StreamingSummary;

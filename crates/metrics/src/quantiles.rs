@@ -105,9 +105,9 @@ impl Quantiles {
     /// Arithmetic mean of the samples, or `None` if empty.
     ///
     /// The sum runs over the *sorted* samples so the result depends only on
-    /// the sample multiset, never on insertion order — a prerequisite for
-    /// the sharded replay merge, which must reproduce single-threaded
-    /// reports bit-for-bit whatever order shards contribute samples in.
+    /// the sample multiset, never on insertion order. Every report's bytes
+    /// are pinned to this summation order: summing in insertion order
+    /// rounds differently and would change the last bits of every mean.
     pub fn mean(&mut self) -> Option<f64> {
         if self.samples.is_empty() {
             None
@@ -231,6 +231,18 @@ mod tests {
     }
 
     #[test]
+    fn mean_sums_in_sorted_order() {
+        // Summed in insertion order these give (1e16 + 1 - 1e16 + 1) / 4 =
+        // 0.25: the first `+ 1` is lost to rounding, the second survives.
+        // Sorted, both are absorbed by -1e16 and the mean is exactly 0.
+        let mut q = Quantiles::new();
+        for v in [1e16, 1.0, -1e16, 1.0] {
+            q.record(v);
+        }
+        assert_eq!(q.mean(), Some(0.0));
+    }
+
+    #[test]
     fn merge_combines_sample_sets() {
         let mut a = Quantiles::new();
         let mut b = Quantiles::new();
@@ -316,6 +328,26 @@ mod tests {
                 prop_assert!(v >= lo && v <= hi);
                 prev = v;
             }
+        }
+
+        /// The mean depends only on the sample multiset: the same samples
+        /// recorded reversed or rotated give the same bits.
+        #[test]
+        fn prop_mean_ignores_insertion_order(
+            values in proptest::collection::vec(-1e12f64..1e12, 1..300),
+            pivot in 0usize..300,
+        ) {
+            let mean_bits = |samples: &[f64]| {
+                let mut q = Quantiles::new();
+                samples.iter().for_each(|&v| q.record(v));
+                q.mean().unwrap().to_bits()
+            };
+            let mut reversed = values.clone();
+            reversed.reverse();
+            prop_assert_eq!(mean_bits(&reversed), mean_bits(&values));
+            let mut rotated = values.clone();
+            rotated.rotate_left(pivot % values.len());
+            prop_assert_eq!(mean_bits(&rotated), mean_bits(&values));
         }
     }
 }

@@ -52,7 +52,7 @@ fn run_maybe_traced(
 ) -> Result<ScenarioOutcome, Box<dyn std::error::Error>> {
     match trace_out {
         Some(path) => {
-            let (outcome, trace) = scenario.run_traced(craid_obs::DEFAULT_CAPACITY, 1)?;
+            let (outcome, trace) = scenario.run_traced(craid_obs::DEFAULT_CAPACITY)?;
             std::fs::write(path, trace.export(format))?;
             Ok(outcome)
         }

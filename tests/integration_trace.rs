@@ -1,32 +1,39 @@
 //! Integration tests for the deterministic tracing layer (`craid-obs`):
 //! the golden event-count reconciliation between a Chrome trace export and
 //! the report's `obs` snapshot, trace-twice byte-diff determinism for
-//! every shipped drill, and the pin that tracing-off reports stay
-//! byte-identical to a build without tracing.
+//! every shipped drill, the pin that tracing-off reports stay
+//! byte-identical to a build without tracing, and a full-size replay of
+//! every shipped drill through each scenario entry point.
 
-use craid::Scenario;
+use craid::{NullObserver, Scenario};
 use serde::Value;
 
-/// Every drill shipped under `examples/scenarios/` (the `invalid/`
-/// fixtures are analyzer food, not runnable scenarios).
-const DRILLS: &[(&str, &str)] = &[
-    (
-        "failure_drill",
-        include_str!("../examples/scenarios/failure_drill.toml"),
-    ),
-    (
-        "online_upgrade_drill",
-        include_str!("../examples/scenarios/online_upgrade_drill.toml"),
-    ),
-    (
-        "qos_drill",
-        include_str!("../examples/scenarios/qos_drill.toml"),
-    ),
-    (
-        "upgrade_drill",
-        include_str!("../examples/scenarios/upgrade_drill.toml"),
-    ),
-];
+/// Every drill shipped under `examples/scenarios/` as `(name, TOML)`, in
+/// name order. Only the directory's own `*.toml` files count: the
+/// `invalid/` fixtures are analyzer food, not runnable scenarios. A new
+/// drill is pinned by every test here without being listed.
+fn shipped_drills() -> Vec<(String, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+    let mut drills: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable scenario dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .map(|path| {
+            let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+            (name, text)
+        })
+        .collect();
+    drills.sort();
+    assert!(
+        drills.len() >= 4,
+        "expected the shipped drill set, found {} TOML file(s) in {}",
+        drills.len(),
+        dir.display()
+    );
+    drills
+}
 
 /// Loads a drill scaled down to `requests` with observers silenced, so
 /// the tests stay fast and quiet without changing what they pin.
@@ -64,9 +71,13 @@ fn chrome_category_counts(root: &Value) -> std::collections::BTreeMap<String, u6
 /// report's own request counter.
 #[test]
 fn qos_drill_chrome_trace_reconciles_with_the_report() {
-    let scenario = drill(DRILLS[2].1, 4_000);
+    let (_, text) = shipped_drills()
+        .into_iter()
+        .find(|(name, _)| name == "qos_drill")
+        .expect("qos_drill ships");
+    let scenario = drill(&text, 4_000);
     let (outcome, trace) = scenario
-        .run_traced(craid_obs::DEFAULT_CAPACITY, 1)
+        .run_traced(craid_obs::DEFAULT_CAPACITY)
         .expect("qos drill runs traced");
     let obs = outcome.report.obs.as_ref().expect("traced run embeds obs");
     assert_eq!(obs.dropped, 0, "the default ring holds the whole drill");
@@ -121,13 +132,13 @@ fn qos_drill_chrome_trace_reconciles_with_the_report() {
 /// reports — virtual-time tracing has no nondeterministic inputs.
 #[test]
 fn every_shipped_drill_traces_byte_identically_twice() {
-    for (name, text) in DRILLS {
-        let scenario = drill(text, 1_200);
+    for (name, text) in shipped_drills() {
+        let scenario = drill(&text, 1_200);
         let (first, first_trace) = scenario
-            .run_traced(craid_obs::DEFAULT_CAPACITY, 1)
+            .run_traced(craid_obs::DEFAULT_CAPACITY)
             .unwrap_or_else(|e| panic!("{name} runs traced: {e}"));
         let (second, second_trace) = scenario
-            .run_traced(craid_obs::DEFAULT_CAPACITY, 1)
+            .run_traced(craid_obs::DEFAULT_CAPACITY)
             .unwrap_or_else(|e| panic!("{name} runs traced: {e}"));
         assert_eq!(
             first_trace.to_chrome_json(),
@@ -154,8 +165,8 @@ fn every_shipped_drill_traces_byte_identically_twice() {
 /// perturbs.
 #[test]
 fn tracing_off_reports_omit_obs_and_match_traced_results() {
-    for (name, text) in DRILLS {
-        let scenario = drill(text, 1_200);
+    for (name, text) in shipped_drills() {
+        let scenario = drill(&text, 1_200);
         let untraced = scenario
             .run()
             .unwrap_or_else(|e| panic!("{name} runs: {e}"));
@@ -171,13 +182,45 @@ fn tracing_off_reports_omit_obs_and_match_traced_results() {
             "{name}: untraced reports must be byte-identical across runs"
         );
 
-        let (traced, _) = scenario.run_traced(craid_obs::DEFAULT_CAPACITY, 1).unwrap();
+        let (traced, _) = scenario.run_traced(craid_obs::DEFAULT_CAPACITY).unwrap();
         let mut stripped = traced.report.clone();
         stripped.obs = None;
         assert_eq!(
             untraced_json,
             stripped.to_json(),
             "{name}: tracing must not change a single reported byte"
+        );
+    }
+}
+
+/// Every shipped drill at its shipped size, as the TOML declares it: `run`,
+/// `run_on` over a pre-generated trace and `run_traced` (its snapshot
+/// stripped) produce the same report bytes. The tests above scale the
+/// drills down; this one replays the schedules as shipped.
+#[test]
+fn every_shipped_drill_at_shipped_size_reports_identically_through_every_entry_point() {
+    for (name, text) in shipped_drills() {
+        let scenario = Scenario::from_toml(&text).unwrap_or_else(|e| panic!("parsing {name}: {e}"));
+        let reference = scenario
+            .run()
+            .unwrap_or_else(|e| panic!("{name} runs: {e}"))
+            .report
+            .to_json();
+        let on_trace = scenario
+            .run_on(&scenario.trace(), &mut NullObserver)
+            .unwrap_or_else(|e| panic!("{name} runs on its trace: {e}"))
+            .report
+            .to_json();
+        assert_eq!(on_trace, reference, "{name}: run_on diverges from run");
+        let (traced, _) = scenario
+            .run_traced(craid_obs::DEFAULT_CAPACITY)
+            .unwrap_or_else(|e| panic!("{name} runs traced: {e}"));
+        let mut stripped = traced.report;
+        stripped.obs = None;
+        assert_eq!(
+            stripped.to_json(),
+            reference,
+            "{name}: run_traced diverges from run"
         );
     }
 }
