@@ -72,7 +72,8 @@ impl ActivationQueue {
     /// drain and forward to
     /// [`Observer::on_deferred_activation`](crate::observer::Observer::on_deferred_activation).
     pub(super) fn record(&mut self, at: SimTime, added_disks: usize) {
-        self.activations.push(ActivatedExpansion { at, added_disks });
+        self.activations
+            .push(ActivatedExpansion { at, added_disks });
     }
 
     /// Drains the activation records accumulated since the last call.
