@@ -465,12 +465,6 @@ impl StorageArray for BaselineArray {
         )
     }
 
-    fn pump_background(&mut self, now: SimTime) -> Vec<DeviceIoEvent> {
-        let mut events = Vec::new();
-        self.pump_background_into(now, &mut events);
-        events
-    }
-
     fn pump_background_into(&mut self, now: SimTime, events: &mut Vec<DeviceIoEvent>) {
         for batch in self.background.poll(now) {
             match batch {

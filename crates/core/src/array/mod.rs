@@ -157,40 +157,35 @@ pub trait StorageArray {
     /// QoS controller's output, a fraction of the configured maintenance
     /// rates in `[floor, 1.0]`). A no-op unless the array was built with a
     /// QoS spec (which attaches the throttle to its background engine).
-    fn set_background_throttle(&mut self, _now: SimTime, _scale: f64) {}
+    fn set_background_throttle(&mut self, now: SimTime, scale: f64);
 
     /// Drains the deferred expansions that activated since the last call
     /// (in activation order). The simulation driver forwards them to
     /// [`Observer::on_deferred_activation`](crate::observer::Observer::on_deferred_activation).
-    fn take_activations(&mut self) -> Vec<ActivatedExpansion> {
-        Vec::new()
-    }
+    fn take_activations(&mut self) -> Vec<ActivatedExpansion>;
 
     /// Runs one catch-up step of the array's background engine at `now`:
     /// if a rebuild or expansion migration is in flight and behind its
     /// pace, one batch of background I/O is issued and its device events
-    /// returned. The simulation driver calls this once per client request,
-    /// interleaving maintenance with traffic; direct users replaying their
-    /// own loops should do the same.
-    fn pump_background(&mut self, now: SimTime) -> Vec<DeviceIoEvent>;
+    /// appended to `out` (already cleared by the caller, so the replay hot
+    /// loop reuses one buffer). The simulation driver calls this once per
+    /// client request, interleaving maintenance with traffic; direct users
+    /// replaying their own loops should do the same.
+    fn pump_background_into(&mut self, now: SimTime, out: &mut Vec<DeviceIoEvent>);
 
-    /// Pumps background work, appending the issued device events to `out`
-    /// (already cleared by the caller) instead of allocating a fresh vector
-    /// — the replay hot loop's variant of [`StorageArray::pump_background`].
-    fn pump_background_into(&mut self, now: SimTime, out: &mut Vec<DeviceIoEvent>) {
-        out.extend(self.pump_background(now));
+    /// [`StorageArray::pump_background_into`] into a fresh vector.
+    fn pump_background(&mut self, now: SimTime) -> Vec<DeviceIoEvent> {
+        let mut events = Vec::new();
+        self.pump_background_into(now, &mut events);
+        events
     }
 
     /// True when a background pacing clock says the engine could issue or
     /// retire work at `now` — the gate the replay loop's event-clocked
-    /// pumping uses to skip guaranteed-idle pumps. The conservative default
-    /// (`true`) keeps the classic once-per-request cadence; arrays that can
-    /// compute their next due instant exactly override this. A `true` that
-    /// turns out idle costs one no-op poll; returning `false` while work is
-    /// due would defer maintenance, so implementations must err early.
-    fn background_work_due(&mut self, _now: SimTime) -> bool {
-        true
-    }
+    /// pumping uses to skip guaranteed-idle pumps. A `true` that turns out
+    /// idle costs one no-op poll; returning `false` while work is due would
+    /// defer maintenance, so implementations must err early.
+    fn background_work_due(&mut self, now: SimTime) -> bool;
 
     /// True when no background task (rebuild, migration or archive
     /// restripe) is live and no deferred expansion awaits activation.

@@ -4,8 +4,9 @@
 //! against an array; everything that *watches* the replay — the metrics
 //! trackers that build the [`SimulationReport`], progress printers, future
 //! streaming sinks — is an [`Observer`]. Observers receive a hook per client
-//! request and per applied [`ScheduledEvent`], plus start/finish hooks, so
-//! new consumers can be added without touching the engine's run loop.
+//! request, per applied [`ScheduledEvent`], per notable QoS throttle change
+//! and per deferred-expansion activation, so new consumers can be added
+//! without touching the engine's run loop.
 //!
 //! The paper's measurement pipeline itself is implemented as an observer:
 //! [`MetricsCollector`] owns the response-time summaries, quantile sketches,
@@ -16,12 +17,11 @@ use craid_diskmodel::IoKind;
 use craid_metrics::{
     ConcurrencyTracker, LoadBalanceTracker, Quantiles, SequentialityTracker, StreamingSummary,
 };
-use craid_trace::{Trace, TraceRecord};
+use craid_trace::TraceRecord;
 
 use crate::devices::DeviceIoEvent;
 
 use crate::array::{ExpansionReport, RequestReport};
-use crate::config::ArrayConfig;
 use crate::report::{CraidStats, LoadBalanceSummary, ResponseSummary, SimulationReport};
 use crate::scenario::ScheduledEvent;
 
@@ -46,10 +46,6 @@ impl RequestOutcome {
 /// Hooks into the replay engine. All methods have empty defaults; implement
 /// only what you need.
 pub trait Observer {
-    /// Called once before the first request, with the resolved
-    /// configuration and the trace about to be replayed.
-    fn on_start(&mut self, _config: &ArrayConfig, _trace: &Trace) {}
-
     /// Called after each client request completes.
     fn on_request(&mut self, _record: &TraceRecord, _outcome: &RequestOutcome) {}
 
@@ -70,16 +66,6 @@ pub trait Observer {
     /// pump that drained the blocking restripe, or — under the
     /// wait-for-repair policy — the one that completed the rebuild).
     fn on_deferred_activation(&mut self, _at: craid_simkit::SimTime, _added_disks: usize) {}
-
-    /// Called for each request-lifecycle trace span the replay loop emits
-    /// during a *traced* run (a tracer installed via
-    /// [`craid_obs::with_tracer`] — see `Scenario::run_traced`). Never
-    /// called on an untraced run, so implementations cannot perturb the
-    /// tracing-off path.
-    fn on_span(&mut self, _event: &craid_obs::TraceEvent) {}
-
-    /// Called once with the finished report.
-    fn on_finish(&mut self, _report: &SimulationReport) {}
 }
 
 /// An observer that ignores everything.
@@ -117,12 +103,6 @@ impl MultiObserver {
 }
 
 impl Observer for MultiObserver {
-    fn on_start(&mut self, config: &ArrayConfig, trace: &Trace) {
-        for o in &mut self.observers {
-            o.on_start(config, trace);
-        }
-    }
-
     fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
         for o in &mut self.observers {
             o.on_request(record, outcome);
@@ -144,18 +124,6 @@ impl Observer for MultiObserver {
     fn on_deferred_activation(&mut self, at: craid_simkit::SimTime, added_disks: usize) {
         for o in &mut self.observers {
             o.on_deferred_activation(at, added_disks);
-        }
-    }
-
-    fn on_span(&mut self, event: &craid_obs::TraceEvent) {
-        for o in &mut self.observers {
-            o.on_span(event);
-        }
-    }
-
-    fn on_finish(&mut self, report: &SimulationReport) {
-        for o in &mut self.observers {
-            o.on_finish(report);
         }
     }
 }
@@ -380,8 +348,6 @@ mod tests {
         events: u64,
         throttles: u64,
         activations: u64,
-        spans: u64,
-        finished: bool,
     }
 
     struct Shared(Rc<RefCell<Counting>>);
@@ -398,12 +364,6 @@ mod tests {
         }
         fn on_deferred_activation(&mut self, _at: craid_simkit::SimTime, _added: usize) {
             self.0.borrow_mut().activations += 1;
-        }
-        fn on_span(&mut self, _event: &craid_obs::TraceEvent) {
-            self.0.borrow_mut().spans += 1;
-        }
-        fn on_finish(&mut self, _r: &SimulationReport) {
-            self.0.borrow_mut().finished = true;
         }
     }
 
@@ -426,19 +386,11 @@ mod tests {
         multi.on_event(&event, None);
         multi.on_throttle(SimTime::from_secs(1.0), 0.5);
         multi.on_deferred_activation(SimTime::from_secs(2.0), 4);
-        multi.on_span(&craid_obs::TraceEvent::instant(
-            craid_obs::SpanCategory::Request,
-            "read",
-            SimTime::ZERO,
-        ));
-        multi.on_finish(&SimulationReport::default());
 
         for c in [a, b] {
             let c = c.borrow();
             assert_eq!((c.requests, c.events), (1, 1));
             assert_eq!((c.throttles, c.activations), (1, 1));
-            assert_eq!(c.spans, 1);
-            assert!(c.finished);
         }
     }
 

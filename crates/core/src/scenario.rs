@@ -801,11 +801,6 @@ struct PairObserver<'a> {
 }
 
 impl Observer for PairObserver<'_> {
-    fn on_start(&mut self, config: &ArrayConfig, trace: &Trace) {
-        self.first.on_start(config, trace);
-        self.second.on_start(config, trace);
-    }
-
     fn on_request(
         &mut self,
         record: &craid_trace::TraceRecord,
@@ -828,16 +823,6 @@ impl Observer for PairObserver<'_> {
     fn on_deferred_activation(&mut self, at: SimTime, added_disks: usize) {
         self.first.on_deferred_activation(at, added_disks);
         self.second.on_deferred_activation(at, added_disks);
-    }
-
-    fn on_span(&mut self, event: &craid_obs::TraceEvent) {
-        self.first.on_span(event);
-        self.second.on_span(event);
-    }
-
-    fn on_finish(&mut self, report: &SimulationReport) {
-        self.first.on_finish(report);
-        self.second.on_finish(report);
     }
 }
 
@@ -1297,22 +1282,31 @@ mod tests {
     /// Records which hooks fired, for the PairObserver forwarding tests.
     #[derive(Default)]
     struct Counting {
+        requests: u64,
+        events: u64,
         throttles: u64,
         activations: u64,
-        spans: u64,
     }
 
     impl Observer for Counting {
+        fn on_request(
+            &mut self,
+            _record: &craid_trace::TraceRecord,
+            _outcome: &crate::observer::RequestOutcome,
+        ) {
+            self.requests += 1;
+        }
+
+        fn on_event(&mut self, _event: &ScheduledEvent, _expansion: Option<&ExpansionReport>) {
+            self.events += 1;
+        }
+
         fn on_throttle(&mut self, _now: SimTime, _scale: f64) {
             self.throttles += 1;
         }
 
         fn on_deferred_activation(&mut self, _at: SimTime, _added_disks: usize) {
             self.activations += 1;
-        }
-
-        fn on_span(&mut self, _event: &craid_obs::TraceEvent) {
-            self.spans += 1;
         }
     }
 
@@ -1325,18 +1319,20 @@ mod tests {
                 first: &mut a,
                 second: &mut b,
             };
+            let record =
+                craid_trace::TraceRecord::new(SimTime::ZERO, craid_diskmodel::IoKind::Read, 0, 8);
+            let outcome = crate::observer::RequestOutcome {
+                worst_ms: 1.0,
+                reports: Vec::new(),
+            };
+            pair.on_request(&record, &outcome);
+            pair.on_event(&ScheduledEvent::expand(SimTime::ZERO, 2), None);
             pair.on_throttle(SimTime::from_secs(1.0), 0.5);
             pair.on_deferred_activation(SimTime::from_secs(2.0), 4);
-            pair.on_span(&craid_obs::TraceEvent::instant(
-                craid_obs::SpanCategory::Request,
-                "read",
-                SimTime::ZERO,
-            ));
         }
         for side in [&a, &b] {
-            assert_eq!(side.throttles, 1);
-            assert_eq!(side.activations, 1);
-            assert_eq!(side.spans, 1);
+            assert_eq!((side.requests, side.events), (1, 1));
+            assert_eq!((side.throttles, side.activations), (1, 1));
         }
     }
 

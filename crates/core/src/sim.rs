@@ -233,7 +233,6 @@ impl Simulation {
             .sum();
         let device_slots = array.device_count() + total_added;
         let mut metrics = MetricsCollector::new(device_slots);
-        observer.on_start(&config, trace);
 
         let mut expansion_reports = Vec::new();
         let mut applied_events = Vec::new();
@@ -269,22 +268,11 @@ impl Simulation {
             // cache instants — stamp their events with this.
             craid_obs::set_now(record.time);
             // Apply every event whose time has come.
-            while let Some(event) = pending.peek() {
-                if event.at() > record.time {
-                    break;
-                }
-                let event = pending.next().expect("peeked event exists");
-                let expansion = apply_event(array.as_mut(), event)?;
-                metrics.on_event(event, expansion.as_ref());
-                observer.on_event(event, expansion.as_ref());
-                applied_events.push(AppliedEvent {
-                    at: event.at(),
-                    description: event.describe(),
-                    during_replay: true,
-                });
-                if let Some(report) = expansion {
-                    expansion_reports.push(report);
-                }
+            while let Some(event) = pending.next_if(|e| e.at() <= record.time) {
+                let (applied, expansion) =
+                    apply_event(array.as_mut(), event, true, &mut metrics, observer)?;
+                applied_events.push(applied);
+                expansion_reports.extend(expansion);
             }
 
             // One control decision ahead of the pump: while the sliding
@@ -297,11 +285,9 @@ impl Simulation {
                 && crate::choice::choose(crate::choice::DecisionPoint::ThrottlePumpOrder, 2) == 1;
             background.clear();
             if pump_first && (!event_clocked || array.background_work_due(record.time)) {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Pump);
                 array.pump_background_into(record.time, &mut background);
             }
             if let Some(controller) = qos.as_mut() {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Qos);
                 if let Some(retarget) = controller.evaluate(record.time) {
                     array.set_background_throttle(record.time, retarget.scale);
                     if retarget.notable {
@@ -315,19 +301,14 @@ impl Simulation {
             // client does not wait on them) and count into the measurement
             // window like any other traffic.
             if !pump_first && (!event_clocked || array.background_work_due(record.time)) {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Pump);
                 array.pump_background_into(record.time, &mut background);
             }
             if let Some(controller) = qos.as_mut() {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Qos);
                 controller.note_maintenance(&background);
             }
             forward_activations(array.as_mut(), observer);
 
-            {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Mapping);
-                mapper.map_into(BlockRange::new(record.offset, record.length), &mut ranges);
-            }
+            mapper.map_into(BlockRange::new(record.offset, record.length), &mut ranges);
             outcome.worst_ms = 0.0;
             outcome.reports.clear();
             let has_background_report = !background.is_empty();
@@ -337,36 +318,31 @@ impl Simulation {
                     ..RequestReport::default()
                 });
             }
-            {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Redirect);
-                for &range in &ranges {
-                    let report = array.submit(record.time, record.kind, range)?;
-                    outcome.worst_ms = outcome.worst_ms.max(report.response.as_millis());
-                    outcome.reports.push(report);
-                }
+            for &range in &ranges {
+                let report = array.submit(record.time, record.kind, range)?;
+                outcome.worst_ms = outcome.worst_ms.max(report.response.as_millis());
+                outcome.reports.push(report);
             }
             if craid_obs::active() {
-                // The request-lifecycle span: built once, shown to the
-                // observer, then moved into the ring. Untraced runs skip
-                // this block entirely (one thread-local flag test).
-                let span = craid_obs::TraceEvent::span(
-                    craid_obs::SpanCategory::Request,
-                    match record.kind {
-                        IoKind::Read => "read",
-                        IoKind::Write => "write",
-                    },
-                    record.time,
-                    craid_simkit::SimDuration::from_millis(outcome.worst_ms),
-                )
-                .arg("blocks", record.length)
-                .arg("cache_hit_blocks", outcome.cache_hit_blocks());
-                observer.on_span(&span);
-                craid_obs::emit(move |_| span);
+                // The request-lifecycle span. Untraced runs skip this block
+                // entirely (one thread-local flag test).
+                craid_obs::emit(|_| {
+                    craid_obs::TraceEvent::span(
+                        craid_obs::SpanCategory::Request,
+                        match record.kind {
+                            IoKind::Read => "read",
+                            IoKind::Write => "write",
+                        },
+                        record.time,
+                        craid_simkit::SimDuration::from_millis(outcome.worst_ms),
+                    )
+                    .arg("blocks", record.length)
+                    .arg("cache_hit_blocks", outcome.cache_hit_blocks())
+                });
                 craid_obs::counter_add("requests", 1);
                 craid_obs::histogram_record("request.worst_ms", outcome.worst_ms);
             }
             if let Some(controller) = qos.as_mut() {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Qos);
                 // The first report carries the pump's maintenance batch (when
                 // one was issued); the controller must only see the *client*
                 // I/O, or it would throttle against the queue depths of the
@@ -378,11 +354,8 @@ impl Simulation {
                     &outcome.reports[client_from..],
                 );
             }
-            {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::MetricsFold);
-                metrics.on_request(record, &outcome);
-                observer.on_request(record, &outcome);
-            }
+            metrics.on_request(record, &outcome);
+            observer.on_request(record, &outcome);
             if has_background_report {
                 background = std::mem::take(&mut outcome.reports[0].events);
             }
@@ -394,17 +367,10 @@ impl Simulation {
         let measured_end = end_time;
         for event in pending {
             end_time = end_time.max(event.at());
-            let expansion = apply_event(array.as_mut(), event)?;
-            metrics.on_event(event, expansion.as_ref());
-            observer.on_event(event, expansion.as_ref());
-            applied_events.push(AppliedEvent {
-                at: event.at(),
-                description: event.describe(),
-                during_replay: false,
-            });
-            if let Some(report) = expansion {
-                expansion_reports.push(report);
-            }
+            let (applied, expansion) =
+                apply_event(array.as_mut(), event, false, &mut metrics, observer)?;
+            applied_events.push(applied);
+            expansion_reports.extend(expansion);
         }
 
         // End-of-trace drain: a rebuild or migration still in flight when
@@ -476,7 +442,6 @@ impl Simulation {
             report.qos = controller.finish(measured_end);
         }
         report.background_drain_secs = drain_secs;
-        observer.on_finish(&report);
         Ok((report, expansion_reports, applied_events))
     }
 }
@@ -592,28 +557,40 @@ fn forward_activations(array: &mut dyn crate::array::StorageArray, observer: &mu
     }
 }
 
-/// Applies one scheduled event to the array, returning the expansion report
-/// when the event was an upgrade.
+/// Applies one scheduled event to the array and shows it to the metrics
+/// collector and the observer. Returns the event's log entry and, when the
+/// event was an upgrade, its expansion report.
 fn apply_event(
     array: &mut dyn crate::array::StorageArray,
     event: &ScheduledEvent,
-) -> Result<Option<ExpansionReport>, CraidError> {
-    match event {
-        ScheduledEvent::Expand { at, added_disks } => array.expand(*at, *added_disks).map(Some),
+    during_replay: bool,
+    metrics: &mut MetricsCollector,
+    observer: &mut dyn Observer,
+) -> Result<(AppliedEvent, Option<ExpansionReport>), CraidError> {
+    let expansion = match event {
+        ScheduledEvent::Expand { at, added_disks } => Some(array.expand(*at, *added_disks)?),
         ScheduledEvent::PolicySwitch { at, policy } => {
             array.switch_policy(*at, *policy)?;
-            Ok(None)
+            None
         }
-        ScheduledEvent::WorkloadPhase { .. } => Ok(None),
+        ScheduledEvent::WorkloadPhase { .. } => None,
         ScheduledEvent::DiskFailure { at, disk } => {
             array.fail_disk(*at, *disk)?;
-            Ok(None)
+            None
         }
         ScheduledEvent::DiskRepair { at, disk } => {
             array.repair_disk(*at, *disk)?;
-            Ok(None)
+            None
         }
-    }
+    };
+    metrics.on_event(event, expansion.as_ref());
+    observer.on_event(event, expansion.as_ref());
+    let applied = AppliedEvent {
+        at: event.at(),
+        description: event.describe(),
+        during_replay,
+    };
+    Ok((applied, expansion))
 }
 
 /// Hit and replacement ratios of one policy over one trace (Tables 2 and 3).
@@ -770,6 +747,74 @@ mod tests {
         assert_eq!(applied.len(), 1);
         assert!(applied[0].during_replay);
         assert!(report.requests > 0);
+    }
+
+    /// A 4-disk expansion 10 s after `trace`'s last record (instant under
+    /// `small_test`, which sets no migration rate).
+    fn expand_after(trace: &Trace) -> ScheduledEvent {
+        let last = trace.records().last().expect("the trace has records").time;
+        ScheduledEvent::expand(SimTime::from_secs(last.as_secs() + 10.0), 4)
+    }
+
+    #[test]
+    fn post_trace_events_apply_outside_the_measurement_window() {
+        let trace = tiny_trace();
+        let config = ArrayConfig::small_test(StrategyKind::Craid5, trace.footprint_blocks());
+        let quiet = Simulation::new(config.clone()).try_run(&trace).unwrap();
+        let (report, expansions, applied) = Simulation::new(config)
+            .try_run_events(&trace, &[expand_after(&trace)], &mut NullObserver)
+            .unwrap();
+        assert_eq!(applied.len(), 1);
+        assert!(!applied[0].during_replay);
+        assert_eq!(expansions.len(), 1);
+        assert!(
+            !expansions[0].events.is_empty(),
+            "the invalidation writes dirty blocks back, so the test is not vacuous"
+        );
+        assert_eq!(report.read, quiet.read);
+        assert_eq!(report.write, quiet.write);
+        assert_eq!(report.ioq, quiet.ioq);
+        assert_eq!(report.cdev, quiet.cdev);
+        assert_eq!(report.sequentiality_cdf, quiet.sequentiality_cdf);
+        // `load_balance` is left out: the collector is sized to every disk
+        // the schedule will add, so the added disks count as idle in every
+        // second's cv (a known defect, ROADMAP item 5).
+    }
+
+    /// Logs every scheduled event and counts requests.
+    #[derive(Default)]
+    struct EventLog {
+        requests: u64,
+        events: Vec<(String, bool)>,
+    }
+
+    impl Observer for EventLog {
+        fn on_request(&mut self, _record: &TraceRecord, _outcome: &RequestOutcome) {
+            self.requests += 1;
+        }
+
+        fn on_event(&mut self, event: &ScheduledEvent, expansion: Option<&ExpansionReport>) {
+            self.events.push((event.describe(), expansion.is_some()));
+        }
+    }
+
+    #[test]
+    fn observer_sees_scheduled_events_in_and_after_the_trace() {
+        let trace = tiny_trace();
+        let config = ArrayConfig::small_test(StrategyKind::Craid5, trace.footprint_blocks());
+        let half = SimTime::from_secs(trace.duration().as_secs() / 2.0);
+        let events = [
+            expand_after(&trace),
+            ScheduledEvent::policy_switch(half, PolicyKind::Arc),
+        ];
+        let mut log = EventLog::default();
+        let (report, _, _) = Simulation::new(config)
+            .try_run_events(&trace, &events, &mut log)
+            .unwrap();
+        assert_eq!(log.events.len(), 2);
+        assert!(log.events[0].0.contains("ARC") && !log.events[0].1);
+        assert!(log.events[1].0.contains("expand") && log.events[1].1);
+        assert_eq!(log.requests, report.requests);
     }
 
     #[test]

@@ -3,12 +3,9 @@
 //! Everything in this crate is stamped with the *simulation clock*
 //! ([`SimTime`](craid_simkit::SimTime)), never the host clock, so a traced
 //! run is as reproducible as an untraced one: replaying the same scenario
-//! twice produces byte-identical trace files. The one deliberate exception
-//! is the [`profile`] module — wall-clock stage timers for the replay loop
-//! itself — which is isolated in its own file and grandfathered in the
-//! workspace determinism lint.
+//! twice produces byte-identical trace files.
 //!
-//! The crate has four pieces:
+//! The crate has three pieces:
 //!
 //! * [`Tracer`] — a bounded ring buffer of virtual-time [`TraceEvent`]s
 //!   (spans and instants across the [`SpanCategory`] lanes), installed
@@ -22,14 +19,11 @@
 //! * [`MetricsRegistry`] — named counters / gauges / histograms (the
 //!   histograms reuse [`craid_metrics::Quantiles`]) that snapshot
 //!   deterministically (sorted by name) into an [`ObsSnapshot`].
-//! * [`profile`] — the wall-clock per-stage timers behind
-//!   `replay_throughput`'s stage breakdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod export;
-pub mod profile;
 mod registry;
 mod tracer;
 

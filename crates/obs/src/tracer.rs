@@ -324,8 +324,8 @@ thread_local! {
 }
 
 /// True while a tracer is installed on this thread. Emission sites use it
-/// to skip building events (and observers' span hooks) on the untraced
-/// path, which therefore costs one thread-local flag test.
+/// to skip building events on the untraced path, which therefore costs
+/// one thread-local flag test.
 pub fn active() -> bool {
     INSTALLED.get()
 }

@@ -387,6 +387,38 @@ fn deferred_activation_fires_the_observer_hook() {
     assert_eq!(stats.archive_restripes_completed, 2);
 }
 
+/// The hook also fires from the end-of-trace drain: a restripe paced too
+/// slowly to finish inside the trace releases its queued successor only
+/// after the last record.
+#[test]
+fn deferred_activation_during_the_drain_reaches_the_observer() {
+    let scenario = Scenario::builder()
+        .name("qos/deferred-drain")
+        .strategy(StrategyKind::Craid5)
+        .workload(WorkloadId::Wdev)
+        .requests(300)
+        .seed(3)
+        .small_test()
+        .pc_fraction(0.2)
+        .migration_rate(20.0)
+        .expand_at(SimTime::from_secs(2.0), 4)
+        .expand_at(SimTime::from_secs(3.0), 4)
+        .build();
+    let trace = scenario.trace();
+    let last = trace.records().last().expect("the trace has records").time;
+    let mut log = ActivationLog::default();
+    let outcome = scenario.run_on(&trace, &mut log).unwrap();
+    assert_eq!(log.seen.len(), 1, "exactly one deferred activation fired");
+    let (at, added) = log.seen[0];
+    assert_eq!(added, 4);
+    assert!(
+        at > last.as_secs(),
+        "the activation fired in the drain ({at} s), not by the last record ({} s)",
+        last.as_secs()
+    );
+    assert_eq!(outcome.report.migration.archive_restripes_completed, 2);
+}
+
 /// `activation = "wait-for-repair"`: an activation that comes due on a
 /// degraded array holds until the rebuild completes, then fires (and the
 /// hook reports the later instant).
