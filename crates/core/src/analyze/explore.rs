@@ -529,12 +529,27 @@ fn finish_evidence(evidence: &mut RunEvidence, outcome: &ScenarioOutcome) {
     }
     let archive = enqueued(TaskKind::ArchiveRestripe);
     if archive > 0 {
+        // An array without a cache partition reports its restripe on the
+        // main line: there it is the upgrade migration.
+        let (migrated, superseded, pending) = if outcome.strategy.restripe_is_migration() {
+            (
+                stats.migrated_blocks,
+                stats.superseded_blocks,
+                stats.pending_blocks,
+            )
+        } else {
+            (
+                stats.archive_migrated_blocks,
+                stats.archive_superseded_blocks,
+                stats.archive_pending_blocks,
+            )
+        };
         evidence.conservation.push(ConservationLine {
             label: "archive-restripe",
             enqueued: archive,
-            migrated: stats.archive_migrated_blocks,
-            superseded: stats.archive_superseded_blocks,
-            pending: stats.archive_pending_blocks,
+            migrated,
+            superseded,
+            pending,
         });
     }
 }
@@ -757,6 +772,31 @@ mod tests {
         assert!(counterexample
             .codes()
             .contains(&codes::GENERATION_MONOTONIC));
+    }
+
+    /// An array without a cache partition reports its restripe on the
+    /// main migration line; the conservation oracle must read it there
+    /// instead of finding an empty `archive_*` line (a false E402).
+    #[test]
+    fn paced_raid5_restripe_explores_clean() {
+        let scenario = Scenario::builder()
+            .name("paced raid5 restripe")
+            .strategy(crate::config::StrategyKind::Raid5)
+            .small_test()
+            .pc_fraction(0.2)
+            .workload(craid_trace::WorkloadId::Wdev)
+            .requests(200)
+            .seed(3)
+            .migration_rate(400.0)
+            .expand_at(craid_simkit::SimTime::from_secs(1.0), 4)
+            .build();
+        let exploration = explore(&scenario, &ExploreScope::default());
+        assert!(
+            exploration.is_clean(),
+            "paced RAID-5 restripe was not clean: {}",
+            exploration.analysis
+        );
+        assert!(exploration.runs > 1, "the schedule was explored");
     }
 
     #[test]

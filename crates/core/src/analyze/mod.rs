@@ -232,9 +232,10 @@ impl fmt::Display for Analysis {
 /// `CRAID-E1xx` are storage-graph (configuration) errors, `CRAID-E2xx`
 /// timeline errors, `CRAID-W3xx` timeline warnings. Codes never change
 /// meaning; retired codes are not reused.
+///
+/// Retired: `CRAID-E100` (a strategy given to the wrong array type; one
+/// array type now serves every strategy).
 pub mod codes {
-    /// The strategy does not match the array type it was given to.
-    pub const STRATEGY_MISMATCH: &str = "CRAID-E100";
     /// Fewer than 2 mechanical disks.
     pub const TOO_FEW_DISKS: &str = "CRAID-E101";
     /// Parity-group width < 2 or not dividing the disk count.

@@ -1,12 +1,10 @@
-//! The deferred-expansion activation queue shared by both array types.
+//! The deferred-expansion activation queue.
 //!
 //! An `expand` accepted while an archive reshape is in flight *queues*
-//! instead of being refused (serialized mdadm-style grows). Both
-//! [`CraidArray`](super::CraidArray) and [`BaselineArray`](super::BaselineArray)
-//! used to carry their own copy of the queue, the activation records the
-//! driver drains, and the eligibility logic — this type is that plumbing,
-//! deduplicated. The arrays keep only what genuinely differs between them:
-//! which reshape blocks activation and how a commit is performed.
+//! instead of being refused (serialized mdadm-style grows). This type holds
+//! the queue, the activation records the simulation loop drains, and the
+//! eligibility logic; [`CraidArray`](super::CraidArray) decides which
+//! reshape blocks activation and performs the commit.
 
 use std::collections::VecDeque;
 

@@ -1,4 +1,5 @@
-//! The CRAID array: cache partition + archive partition + control path.
+//! The simulated array: archive partition, optional cache partition and
+//! control path.
 
 use std::collections::BTreeMap;
 
@@ -19,6 +20,7 @@ use crate::partition::{ArchiveLayout, CachePartition, Partition, PartitionIo};
 use crate::redirector::{self, ArchiveAccess, PlanScratch};
 use crate::report::{FaultStats, MigrationStats};
 use crate::restripe::RestripeState;
+use crate::sim::gcd;
 
 use super::{ExpansionReport, RequestReport, StorageArray};
 
@@ -36,21 +38,28 @@ fn generation_matches(entry: TaskId, task: TaskId) -> bool {
     entry == task
 }
 
-/// A CRAID volume: the archive partition `PA` holds every block, the cache
-/// partition `PC` holds copies of the hot set, and the monitor/redirector
-/// pair keeps the two coherent (paper §3–4). Maintenance streams — rebuilds,
-/// paced upgrade migrations and paced archive restripes — ride on one
-/// fair-share [`BackgroundEngine`].
+/// How a request reaches the archive: while a paced restripe is in flight,
+/// through the pre-upgrade volume for the blocks it has not moved yet.
+fn archive_access<'a>(
+    pa: &'a Partition<ArchiveLayout>,
+    restripe: &'a mut Option<RestripeState>,
+) -> ArchiveAccess<'a> {
+    match restripe.as_mut() {
+        Some(state) => ArchiveAccess::Restriping {
+            current: pa,
+            restripe: state,
+        },
+        None => ArchiveAccess::Plain(pa),
+    }
+}
+
+/// The cache side of a CRAID volume: the cache partition `PC`, the I/O
+/// monitor that decides which blocks live in it, and the bookkeeping of
+/// paced upgrades that redistribute it.
 #[derive(Debug)]
-pub struct CraidArray {
-    config: ArrayConfig,
-    devices: DeviceSet,
+struct CacheTier {
     monitor: IoMonitor,
     pc: CachePartition,
-    pa: Partition<ArchiveLayout>,
-    disks: usize,
-    expansion_sets: Vec<usize>,
-    background: BackgroundEngine,
     /// Blocks paced upgrades have not yet redistributed, keyed by archive
     /// LBA; each entry names the migration generation whose preserved
     /// geometry in `old_pcs` its slot refers to.
@@ -61,10 +70,33 @@ pub struct CraidArray {
     /// earlier one is still streaming (the exactly-one-location invariant
     /// keeps their block sets disjoint).
     old_pcs: BTreeMap<TaskId, CachePartition>,
-    /// The in-flight paced archive restripe (`CRAID-5`/`CRAID-5ssd` only:
-    /// their ideal RAID-5 archive must reshape onto the grown disk set —
-    /// the cost the paper's accounting charges to conventional upgrades and
-    /// this repo used to model as free).
+    /// Reusable per-request planner buffers (cleared each plan, never
+    /// shrunk) — keeps the replay hot path allocation-free.
+    plan_scratch: PlanScratch,
+}
+
+/// A simulated volume: the archive partition `PA` holds every block and,
+/// for the CRAID strategies, the cache partition `PC` holds copies of the
+/// hot set while the monitor/redirector pair keeps the two coherent (paper
+/// §3–4). Without a cache partition this is the paper's RAID-5 baseline
+/// (an ideally restriped archive) or RAID-5+ baseline (the aggregation of
+/// independent RAID-5 sets left behind by upgrades). Maintenance streams —
+/// rebuilds, paced upgrade migrations and paced archive restripes — ride
+/// on one fair-share [`BackgroundEngine`].
+#[derive(Debug)]
+pub struct CraidArray {
+    config: ArrayConfig,
+    devices: DeviceSet,
+    /// The cache-side state; `None` for `RAID-5` and `RAID-5+`.
+    cache: Option<CacheTier>,
+    pa: Partition<ArchiveLayout>,
+    disks: usize,
+    expansion_sets: Vec<usize>,
+    background: BackgroundEngine,
+    /// The in-flight paced archive restripe (ideal archives only: growing
+    /// one onto more disks reshapes nearly every used block — the cost the
+    /// paper charges to conventional upgrades). The restripe cursor keeps
+    /// O(1) state instead of materialising an O(dataset) move set.
     archive_restripe: Option<RestripeState>,
     /// Expansions accepted while an archive restripe was in flight; each
     /// activates when the restripe drains (a reshape cursor cannot retarget
@@ -74,14 +106,14 @@ pub struct CraidArray {
     /// only once the array is healthy again.
     activation: super::activation::ActivationQueue,
     fault_stats: FaultStats,
+    /// Counters as the array records them: every archive restripe on the
+    /// `archive_*` line. [`StorageArray::migration_stats`] reports them.
     migration_stats: MigrationStats,
-    /// Reusable per-request planner buffers (cleared each plan, never
-    /// shrunk) — keeps the replay hot path allocation-free.
-    plan_scratch: PlanScratch,
 }
 
 impl CraidArray {
-    /// Builds the CRAID array described by `config`.
+    /// Builds the array described by `config`, with a cache partition when
+    /// the strategy is a CRAID one.
     ///
     /// # Errors
     ///
@@ -89,19 +121,20 @@ impl CraidArray {
     /// cannot be constructed.
     pub fn new(config: ArrayConfig) -> Result<Self, CraidError> {
         config.validate()?;
-        if !config.strategy.is_craid() {
-            return Err(CraidError::InvalidConfig(
-                crate::analyze::Diagnostic::error(
-                    crate::analyze::codes::STRATEGY_MISMATCH,
-                    "array.strategy",
-                    "CraidArray requires a CRAID strategy",
-                ),
-            ));
-        }
         let devices = DeviceSet::from_config(&config);
-        let pc = Self::build_pc(&config, config.disks)?;
+        let cache = if config.strategy.is_craid() {
+            let pc = Self::build_pc(&config, config.disks)?;
+            Some(CacheTier {
+                monitor: IoMonitor::new(config.policy, pc.capacity()),
+                pc,
+                migration: MigrationMap::new(),
+                old_pcs: BTreeMap::new(),
+                plan_scratch: PlanScratch::default(),
+            })
+        } else {
+            None
+        };
         let pa = Self::build_pa(&config, config.disks, &config.expansion_sets)?;
-        let monitor = IoMonitor::new(config.policy, pc.capacity());
         let mut background =
             BackgroundEngine::with_shares(config.rebuild_share, config.migration_share);
         if let Some(spec) = &config.qos {
@@ -115,16 +148,12 @@ impl CraidArray {
             background,
             config,
             devices,
-            monitor,
-            pc,
+            cache,
             pa,
-            migration: MigrationMap::new(),
-            old_pcs: BTreeMap::new(),
             archive_restripe: None,
             activation: super::activation::ActivationQueue::new(),
             fault_stats: FaultStats::default(),
             migration_stats: MigrationStats::default(),
-            plan_scratch: PlanScratch::default(),
         })
     }
 
@@ -195,27 +224,62 @@ impl CraidArray {
         Ok(Partition::new(layout, 0, offset))
     }
 
-    /// Writes back a set of dirty blocks (used by the instant upgrade
-    /// invalidation).
+    /// Fraction of logical blocks whose physical location changes between
+    /// two archive layouts, estimated by sampling the used address range
+    /// (the instant-expand accounting shortcut of an array without a cache
+    /// partition; paced restripes enumerate the exact move set via the
+    /// restripe cursor instead).
+    ///
+    /// The walk visits `i · stride mod used` for a stride coprime to
+    /// `used`: a plain `used / probes` step can resonate with the periodic
+    /// round-robin layout and sample a single residue class of each stripe
+    /// row, wildly mis-estimating the moved fraction. Coprimality
+    /// guarantees the samples cover every residue class of any period
+    /// dividing `used`.
+    fn restripe_fraction(
+        old: &Partition<ArchiveLayout>,
+        new: &Partition<ArchiveLayout>,
+        used: u64,
+    ) -> f64 {
+        let probe = used.clamp(1, 8_192);
+        // A golden-ratio stride is low-discrepancy; nudge it until it is
+        // coprime to `used` (1 always qualifies, so this terminates).
+        let mut stride = ((used as f64 * 0.618_033_988_749_895) as u64).clamp(1, used.max(1));
+        while gcd(stride, used) != 1 {
+            stride -= 1;
+        }
+        let mut moved = 0u64;
+        let mut block = 0u64;
+        for _ in 0..probe {
+            if old.layout().locate(block) != new.layout().locate(block) {
+                moved += 1;
+            }
+            block = (block + stride) % used;
+        }
+        moved as f64 / probe as f64
+    }
+
+    /// Writes back a set of dirty blocks from `pc` to `pa` (used by the
+    /// instant upgrade invalidation).
     fn write_back(
-        &mut self,
+        devices: &mut DeviceSet,
+        pc: &CachePartition,
+        pa: &Partition<ArchiveLayout>,
         now: SimTime,
         tasks: &[crate::monitor::EvictionTask],
         report: &mut ExpansionReport,
     ) {
         let slots: Vec<u64> = tasks.iter().map(|t| t.pc_slot).collect();
         let pa_blocks: Vec<u64> = tasks.iter().map(|t| t.pa_block).collect();
-        for io in self.pc.plan_blocks(IoKind::Read, &slots) {
-            report.events.push(
-                self.devices
-                    .submit(now, io.disk, io.kind, io.range, io.purpose),
-            );
+        for io in pc.plan_blocks(IoKind::Read, &slots) {
+            report
+                .events
+                .push(devices.submit(now, io.disk, io.kind, io.range, io.purpose));
         }
-        for io in self.pa.plan_blocks(IoKind::Write, &pa_blocks) {
-            report.events.push(
-                self.devices
-                    .submit(now, io.disk, io.kind, io.range, io.purpose),
-            );
+        for io in pa.plan_blocks(IoKind::Write, &pa_blocks) {
+            report
+                .events
+                .push(devices.submit(now, io.disk, io.kind, io.range, io.purpose));
         }
         report.writeback_blocks += tasks.len() as u64;
     }
@@ -235,11 +299,14 @@ impl CraidArray {
     }
 
     /// The rebuild's segment order for `disk`: sequential, or — under
-    /// `HotFirst` — the cache-partition rows first, then the hottest
-    /// archive stripes this disk holds, then the cold remainder.
+    /// `HotFirst` with a monitor to rank heat — the cache-partition rows
+    /// first, then the hottest archive stripes this disk holds, then the
+    /// cold remainder.
     fn rebuild_plan(&self, disk: usize, live: u64) -> Vec<BlockRange> {
         let mut hot = Vec::new();
-        if self.config.background_priority == BackgroundPriority::HotFirst {
+        if let (BackgroundPriority::HotFirst, Some(cache)) =
+            (self.config.background_priority, &self.cache)
+        {
             let pc_limit = self.config.pc_blocks_per_hdd();
             if pc_limit > 0 {
                 hot.push(BlockRange::new(0, pc_limit));
@@ -247,7 +314,7 @@ impl CraidArray {
             // Rank globally, filter to this disk, and only then cap — so
             // the cap bounds the blocks this rebuild front-loads, not a
             // share of a global list diluted by the other disks.
-            let on_disk: Vec<u64> = self
+            let on_disk: Vec<u64> = cache
                 .monitor
                 .hottest_blocks(usize::MAX)
                 .into_iter()
@@ -286,6 +353,10 @@ impl CraidArray {
         id: TaskId,
         blocks: &[u64],
     ) -> Vec<DeviceIoEvent> {
+        // Only a cache partition enqueues block-list migrations.
+        let Some(cache) = self.cache.as_mut() else {
+            return Vec::new();
+        };
         // First settle the bookkeeping (map removal, re-admission,
         // displaced evictions), then plan the I/O — re-admitting first
         // means a block that turns out superseded never issues a phantom
@@ -301,21 +372,21 @@ impl CraidArray {
             // map under a *later* generation (client re-warmed it, then a
             // queued second expansion drained it again); that entry belongs
             // to the newer task, so this one must leave it alone.
-            let home = match self.migration.get(pa_block) {
+            let home = match cache.migration.get(pa_block) {
                 Some(home) if generation_matches(home.generation, id) => {
                     crate::choice::observe(|| crate::choice::Observation::MigrationApply {
                         block: pa_block,
                         entry_generation: home.generation,
                         task_generation: id,
                     });
-                    self.migration.remove(pa_block);
+                    cache.migration.remove(pa_block);
                     home
                 }
                 _ => continue,
             };
             let old_slot = home.pc_slot;
             let Some((new_slot, evictions)) =
-                self.monitor.readmit(pa_block, home.dirty, &mut self.pc)
+                cache.monitor.readmit(pa_block, home.dirty, &mut cache.pc)
             else {
                 // Residency raced ahead of the map — treat as superseded.
                 self.migration_stats.superseded_blocks += 1;
@@ -331,7 +402,7 @@ impl CraidArray {
                 }
             }
         }
-        let old_pc = self
+        let old_pc = cache
             .old_pcs
             .get(&id)
             .expect("a migration task implies a preserved old PC geometry");
@@ -344,7 +415,7 @@ impl CraidArray {
                     ..io
                 });
             }
-            for io in self.pc.plan_blocks(IoKind::Write, &[new_slot]) {
+            for io in cache.pc.plan_blocks(IoKind::Write, &[new_slot]) {
                 new_ios.push(PartitionIo {
                     purpose: if io.purpose == IoPurpose::Data {
                         IoPurpose::MigrateWrite
@@ -355,7 +426,7 @@ impl CraidArray {
                 });
             }
         }
-        new_ios.extend(self.pc.plan_blocks(IoKind::Read, &writeback_slots));
+        new_ios.extend(cache.pc.plan_blocks(IoKind::Read, &writeback_slots));
         // Displaced dirty write-backs land at the archive's reshaped homes
         // and supersede any pending restripe moves of the same blocks.
         if let Some(state) = self.archive_restripe.as_mut() {
@@ -413,11 +484,11 @@ impl CraidArray {
             return plan;
         };
         let old_layout = self
-            .old_pcs
-            .get(&generation)
+            .cache
+            .as_ref()
+            .and_then(|cache| cache.old_pcs.get(&generation))
             .expect("old-geometry I/O implies a preserved old PC")
-            .layout()
-            .clone();
+            .layout();
         fault::degrade_plan(
             plan,
             failed,
@@ -438,14 +509,13 @@ impl CraidArray {
         // differently, so the peer set depends on which per-disk region the
         // I/O falls in.
         let pc_limit = self.config.pc_blocks_per_hdd();
-        let pc_layout = self.pc.layout();
+        let pc_layout = self.cache.as_ref().map(|cache| cache.pc.layout());
         let pa_layout = self.pa.layout();
-        let peers_for = |io: &PartitionIo| {
-            if io.range.start() < pc_limit {
+        let peers_for = |io: &PartitionIo| match pc_layout {
+            Some(pc_layout) if io.range.start() < pc_limit => {
                 pc_layout.reconstruction_peers(io.disk)
-            } else {
-                pa_layout.reconstruction_peers(io.disk)
             }
+            _ => pa_layout.reconstruction_peers(io.disk),
         };
         fault::degrade_plan(
             plan,
@@ -456,26 +526,63 @@ impl CraidArray {
         )
     }
 
-    /// Read access to the cache partition (examples and tests).
-    pub fn cache_partition(&self) -> &CachePartition {
-        &self.pc
+    /// Serves a request on an array without a cache partition: every block
+    /// goes to the archive (through the pre-upgrade volume while a paced
+    /// restripe has not moved it yet) and every I/O is foreground.
+    fn submit_uncached(&mut self, now: SimTime, kind: IoKind, range: BlockRange) -> RequestReport {
+        let blocks: Vec<u64> = range.blocks().collect();
+        let plan = {
+            let mut access = archive_access(&self.pa, &mut self.archive_restripe);
+            match kind {
+                IoKind::Read => access.plan_reads(&blocks),
+                IoKind::Write => access.plan_writes(&blocks),
+            }
+        };
+        self.flush_archive_forfeits();
+        let plan = self.degrade(plan);
+        let mut report = RequestReport::default();
+        let mut finish = now;
+        for io in plan {
+            let event = self
+                .devices
+                .submit(now, io.disk, io.kind, io.range, io.purpose);
+            finish = finish.max(event.finished);
+            report.events.push(event);
+        }
+        report.response = finish.saturating_since(now);
+        report
     }
 
-    /// Read access to the I/O monitor (examples and tests).
-    pub fn monitor(&self) -> &IoMonitor {
-        &self.monitor
+    /// Read access to the cache partition, if the array has one (examples
+    /// and tests).
+    pub fn cache_partition(&self) -> Option<&CachePartition> {
+        self.cache.as_ref().map(|cache| &cache.pc)
     }
 
-    /// Blocks paced upgrades still have to redistribute into the cache
-    /// partition (0 when idle; the archive restripe reports separately).
+    /// Read access to the I/O monitor, if the array has one (examples and
+    /// tests).
+    pub fn monitor(&self) -> Option<&IoMonitor> {
+        self.cache.as_ref().map(|cache| &cache.monitor)
+    }
+
+    /// Blocks paced upgrades still have to move (0 when idle), as
+    /// [`StorageArray::migration_stats`] reports them: the cache-partition
+    /// redistribution, or — without a cache partition — the restripe.
     pub fn pending_migration_blocks(&self) -> u64 {
-        self.migration.len() as u64
+        self.migration_stats().pending_blocks
     }
 
-    /// True if `pa_block` is still awaiting redistribution to its
-    /// post-upgrade cache-partition slot (tests and examples).
+    /// True if `pa_block` still awaits its paced upgrade move: to its
+    /// post-upgrade cache-partition slot or — without a cache partition —
+    /// to its restriped archive home (tests and examples).
     pub fn migration_pending(&self, pa_block: u64) -> bool {
-        self.migration.contains(pa_block)
+        match &self.cache {
+            Some(cache) => cache.migration.contains(pa_block),
+            None => self
+                .archive_restripe
+                .as_ref()
+                .is_some_and(|state| state.is_pending(&self.pa, pa_block)),
+        }
     }
 
     /// Archive-restripe moves still pending (0 when no reshape is in
@@ -504,115 +611,133 @@ impl CraidArray {
         }
         let new_pa = Self::build_pa(&self.config, new_disks, &new_sets)
             .expect("expansion geometry was validated before commit");
-        let spreads_pc_over_hdds = !self.config.strategy.uses_ssd_cache();
-        let new_pc_layout = if spreads_pc_over_hdds {
-            // PC must keep using every disk: it is rebuilt over the new set
-            // of spindles and starts refilling immediately. When the count
-            // stops dividing evenly, parity groups stay aligned by treating
-            // the whole array as one group.
-            let group = if new_disks.is_multiple_of(self.config.parity_group) {
-                self.config.parity_group
-            } else {
-                new_disks
-            };
-            Some(
-                Raid5Layout::new(
+        let mut report = ExpansionReport {
+            added_disks,
+            ..ExpansionReport::default()
+        };
+        match self.cache.as_mut() {
+            Some(cache) if !self.config.strategy.uses_ssd_cache() => {
+                // PC must keep using every disk: it is rebuilt over the new
+                // set of spindles and starts refilling immediately. When the
+                // count stops dividing evenly, parity groups stay aligned by
+                // treating the whole array as one group.
+                let group = if new_disks.is_multiple_of(self.config.parity_group) {
+                    self.config.parity_group
+                } else {
+                    new_disks
+                };
+                let pc_layout = Raid5Layout::new(
                     new_disks,
                     group,
                     self.config.stripe_unit,
                     self.config.pc_blocks_per_hdd(),
                 )
-                .expect("expansion geometry was validated before commit"),
-            )
-        } else {
-            None
-        };
-
-        let mut report = ExpansionReport {
-            added_disks,
-            ..ExpansionReport::default()
-        };
-        if let Some(pc_layout) = new_pc_layout {
-            // Migration for CRAID is bounded by what currently lives in PC.
-            report.migrated_blocks = self.monitor.cached_blocks() as u64;
-            if paced {
-                // The new layout commits now; the block copies stream
-                // through the background engine. Every cached block (clean
-                // and dirty, with its dirty bit) is queued for
-                // redistribution into the rebuilt PC; until a block's turn
-                // comes, the MigrationMap serves it from its old slot in
-                // this generation's preserved geometry.
-                let drained = self.monitor.begin_migration(&mut self.pc);
-                let mut order: Vec<u64> = drained.iter().map(|&(pa, _)| pa).collect();
-                if self.config.background_priority == BackgroundPriority::HotFirst {
-                    self.monitor.rank_hot_desc(&mut order);
+                .expect("expansion geometry was validated before commit");
+                // Migration for CRAID is bounded by what currently lives in PC.
+                report.migrated_blocks = cache.monitor.cached_blocks() as u64;
+                if paced {
+                    // The new layout commits now; the block copies stream
+                    // through the background engine. Every cached block
+                    // (clean and dirty, with its dirty bit) is queued for
+                    // redistribution into the rebuilt PC; until a block's
+                    // turn comes, the MigrationMap serves it from its old
+                    // slot in this generation's preserved geometry.
+                    let drained = cache.monitor.begin_migration(&mut cache.pc);
+                    let mut order: Vec<u64> = drained.iter().map(|&(pa, _)| pa).collect();
+                    if self.config.background_priority == BackgroundPriority::HotFirst {
+                        cache.monitor.rank_hot_desc(&mut order);
+                    }
+                    report.enqueued_blocks = order.len() as u64;
+                    let generation = self.background.push_migration(
+                        now,
+                        order,
+                        self.config
+                            .migration_rate_blocks_per_sec
+                            .expect("paced expansions have a finite rate"),
+                    );
+                    cache.old_pcs.insert(generation, cache.pc.clone());
+                    for (pa_block, mapping) in drained {
+                        cache.migration.insert(
+                            pa_block,
+                            OldHome {
+                                pc_slot: mapping.pc_block,
+                                dirty: mapping.dirty,
+                                generation,
+                            },
+                        );
+                    }
+                    self.devices.add_hdds(added_disks);
+                    cache.pc.rebuild(pc_layout, 0, 0);
+                    cache.monitor.resize(cache.pc.capacity());
+                    self.migration_stats.migrations_started += 1;
+                    self.migration_stats.effective_priority = Some(self.config.background_priority);
+                } else {
+                    // Instant upgrade: the dirty copies are written back
+                    // now, the rest is simply invalidated and re-copied on
+                    // demand as the working set is touched again.
+                    let tasks = cache.monitor.invalidate_all(&mut cache.pc);
+                    Self::write_back(
+                        &mut self.devices,
+                        &cache.pc,
+                        &self.pa,
+                        now,
+                        &tasks,
+                        &mut report,
+                    );
+                    self.devices.add_hdds(added_disks);
+                    cache.pc.rebuild(pc_layout, 0, 0);
+                    cache.monitor.resize(cache.pc.capacity());
                 }
-                report.enqueued_blocks = order.len() as u64;
-                let generation = self.background.push_migration(
+            }
+            Some(cache) => {
+                // A dedicated-SSD cache tier keeps its contents when
+                // mechanical disks are added; only the SSDs' device indices
+                // shift, because the new spindles are spliced in front of
+                // them.
+                self.devices.add_hdds(added_disks);
+                cache.pc.rebind_first_device(new_disks);
+            }
+            None => self.devices.add_hdds(added_disks),
+        }
+        if !self.config.strategy.archive_is_aggregated() {
+            let used = self.config.dataset_blocks;
+            if paced {
+                // The ideal archive's reshape onto the grown set streams as
+                // its own rate-paced task (the paper's conventional-upgrade
+                // cost). Pushed even when the move set is empty so its
+                // completion always fires and a deferred expansion queued
+                // behind it can never be stranded. The restripe cursor
+                // walks sequentially regardless of the configured priority;
+                // when this expansion started no PC redistribution (the
+                // SSD-cached variants and the RAID-5 baseline), record
+                // that *effective* order so a hot-first knob cannot
+                // masquerade as having run.
+                let mut state = RestripeState::new(self.pa.clone(), &new_pa, used);
+                state.task = self.background.push_restripe(
                     now,
-                    order,
+                    state.total_moves(),
                     self.config
                         .migration_rate_blocks_per_sec
                         .expect("paced expansions have a finite rate"),
                 );
-                self.old_pcs.insert(generation, self.pc.clone());
-                for (pa_block, mapping) in drained {
-                    self.migration.insert(
-                        pa_block,
-                        OldHome {
-                            pc_slot: mapping.pc_block,
-                            dirty: mapping.dirty,
-                            generation,
-                        },
-                    );
+                self.migration_stats.archive_restripes_started += 1;
+                if self.migration_stats.effective_priority.is_none() || report.enqueued_blocks == 0
+                {
+                    self.migration_stats.effective_priority = Some(BackgroundPriority::Sequential);
                 }
-                self.devices.add_hdds(added_disks);
-                self.pc.rebuild(pc_layout, 0, 0);
-                self.monitor.resize(self.pc.capacity());
-                self.migration_stats.migrations_started += 1;
-                self.migration_stats.effective_priority = Some(self.config.background_priority);
-            } else {
-                // Instant upgrade: the dirty copies are written back now,
-                // the rest is simply invalidated and re-copied on demand as
-                // the working set is touched again.
-                let tasks = self.monitor.invalidate_all(&mut self.pc);
-                self.write_back(now, &tasks, &mut report);
-                self.devices.add_hdds(added_disks);
-                self.pc.rebuild(pc_layout, 0, 0);
-                self.monitor.resize(self.pc.capacity());
-            }
-        } else {
-            // A dedicated-SSD cache tier keeps its contents when mechanical
-            // disks are added; only the SSDs' device indices shift, because
-            // the new spindles are spliced in front of them.
-            self.devices.add_hdds(added_disks);
-            self.pc.rebind_first_device(new_disks);
-        }
-        if paced && !self.config.strategy.archive_is_aggregated() {
-            // The ideal archive's reshape onto the grown set is no longer
-            // free: it streams as its own rate-paced task (the paper's
-            // conventional-upgrade cost, reported on the archive line of
-            // MigrationStats). Pushed even when the move set is empty —
-            // like the baseline's restripe — so its completion always
-            // fires and a deferred expansion queued behind it can never be
-            // stranded. The restripe cursor walks sequentially regardless
-            // of the configured priority; when this expansion started no
-            // PC redistribution (the SSD-cached variants), record that
-            // *effective* order so a hot-first knob cannot masquerade as
-            // having run.
-            let mut state =
-                RestripeState::new(self.pa.clone(), &new_pa, self.config.dataset_blocks);
-            state.task = self.background.push_restripe(
-                now,
-                state.total_moves(),
-                self.config
-                    .migration_rate_blocks_per_sec
-                    .expect("paced expansions have a finite rate"),
-            );
-            self.archive_restripe = Some(state);
-            self.migration_stats.archive_restripes_started += 1;
-            if self.migration_stats.effective_priority.is_none() || report.enqueued_blocks == 0 {
-                self.migration_stats.effective_priority = Some(BackgroundPriority::Sequential);
+                if self.config.strategy.restripe_is_migration() {
+                    // The restripe is the whole upgrade: its exact move set,
+                    // counted but never materialised.
+                    report.migrated_blocks = state.total_moves();
+                    report.enqueued_blocks = state.total_moves();
+                }
+                self.archive_restripe = Some(state);
+            } else if self.config.strategy.restripe_is_migration() {
+                // Instant accounting: estimate how much of the used dataset
+                // has to move by sampling. (A CRAID archive's instant
+                // reshape is free: the paper accounts only its cache.)
+                let fraction = Self::restripe_fraction(&self.pa, &new_pa, used);
+                report.migrated_blocks = (fraction * used as f64).round() as u64;
             }
         }
         self.pa = new_pa;
@@ -640,7 +765,7 @@ impl StorageArray for CraidArray {
     }
 
     fn pc_capacity_blocks(&self) -> u64 {
-        self.pc.capacity()
+        self.cache.as_ref().map_or(0, |cache| cache.pc.capacity())
     }
 
     fn submit(
@@ -656,6 +781,9 @@ impl StorageArray for CraidArray {
                 capacity: self.pa.data_capacity(),
             });
         }
+        let Some(cache) = self.cache.as_mut() else {
+            return Ok(self.submit_uncached(now, kind, range));
+        };
         // Mid-upgrade redirection: blocks the paced migration has not
         // reached yet resolve against the MigrationMap first. Dirty pending
         // blocks are *only* valid at their old PC slot, so reads fetch them
@@ -664,12 +792,12 @@ impl StorageArray for CraidArray {
         // supersedes the pending move — writes land at the new home.
         let mut old_slot_reads: BTreeMap<TaskId, Vec<u64>> = BTreeMap::new();
         let mut pending_hits = 0u64;
-        let plan_blocks: Option<Vec<u64>> = if self.migration.is_empty() {
+        let plan_blocks: Option<Vec<u64>> = if cache.migration.is_empty() {
             None
         } else {
             let mut fresh = Vec::with_capacity(range.len() as usize);
             for pa_block in range.blocks() {
-                match self.migration.get(pa_block) {
+                match cache.migration.get(pa_block) {
                     Some(home) if home.dirty && kind == IoKind::Read => {
                         pending_hits += 1;
                         old_slot_reads
@@ -678,7 +806,7 @@ impl StorageArray for CraidArray {
                             .push(home.pc_slot);
                     }
                     Some(_) => {
-                        self.migration.remove(pa_block);
+                        cache.migration.remove(pa_block);
                         self.migration_stats.superseded_blocks += 1;
                         fresh.push(pa_block);
                     }
@@ -688,32 +816,27 @@ impl StorageArray for CraidArray {
             Some(fresh)
         };
         let mut plan = {
-            let mut access = match self.archive_restripe.as_mut() {
-                Some(state) => ArchiveAccess::Restriping {
-                    current: &self.pa,
-                    restripe: state,
-                },
-                None => ArchiveAccess::Plain(&self.pa),
-            };
+            let mut access = archive_access(&self.pa, &mut self.archive_restripe);
             match &plan_blocks {
                 // Fast path: no PC migration in flight, no per-block triage
                 // (and no block-list allocation).
-                None => redirector::plan_request_via(
-                    &mut self.monitor,
-                    &mut self.pc,
+                None => redirector::plan_request_iter(
+                    &mut cache.monitor,
+                    &mut cache.pc,
                     &mut access,
                     kind,
-                    range,
-                    &mut self.plan_scratch,
-                ),
-                Some(fresh) => redirector::plan_request_blocks_via(
-                    &mut self.monitor,
-                    &mut self.pc,
-                    &mut access,
-                    kind,
-                    fresh,
+                    range.blocks(),
                     range.len(),
-                    &mut self.plan_scratch,
+                    &mut cache.plan_scratch,
+                ),
+                Some(fresh) => redirector::plan_request_iter(
+                    &mut cache.monitor,
+                    &mut cache.pc,
+                    &mut access,
+                    kind,
+                    fresh.iter().copied(),
+                    range.len(),
+                    &mut cache.plan_scratch,
                 ),
             }
         };
@@ -729,11 +852,12 @@ impl StorageArray for CraidArray {
         };
         plan.foreground = self.degrade(plan.foreground);
         for (generation, slots) in old_slot_reads {
-            let old_pc = self
-                .old_pcs
-                .get(&generation)
-                .expect("pending dirty blocks imply a preserved old PC geometry");
-            let old_ios = old_pc.plan_blocks(IoKind::Read, &slots);
+            let old_ios = self
+                .cache
+                .as_ref()
+                .and_then(|cache| cache.old_pcs.get(&generation))
+                .expect("pending dirty blocks imply a preserved old PC geometry")
+                .plan_blocks(IoKind::Read, &slots);
             let degraded_old = self.degrade_old_pc(generation, old_ios);
             plan.foreground.extend(degraded_old);
         }
@@ -781,7 +905,12 @@ impl StorageArray for CraidArray {
                 )));
             }
         }
-        if !paced && !self.migration.is_empty() {
+        if !paced
+            && self
+                .cache
+                .as_ref()
+                .is_some_and(|cache| !cache.migration.is_empty())
+        {
             return Err(CraidError::InvalidExpansion(
                 "a previous upgrade's migration is still in flight".into(),
             ));
@@ -804,8 +933,8 @@ impl StorageArray for CraidArray {
         if self.archive_restripe.is_some() {
             // One archive reshape at a time (a cursor cannot retarget a
             // moving layout): the expansion queues and activates when the
-            // in-flight restripe drains. PC-only upgrades (the aggregated
-            // `+` variants) never enter this branch and pipeline freely.
+            // in-flight restripe drains. Upgrades of aggregated archives
+            // never enter this branch and pipeline freely.
             self.activation.defer(added_disks);
             return Ok(ExpansionReport {
                 added_disks,
@@ -877,11 +1006,13 @@ impl StorageArray for CraidArray {
                     fault::complete_rebuild(&done, &mut self.devices, &mut self.fault_stats);
                 }
                 TaskKind::ExpansionMigration => {
-                    debug_assert!(
-                        self.migration.iter().all(|(_, h)| h.generation != done.id),
-                        "a drained migration leaves no pending blocks of its generation"
-                    );
-                    self.old_pcs.remove(&done.id);
+                    if let Some(cache) = self.cache.as_mut() {
+                        debug_assert!(
+                            cache.migration.iter().all(|(_, h)| h.generation != done.id),
+                            "a drained migration leaves no pending blocks of its generation"
+                        );
+                        cache.old_pcs.remove(&done.id);
+                    }
                     self.migration_stats.migrations_completed += 1;
                     self.migration_stats.migration_secs += done.window_secs;
                 }
@@ -911,9 +1042,9 @@ impl StorageArray for CraidArray {
         // Under the model checker, audit the exactly-one-location invariant
         // at every pump boundary: no block may be pending migration and
         // cache-resident at once (one copy is authoritative).
-        if crate::choice::active() {
-            for (pa_block, _) in self.migration.iter() {
-                if self.monitor.cached_slot(pa_block).is_some() {
+        if let (true, Some(cache)) = (crate::choice::active(), &self.cache) {
+            for (pa_block, _) in cache.migration.iter() {
+                if cache.monitor.cached_slot(pa_block).is_some() {
                     crate::choice::observe(|| crate::choice::Observation::Colocated {
                         block: pa_block,
                     });
@@ -959,10 +1090,28 @@ impl StorageArray for CraidArray {
     }
 
     fn migration_stats(&self) -> MigrationStats {
-        MigrationStats {
-            pending_blocks: self.migration.len() as u64,
+        let stats = MigrationStats {
+            pending_blocks: self
+                .cache
+                .as_ref()
+                .map_or(0, |cache| cache.migration.len() as u64),
             archive_pending_blocks: self.pending_archive_blocks(),
             ..self.migration_stats
+        };
+        if !self.config.strategy.restripe_is_migration() {
+            return stats;
+        }
+        // Without a cache partition the restripe *is* the upgrade
+        // migration, so it reports on the main line.
+        MigrationStats {
+            migrations_started: stats.archive_restripes_started,
+            migrations_completed: stats.archive_restripes_completed,
+            migrated_blocks: stats.archive_migrated_blocks,
+            superseded_blocks: stats.archive_superseded_blocks,
+            pending_blocks: stats.archive_pending_blocks,
+            migration_secs: stats.archive_restripe_secs,
+            effective_priority: stats.effective_priority,
+            ..MigrationStats::default()
         }
     }
 
@@ -971,8 +1120,10 @@ impl StorageArray for CraidArray {
         _now: SimTime,
         policy: craid_cache::PolicyKind,
     ) -> Result<(), CraidError> {
-        self.monitor.switch_policy(policy);
-        self.config.policy = policy;
+        if let Some(cache) = self.cache.as_mut() {
+            cache.monitor.switch_policy(policy);
+            self.config.policy = policy;
+        }
         Ok(())
     }
 
@@ -981,7 +1132,7 @@ impl StorageArray for CraidArray {
     }
 
     fn monitor_stats(&self) -> Option<MonitorStats> {
-        Some(*self.monitor.stats())
+        self.cache.as_ref().map(|cache| *cache.monitor.stats())
     }
 }
 
@@ -1008,6 +1159,12 @@ mod tests {
         }
         assert!(a.background_idle());
         t
+    }
+
+    fn tier(a: &CraidArray) -> &CacheTier {
+        a.cache
+            .as_ref()
+            .expect("a CRAID array has a cache partition")
     }
 
     #[test]
@@ -1106,7 +1263,7 @@ mod tests {
             )
             .unwrap();
         }
-        let cached_before = a.monitor().cached_blocks();
+        let cached_before = a.monitor().unwrap().cached_blocks();
         assert!(cached_before > 0);
         let pc_before = a.pc_capacity_blocks();
         let report = a.expand(SimTime::from_secs(10.0), 4).unwrap();
@@ -1120,7 +1277,11 @@ mod tests {
         );
         assert_eq!(a.disk_count(), 12);
         assert!(a.pc_capacity_blocks() > pc_before, "PC now spans 12 disks");
-        assert_eq!(a.monitor().cached_blocks(), 0, "PC starts cold again");
+        assert_eq!(
+            a.monitor().unwrap().cached_blocks(),
+            0,
+            "PC starts cold again"
+        );
         // The array keeps serving and refilling after the upgrade.
         let r = a
             .submit(
@@ -1162,12 +1323,12 @@ mod tests {
             )
             .unwrap();
         }
-        let cached = a.monitor().cached_blocks();
+        let cached = a.monitor().unwrap().cached_blocks();
         let report = a.expand(SimTime::from_secs(2.0), 4).unwrap();
         assert_eq!(report.migrated_blocks, 0);
         assert_eq!(report.writeback_blocks, 0);
         assert_eq!(
-            a.monitor().cached_blocks(),
+            a.monitor().unwrap().cached_blocks(),
             cached,
             "the SSD cache survives"
         );
@@ -1220,8 +1381,8 @@ mod tests {
         assert_eq!(touched.capacity_blocks(), pristine.capacity_blocks());
         assert_eq!(touched.pc_capacity_blocks(), pristine.pc_capacity_blocks());
         assert_eq!(
-            touched.monitor().cached_blocks(),
-            pristine.monitor().cached_blocks(),
+            touched.monitor().unwrap().cached_blocks(),
+            pristine.monitor().unwrap().cached_blocks(),
             "the cache partition was not invalidated"
         );
         assert_eq!(touched.monitor_stats(), pristine.monitor_stats());
@@ -1380,7 +1541,7 @@ mod tests {
             BackgroundPriority::Sequential,
         );
         warm(&mut a);
-        let cached = a.monitor().cached_blocks() as u64;
+        let cached = a.monitor().unwrap().cached_blocks() as u64;
         assert!(cached > 0);
         let report = a.expand(SimTime::from_secs(10.0), 4).unwrap();
         // The layout committed immediately...
@@ -1415,7 +1576,10 @@ mod tests {
             "aggregated archives never restripe"
         );
         // The migrated working set is resident again: hot reads hit.
-        assert_eq!(a.monitor().cached_blocks() as u64, stats.migrated_blocks);
+        assert_eq!(
+            a.monitor().unwrap().cached_blocks() as u64,
+            stats.migrated_blocks
+        );
     }
 
     #[test]
@@ -1471,7 +1635,7 @@ mod tests {
         // Find an uncached block whose archive location changed.
         let state = a.archive_restripe.as_ref().unwrap();
         let pending = (0..10_000u64)
-            .find(|&b| state.is_pending(&a.pa, b) && a.monitor.cached_slot(b).is_none())
+            .find(|&b| state.is_pending(&a.pa, b) && a.monitor().unwrap().cached_slot(b).is_none())
             .expect("an 8→12 reshape moves uncached blocks");
         let old_plan = old_pa.plan_blocks(IoKind::Read, &[pending]);
         let new_plan = a.pa.plan_blocks(IoKind::Read, &[pending]);
@@ -1512,7 +1676,7 @@ mod tests {
         a.submit(SimTime::ZERO, IoKind::Write, BlockRange::new(123, 1))
             .unwrap();
         a.expand(SimTime::from_secs(1.0), 4).unwrap();
-        assert!(a.migration.get(123).unwrap().dirty);
+        assert!(tier(&a).migration.get(123).unwrap().dirty);
         let pc_limit = a.config.pc_blocks_per_hdd();
         let r = a
             .submit(
@@ -1527,7 +1691,7 @@ mod tests {
             "the read stays inside the (old) PC region"
         );
         assert!(
-            a.migration.contains(123),
+            tier(&a).migration.contains(123),
             "a read does not supersede a dirty pending move"
         );
         // A write lands at the new home and supersedes the move.
@@ -1537,10 +1701,10 @@ mod tests {
             BlockRange::new(123, 1),
         )
         .unwrap();
-        assert!(!a.migration.contains(123));
+        assert!(!tier(&a).migration.contains(123));
         assert_eq!(a.migration_stats().superseded_blocks, 1);
         assert!(
-            a.monitor().mapping().lookup(123).unwrap().dirty,
+            a.monitor().unwrap().mapping().lookup(123).unwrap().dirty,
             "the new-home copy is dirty"
         );
     }
@@ -1551,7 +1715,7 @@ mod tests {
         a.submit(SimTime::ZERO, IoKind::Read, BlockRange::new(77, 1))
             .unwrap();
         a.expand(SimTime::from_secs(1.0), 4).unwrap();
-        assert!(!a.migration.get(77).unwrap().dirty);
+        assert!(!tier(&a).migration.get(77).unwrap().dirty);
         let r = a
             .submit(
                 SimTime::from_secs(1.5),
@@ -1561,7 +1725,10 @@ mod tests {
             .unwrap();
         assert_eq!(r.cache_hit_blocks, 0, "the archive still has valid data");
         assert_eq!(r.admitted_blocks, 1, "and the block re-enters the new PC");
-        assert!(!a.migration.contains(77), "the pending move is superseded");
+        assert!(
+            !tier(&a).migration.contains(77),
+            "the pending move is superseded"
+        );
     }
 
     #[test]
@@ -1593,7 +1760,7 @@ mod tests {
             assert_eq!(a.migration_stats().effective_priority, Some(priority));
             // At 2 blocks/s, one block is due at t = 1.5s.
             a.pump_background(SimTime::from_secs(1.5));
-            let moved_9000_first = !a.migration.contains(9_000);
+            let moved_9000_first = !tier(&a).migration.contains(9_000);
             match priority {
                 BackgroundPriority::HotFirst => {
                     assert!(moved_9000_first, "the hot block migrates first")
@@ -1657,8 +1824,16 @@ mod tests {
         let second = a.expand(SimTime::from_secs(2.0), 4).unwrap();
         assert!(!second.deferred, "aggregated archives pipeline upgrades");
         assert_eq!(a.disk_count(), 16);
-        assert_eq!(a.old_pcs.len(), 2, "two preserved geometries are live");
-        let gens: Vec<TaskId> = a.migration.iter().map(|(_, h)| h.generation).collect();
+        assert_eq!(
+            tier(&a).old_pcs.len(),
+            2,
+            "two preserved geometries are live"
+        );
+        let gens: Vec<TaskId> = tier(&a)
+            .migration
+            .iter()
+            .map(|(_, h)| h.generation)
+            .collect();
         assert!(
             gens.iter().any(|&g| g != gens[0]),
             "entries from both generations are pending: {gens:?}"
@@ -1679,7 +1854,7 @@ mod tests {
         assert_eq!(stats.migrations_started, 2);
         assert_eq!(stats.migrations_completed, 2);
         assert_eq!(stats.pending_blocks, 0);
-        assert!(a.old_pcs.is_empty(), "both geometries were released");
+        assert!(tier(&a).old_pcs.is_empty(), "both geometries were released");
     }
 
     #[test]
@@ -1758,5 +1933,412 @@ mod tests {
         assert!(a
             .submit(SimTime::from_secs(t), IoKind::Read, BlockRange::new(0, 4))
             .is_ok());
+    }
+
+    // Arrays without a cache partition: the RAID-5 and RAID-5+ baselines.
+
+    #[test]
+    fn read_touches_only_data_disks() {
+        let mut a = array(StrategyKind::Raid5);
+        let report = a
+            .submit(SimTime::ZERO, IoKind::Read, BlockRange::new(0, 4))
+            .unwrap();
+        assert!(report.response > SimDuration::ZERO);
+        assert!(report.events.iter().all(|e| e.kind == IoKind::Read));
+        assert_eq!(report.cache_hit_blocks, 0);
+    }
+
+    #[test]
+    fn write_pays_parity_maintenance() {
+        let mut a = array(StrategyKind::Raid5);
+        let report = a
+            .submit(SimTime::ZERO, IoKind::Write, BlockRange::new(100, 2))
+            .unwrap();
+        assert!(report
+            .events
+            .iter()
+            .any(|e| e.purpose == IoPurpose::ParityWrite));
+        let read_resp = array(StrategyKind::Raid5)
+            .submit(SimTime::ZERO, IoKind::Read, BlockRange::new(100, 2))
+            .unwrap()
+            .response;
+        assert!(
+            report.response > read_resp,
+            "RMW writes cost more than reads"
+        );
+    }
+
+    #[test]
+    fn raid5plus_spreads_sets_over_disjoint_disks() {
+        let mut a = array(StrategyKind::Raid5Plus);
+        // The first set owns disks 0..4: a low address only touches those.
+        let report = a
+            .submit(SimTime::ZERO, IoKind::Read, BlockRange::new(0, 4))
+            .unwrap();
+        assert!(report.events.iter().all(|e| e.device < 4));
+    }
+
+    #[test]
+    fn out_of_range_requests_are_rejected() {
+        let mut a = array(StrategyKind::Raid5);
+        let cap = a.capacity_blocks();
+        let err = a
+            .submit(SimTime::ZERO, IoKind::Read, BlockRange::new(cap, 1))
+            .unwrap_err();
+        assert!(matches!(err, CraidError::OutOfRange { .. }));
+    }
+
+    #[test]
+    fn raid5_expansion_migrates_most_of_the_dataset() {
+        let mut a = array(StrategyKind::Raid5);
+        let report = a.expand(SimTime::ZERO, 4).unwrap();
+        assert_eq!(a.disk_count(), 12);
+        assert!(
+            report.migrated_blocks as f64 > 0.5 * 10_000.0,
+            "an ideal restripe moves most used blocks, got {}",
+            report.migrated_blocks
+        );
+        // The array still serves requests afterwards.
+        assert!(a
+            .submit(SimTime::ZERO, IoKind::Read, BlockRange::new(0, 4))
+            .is_ok());
+    }
+
+    #[test]
+    fn restripe_fraction_estimate_tracks_the_exact_move_count() {
+        // An adversarial `used`: a multiple of both layouts' row widths
+        // times the probe count, so the old `used / 8192` sampling stride
+        // walked whole stripe rows and probed a single residue class. The
+        // coprime-stride sampler stays within a point of the exact
+        // fraction from `round_robin_migration_blocks`.
+        let config = ArrayConfig::small_test(StrategyKind::Raid5, 10_000);
+        let old = CraidArray::build_pa(&config, 8, &[]).unwrap();
+        let new = CraidArray::build_pa(&config, 12, &[]).unwrap();
+        // Old rows carry (8-2)*4 = 24 data blocks, new rows (12-3)*4 = 36;
+        // lcm(24, 36) = 72.
+        let used = 8_192 * 72;
+        assert!(used <= old.data_capacity() && used <= new.data_capacity());
+        let exact = craid_raid::round_robin_migration_blocks(old.layout(), new.layout(), used)
+            as f64
+            / used as f64;
+        let estimate = CraidArray::restripe_fraction(&old, &new, used);
+        assert!(
+            (estimate - exact).abs() < 0.02,
+            "estimate {estimate:.4} strays from exact {exact:.4} on a stride-resonant geometry"
+        );
+        // And on a small range it degenerates gracefully.
+        assert!(CraidArray::restripe_fraction(&old, &new, 1) <= 1.0);
+    }
+
+    #[test]
+    fn raid5plus_expansion_migrates_nothing() {
+        let mut a = array(StrategyKind::Raid5Plus);
+        let cap_before = a.capacity_blocks();
+        let report = a.expand(SimTime::ZERO, 4).unwrap();
+        assert_eq!(report.migrated_blocks, 0);
+        assert_eq!(a.disk_count(), 12);
+        assert!(a.capacity_blocks() > cap_before);
+    }
+
+    #[test]
+    fn invalid_expansions_are_rejected() {
+        let mut a = array(StrategyKind::Raid5Plus);
+        assert!(a.expand(SimTime::ZERO, 0).is_err());
+        assert!(
+            a.expand(SimTime::ZERO, 1).is_err(),
+            "a one-disk RAID-5 set is not valid"
+        );
+        let mut a = array(StrategyKind::Raid5);
+        assert!(
+            a.expand(SimTime::ZERO, 3).is_err(),
+            "restripe must keep the parity group alignment"
+        );
+    }
+
+    #[test]
+    fn rejected_expansion_leaves_the_baseline_bit_identical() {
+        for (strategy, bad_added) in [(StrategyKind::Raid5, 3), (StrategyKind::Raid5Plus, 1)] {
+            let mut touched = array(strategy);
+            let mut pristine = array(strategy);
+            for b in 0..30u64 {
+                for a in [&mut touched, &mut pristine] {
+                    a.submit(
+                        SimTime::from_millis(b as f64 * 7.0),
+                        IoKind::Write,
+                        BlockRange::new(b * 32 % 9_000, 2),
+                    )
+                    .unwrap();
+                }
+            }
+            assert!(touched.expand(SimTime::from_secs(1.0), bad_added).is_err());
+            assert_eq!(touched.disk_count(), pristine.disk_count(), "{strategy}");
+            assert_eq!(touched.capacity_blocks(), pristine.capacity_blocks());
+            assert_eq!(touched.expansion_sets, pristine.expansion_sets);
+            assert_eq!(touched.device_stats(), pristine.device_stats());
+            // Subsequent traffic behaves byte-identically on both arrays.
+            let now = SimTime::from_secs(2.0);
+            let got = touched
+                .submit(now, IoKind::Read, BlockRange::new(123, 5))
+                .unwrap();
+            let want = pristine
+                .submit(now, IoKind::Read, BlockRange::new(123, 5))
+                .unwrap();
+            assert_eq!(got, want, "{strategy} diverged after the failed expand");
+            // A valid expansion still succeeds afterwards.
+            assert!(touched.expand(SimTime::from_secs(3.0), 4).is_ok());
+        }
+    }
+
+    #[test]
+    fn degraded_reads_fan_out_within_the_owning_raid5plus_set() {
+        use craid_raid::IoPurpose as P;
+        let mut a = array(StrategyKind::Raid5Plus); // sets [4, 4]
+        a.fail_disk(SimTime::ZERO, 1).unwrap();
+        // A low address lives in set 0 (disks 0..4): its degraded read is
+        // reconstructed from that set only.
+        let report = a
+            .submit(SimTime::ZERO, IoKind::Read, BlockRange::new(0, 8))
+            .unwrap();
+        let recon: Vec<_> = report
+            .events
+            .iter()
+            .filter(|e| e.purpose == P::ReconstructRead)
+            .collect();
+        assert!(!recon.is_empty(), "disk 1 held part of the range");
+        assert!(recon.iter().all(|e| e.device < 4 && e.device != 1));
+        assert!(report.events.iter().all(|e| e.device != 1));
+        assert!(a.fault_stats().degraded_reads > 0);
+        // Expansion is refused while degraded (instant-migration mode)...
+        assert!(matches!(
+            a.expand(SimTime::from_secs(1.0), 4),
+            Err(CraidError::InvalidExpansion(_))
+        ));
+        // ...and allowed again once the spare is in and rebuilt.
+        let mut cfg = ArrayConfig::small_test(StrategyKind::Raid5Plus, 10_000);
+        cfg.rebuild_rate_blocks_per_sec = 10_000_000.0;
+        let mut b = CraidArray::new(cfg).unwrap();
+        b.fail_disk(SimTime::ZERO, 1).unwrap();
+        b.repair_disk(SimTime::from_secs(1.0), 1).unwrap();
+        let mut t = 2.0;
+        while b.fault_stats().rebuilds_completed == 0 && t < 50.0 {
+            b.pump_background(SimTime::from_secs(t));
+            b.submit(SimTime::from_secs(t), IoKind::Read, BlockRange::new(0, 2))
+                .unwrap();
+            t += 1.0;
+        }
+        assert_eq!(b.fault_stats().rebuilds_completed, 1);
+        assert!(b.fault_stats().rebuild_read_blocks > 0);
+        assert!(b.expand(SimTime::from_secs(t), 4).is_ok());
+    }
+
+    #[test]
+    fn device_stats_accumulate() {
+        let mut a = array(StrategyKind::Raid5);
+        for i in 0..20u64 {
+            a.submit(
+                SimTime::from_millis(i as f64 * 10.0),
+                IoKind::Read,
+                BlockRange::new(i * 37 % 9_000, 4),
+            )
+            .unwrap();
+        }
+        let stats = a.device_stats();
+        assert_eq!(stats.len(), 8);
+        let total: u64 = stats.iter().map(|s| s.requests).sum();
+        assert!(total >= 20);
+        assert!(a.monitor_stats().is_none());
+    }
+
+    #[test]
+    fn paced_restripe_serves_pending_blocks_from_the_old_layout() {
+        let mut a = paced(StrategyKind::Raid5, 100.0, BackgroundPriority::Sequential);
+        let old_pa = a.pa.clone();
+        let report = a.expand(SimTime::from_secs(1.0), 4).unwrap();
+        assert_eq!(a.disk_count(), 12, "the layout committed immediately");
+        assert!(report.enqueued_blocks > 0);
+        assert!(!report.deferred);
+        assert_eq!(
+            report.enqueued_blocks, report.migrated_blocks,
+            "paced restripes count the exact move set"
+        );
+        assert_eq!(a.pending_migration_blocks(), report.enqueued_blocks);
+        assert_eq!(
+            a.migration_stats().effective_priority,
+            Some(BackgroundPriority::Sequential),
+            "baselines report the effective (sequential) order"
+        );
+        // A pending block still reads from its pre-upgrade location.
+        let pending = (0..10_000u64)
+            .find(|&b| a.migration_pending(b))
+            .expect("an 8→12 restripe moves blocks");
+        let old_plan = old_pa.plan_blocks(IoKind::Read, &[pending]);
+        let new_plan = a.pa.plan_blocks(IoKind::Read, &[pending]);
+        assert_ne!(old_plan, new_plan, "the block's location changed");
+        let r = a
+            .submit(
+                SimTime::from_secs(1.5),
+                IoKind::Read,
+                BlockRange::new(pending, 1),
+            )
+            .unwrap();
+        assert_eq!(r.events.len(), 1);
+        assert_eq!(r.events[0].device, old_plan[0].disk);
+        assert_eq!(r.events[0].start_block, old_plan[0].range.start());
+        // A write supersedes the pending move and lands at the new home.
+        let before = a.pending_migration_blocks();
+        let w = a
+            .submit(
+                SimTime::from_secs(2.0),
+                IoKind::Write,
+                BlockRange::new(pending, 1),
+            )
+            .unwrap();
+        assert_eq!(a.pending_migration_blocks(), before - 1);
+        assert!(a.migration_stats().superseded_blocks >= 1);
+        assert!(
+            w.events
+                .iter()
+                .any(|e| e.device == new_plan[0].disk
+                    && e.start_block == new_plan[0].range.start()),
+            "the write targets the post-upgrade home"
+        );
+    }
+
+    #[test]
+    fn paced_restripe_drains_and_reports_the_window() {
+        let mut a = paced(
+            StrategyKind::Raid5,
+            100_000.0,
+            BackgroundPriority::Sequential,
+        );
+        a.expand(SimTime::from_secs(1.0), 4).unwrap();
+        let mut t = 2.0;
+        let mut saw_migration_io = false;
+        while !a.background_idle() && t < 400.0 {
+            let events = a.pump_background(SimTime::from_secs(t));
+            saw_migration_io |= events.iter().any(|e| e.purpose.is_migration());
+            t += 1.0;
+        }
+        assert!(a.background_idle());
+        assert!(saw_migration_io);
+        let stats = a.migration_stats();
+        assert_eq!(stats.migrations_completed, 1);
+        assert_eq!(stats.pending_blocks, 0);
+        assert!(stats.migration_secs > 0.0, "a nonzero upgrade window");
+        assert!(
+            stats.migrated_blocks + stats.superseded_blocks >= 5_000,
+            "most of the dataset moved"
+        );
+        // After the drain, reads resolve purely through the new layout.
+        assert!(a
+            .submit(SimTime::from_secs(t), IoKind::Read, BlockRange::new(0, 4))
+            .is_ok());
+    }
+
+    #[test]
+    fn paced_restripe_streams_paper_scale_datasets_without_materialising() {
+        // 4M used blocks: the pre-cursor implementation collected a Vec of
+        // millions of move entries *and* mirrored them into a pending map
+        // at expand time. The streaming restripe keeps O(1) state — this
+        // test would exhaust test-runner memory budgets (and minutes of
+        // BTreeMap churn) under the old scheme, and the expand itself now
+        // only pays one counting pass.
+        let dataset: u64 = 4_000_000;
+        let config =
+            ArrayConfig::small_test(StrategyKind::Raid5, dataset).with_migration_rate(Some(1e6));
+        let mut a = CraidArray::new(config).unwrap();
+        let report = a.expand(SimTime::from_secs(1.0), 4).unwrap();
+        assert!(
+            report.enqueued_blocks > 3_000_000,
+            "nearly the whole dataset restripes, got {}",
+            report.enqueued_blocks
+        );
+        assert_eq!(a.pending_migration_blocks(), report.enqueued_blocks);
+        // The engine tracks a bare count; a few pumps stream capped batches.
+        let events = a.pump_background(SimTime::from_secs(3.0));
+        assert!(events.iter().any(|e| e.purpose.is_migration()));
+        assert!(a.pending_migration_blocks() < report.enqueued_blocks);
+        // Requests against pending and settled blocks both resolve.
+        a.submit(SimTime::from_secs(3.5), IoKind::Read, BlockRange::new(0, 8))
+            .unwrap();
+        a.submit(
+            SimTime::from_secs(3.6),
+            IoKind::Write,
+            BlockRange::new(dataset - 8, 8),
+        )
+        .unwrap();
+        let stats = a.migration_stats();
+        assert_eq!(
+            stats.migrated_blocks + stats.superseded_blocks + stats.pending_blocks,
+            report.enqueued_blocks
+        );
+    }
+
+    #[test]
+    fn second_expansion_queues_behind_the_restripe_and_activates() {
+        let mut a = paced(
+            StrategyKind::Raid5,
+            50_000.0,
+            BackgroundPriority::Sequential,
+        );
+        let first = a.expand(SimTime::from_secs(1.0), 4).unwrap();
+        assert!(!first.deferred);
+        // The second expand queues instead of being refused.
+        let second = a.expand(SimTime::from_secs(2.0), 4).unwrap();
+        assert!(second.deferred);
+        assert_eq!(a.deferred_expansions(), 1);
+        assert_eq!(a.disk_count(), 12, "the deferred layout is not committed");
+        // A geometry that would break the *projected* count is still
+        // rejected up front (12 + 4 + 3 = 19 is not a multiple of 4).
+        assert!(a.expand(SimTime::from_secs(2.5), 3).is_err());
+        let t = drain(&mut a, 3.0);
+        assert_eq!(a.disk_count(), 16, "the queued expansion activated");
+        assert_eq!(a.deferred_expansions(), 0);
+        let stats = a.migration_stats();
+        assert_eq!(stats.migrations_started, 2);
+        assert_eq!(stats.migrations_completed, 2);
+        assert_eq!(stats.pending_blocks, 0);
+        assert!(a
+            .submit(SimTime::from_secs(t), IoKind::Read, BlockRange::new(0, 4))
+            .is_ok());
+    }
+
+    #[test]
+    fn paced_raid5plus_expansion_still_moves_nothing() {
+        let mut a = paced(
+            StrategyKind::Raid5Plus,
+            100.0,
+            BackgroundPriority::Sequential,
+        );
+        let report = a.expand(SimTime::from_secs(1.0), 4).unwrap();
+        assert_eq!(report.enqueued_blocks, 0);
+        assert!(a.background_idle(), "no task for a zero-move upgrade");
+        assert_eq!(a.migration_stats().migrations_started, 0);
+    }
+
+    #[test]
+    fn fail_during_paced_migration_fair_shares_with_the_rebuild() {
+        let mut cfg = ArrayConfig::small_test(StrategyKind::Raid5, 10_000)
+            .with_migration_rate(Some(1_000_000.0));
+        cfg.rebuild_rate_blocks_per_sec = 1_000_000.0;
+        let mut a = CraidArray::new(cfg).unwrap();
+        a.expand(SimTime::from_secs(1.0), 4).unwrap();
+        assert!(!a.background_idle());
+        // The failure arrives mid-migration; the repair's rebuild runs
+        // *concurrently* with the restripe on the fair-share engine.
+        a.fail_disk(SimTime::from_secs(1.5), 3).unwrap();
+        a.repair_disk(SimTime::from_secs(2.0), 3).unwrap();
+        assert!(a.background.has_task(TaskKind::ArchiveRestripe));
+        assert!(a.background.has_task(TaskKind::Rebuild));
+        // One pump with both saturated advances both streams.
+        let migrated_before = a.migration_stats().migrated_blocks;
+        let rebuilt_before = a.fault_stats().rebuild_write_blocks;
+        a.pump_background(SimTime::from_secs(2.5));
+        assert!(a.migration_stats().migrated_blocks > migrated_before);
+        assert!(a.fault_stats().rebuild_write_blocks > rebuilt_before);
+        let _ = drain(&mut a, 3.0);
+        assert_eq!(a.migration_stats().migrations_completed, 1);
+        assert_eq!(a.fault_stats().rebuilds_completed, 1);
+        assert_eq!(a.devices.degraded_disk(), None, "the array healed");
     }
 }

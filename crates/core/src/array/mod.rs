@@ -1,10 +1,9 @@
-//! Simulated storage arrays for the six allocation policies of the paper.
+//! The simulated storage array behind the six allocation policies of the
+//! paper.
 
 mod activation;
-mod baseline;
 mod craid_array;
 
-pub use baseline::BaselineArray;
 pub use craid_array::CraidArray;
 
 use craid_cache::PolicyKind;
@@ -120,15 +119,13 @@ pub trait StorageArray {
     fn expand(&mut self, now: SimTime, added_disks: usize) -> Result<ExpansionReport, CraidError>;
 
     /// Switches the I/O monitor's replacement policy at `now`, preserving
-    /// the currently cached blocks (a scenario's `PolicySwitch` event).
-    /// Baseline arrays have no cache partition, so the default is a no-op.
+    /// the currently cached blocks (a scenario's `PolicySwitch` event). A
+    /// no-op for an array without a cache partition.
     ///
     /// # Errors
     ///
     /// Returns a [`CraidError`] if the array cannot apply the switch.
-    fn switch_policy(&mut self, _now: SimTime, _policy: PolicyKind) -> Result<(), CraidError> {
-        Ok(())
-    }
+    fn switch_policy(&mut self, now: SimTime, policy: PolicyKind) -> Result<(), CraidError>;
 
     /// Marks mechanical disk `disk` as failed at `now` (a scenario's
     /// `DiskFailure` event). Until the disk is repaired, reads that would
@@ -220,12 +217,7 @@ pub trait StorageArray {
 ///
 /// Returns a [`CraidError`] if the configuration is invalid.
 pub fn build_array(config: &ArrayConfig) -> Result<Box<dyn StorageArray>, CraidError> {
-    config.validate()?;
-    if config.strategy.is_craid() {
-        Ok(Box::new(CraidArray::new(config.clone())?))
-    } else {
-        Ok(Box::new(BaselineArray::new(config.clone())?))
-    }
+    Ok(Box::new(CraidArray::new(config.clone())?))
 }
 
 #[cfg(test)]

@@ -72,8 +72,8 @@ pub enum BackgroundPriority {
     Sequential,
     /// Blocks the I/O monitor has observed the most accesses on go first
     /// (falls back to [`Sequential`](BackgroundPriority::Sequential) for
-    /// baseline arrays, which have no monitor to rank heat with — the
-    /// *effective* priority is recorded in
+    /// arrays without a cache partition, which have no monitor to rank
+    /// heat with — the *effective* priority is recorded in
     /// [`MigrationStats`](crate::report::MigrationStats) so a no-op knob
     /// cannot masquerade as a null result).
     HotFirst,

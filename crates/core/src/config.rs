@@ -56,6 +56,15 @@ impl StrategyKind {
         !matches!(self, StrategyKind::Raid5 | StrategyKind::Raid5Plus)
     }
 
+    /// True when an archive restripe is this strategy's upgrade migration
+    /// and so reports on [`MigrationStats`](crate::report::MigrationStats)'
+    /// main `migrations_*` line: an array without a cache partition has no
+    /// other data to move. The CRAID variants report their restripe on the
+    /// `archive_*` line, apart from the cache-partition redistribution.
+    pub fn restripe_is_migration(self) -> bool {
+        !self.is_craid()
+    }
+
     /// True when the cache partition lives on dedicated SSDs.
     pub fn uses_ssd_cache(self) -> bool {
         matches!(self, StrategyKind::Craid5Ssd | StrategyKind::Craid5PlusSsd)

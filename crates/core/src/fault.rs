@@ -17,10 +17,10 @@
 //!    reconstructed first — the data-aware counterpart of CRAID's upgrade
 //!    story.
 //!
-//! Both arrays ([`CraidArray`](crate::array::CraidArray),
-//! [`BaselineArray`](crate::array::BaselineArray)) drive these primitives
-//! from their `submit`/`fail_disk`/`repair_disk` paths; the counters land
-//! in [`FaultStats`] on the final report.
+//! The array ([`CraidArray`](crate::array::CraidArray)) drives these
+//! primitives from its `submit`/`fail_disk`/`repair_disk` paths, with or
+//! without a cache partition; the counters land in [`FaultStats`] on the
+//! final report.
 
 use craid_diskmodel::{BlockRange, IoKind};
 use craid_raid::IoPurpose;

@@ -121,9 +121,7 @@ pub mod sim;
 pub use analyze::explore::{explore, Counterexample, Exploration, ExploreScope};
 pub use analyze::oracle::{InvariantOracle, RunEvidence};
 pub use analyze::{Analysis, Diagnostic, Severity};
-pub use array::{
-    ActivatedExpansion, BaselineArray, CraidArray, ExpansionReport, RequestReport, StorageArray,
-};
+pub use array::{ActivatedExpansion, CraidArray, ExpansionReport, RequestReport, StorageArray};
 pub use background::{BackgroundEngine, BackgroundPriority, MigrationMap};
 pub use config::{ActivationPolicy, ArrayConfig, DeviceTier, StrategyKind};
 pub use devices::DiskState;

@@ -42,7 +42,9 @@ pub(crate) enum ArchiveAccess<'a> {
 }
 
 impl ArchiveAccess<'_> {
-    fn plan_reads(&self, blocks: &[u64]) -> Vec<PartitionIo> {
+    /// Plans reads of `blocks` from their authoritative archive copies.
+    #[inline]
+    pub(crate) fn plan_reads(&self, blocks: &[u64]) -> Vec<PartitionIo> {
         match self {
             ArchiveAccess::Plain(pa) => pa.plan_blocks(IoKind::Read, blocks),
             ArchiveAccess::Restriping { current, restripe } => {
@@ -56,7 +58,10 @@ impl ArchiveAccess<'_> {
         }
     }
 
-    fn plan_writes(&mut self, blocks: &[u64]) -> Vec<PartitionIo> {
+    /// Plans writes of `blocks` at their current archive homes, superseding
+    /// any pending restripe move of the same blocks.
+    #[inline]
+    pub(crate) fn plan_writes(&mut self, blocks: &[u64]) -> Vec<PartitionIo> {
         match self {
             ArchiveAccess::Plain(pa) => pa.plan_blocks(IoKind::Write, blocks),
             ArchiveAccess::Restriping { current, restripe } => {
@@ -133,68 +138,15 @@ pub fn plan_request(
     )
 }
 
-/// [`plan_request`] against an [`ArchiveAccess`] — the arrays use this
-/// while a paced archive restripe is in flight — with caller-owned triage
-/// scratch so the hot loop allocates nothing per request.
-pub(crate) fn plan_request_via(
-    monitor: &mut IoMonitor,
-    pc: &mut CachePartition,
-    pa: &mut ArchiveAccess<'_>,
-    kind: IoKind,
-    range: BlockRange,
-    scratch: &mut PlanScratch,
-) -> RequestPlan {
-    plan_request_iter(monitor, pc, pa, kind, range.blocks(), range.len(), scratch)
-}
-
-/// [`plan_request`] over an explicit block list: the arrays use this while
-/// an expansion migration is in flight, when some of a request's blocks are
-/// redirected to their pre-upgrade homes and only the rest flow through the
-/// monitor. `request_blocks` is the size of the original client request (the
-/// `S_i` the policies see), which may exceed `blocks.len()`.
-pub fn plan_request_blocks(
-    monitor: &mut IoMonitor,
-    pc: &mut CachePartition,
-    pa: &Partition<ArchiveLayout>,
-    kind: IoKind,
-    blocks: &[u64],
-    request_blocks: u64,
-) -> RequestPlan {
-    plan_request_iter(
-        monitor,
-        pc,
-        &mut ArchiveAccess::Plain(pa),
-        kind,
-        blocks.iter().copied(),
-        request_blocks,
-        &mut PlanScratch::default(),
-    )
-}
-
-/// [`plan_request_blocks`] against an [`ArchiveAccess`], with caller-owned
-/// triage scratch.
-pub(crate) fn plan_request_blocks_via(
-    monitor: &mut IoMonitor,
-    pc: &mut CachePartition,
-    pa: &mut ArchiveAccess<'_>,
-    kind: IoKind,
-    blocks: &[u64],
-    request_blocks: u64,
-    scratch: &mut PlanScratch,
-) -> RequestPlan {
-    plan_request_iter(
-        monitor,
-        pc,
-        pa,
-        kind,
-        blocks.iter().copied(),
-        request_blocks,
-        scratch,
-    )
-}
-
+/// [`plan_request`] over any block sequence, against an [`ArchiveAccess`]
+/// and with caller-owned triage scratch so the hot loop allocates nothing
+/// per request. While an expansion migration is in flight the array passes
+/// only the blocks that flow through the monitor (the rest are redirected
+/// to their pre-upgrade homes); `request_blocks` is the size of the
+/// original client request (the `S_i` the policies see), which may exceed
+/// the number of blocks planned.
 #[allow(clippy::too_many_arguments)]
-fn plan_request_iter(
+pub(crate) fn plan_request_iter(
     monitor: &mut IoMonitor,
     pc: &mut CachePartition,
     pa: &mut ArchiveAccess<'_>,

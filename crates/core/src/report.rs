@@ -148,10 +148,11 @@ pub struct MigrationStats {
     /// over completed restripes.
     pub archive_restripe_secs: f64,
     /// The block-issue order the paced migration *actually* ran with.
-    /// Baseline arrays have no heat signal, so a configured `hot-first`
-    /// silently degrades to `sequential`; this field records the effective
-    /// order so ordering comparisons cannot mistake a no-op knob for a null
-    /// result. `None` until a paced migration or restripe starts.
+    /// Arrays without a cache partition have no heat signal, so a
+    /// configured `hot-first` silently degrades to `sequential`; this field
+    /// records the effective order so ordering comparisons cannot mistake
+    /// a no-op knob for a null result. `None` until a paced migration or
+    /// restripe starts.
     pub effective_priority: Option<crate::background::BackgroundPriority>,
 }
 

@@ -162,7 +162,7 @@ impl RestripeState {
     /// [`MigrateWrite`](craid_raid::IoPurpose::MigrateWrite) (parity
     /// maintenance included) at its reshaped home in `current`. Returns the
     /// number of moves issued with the plan — the one authoritative
-    /// batch-to-I/O translation both arrays drive their restripes through.
+    /// batch-to-I/O translation every restripe is driven through.
     pub fn plan_batch(
         &mut self,
         current: &Partition<ArchiveLayout>,

@@ -1112,16 +1112,12 @@ pub struct ScenarioOutcome {
 #[derive(Debug, Clone)]
 pub struct Campaign {
     scenarios: Vec<Scenario>,
-    threads: Option<usize>,
 }
 
 impl Campaign {
     /// A campaign over an explicit scenario list.
     pub fn new(scenarios: Vec<Scenario>) -> Self {
-        Campaign {
-            scenarios,
-            threads: None,
-        }
+        Campaign { scenarios }
     }
 
     /// The cartesian sweep {workloads × pc_fractions × strategies} around a
@@ -1153,13 +1149,6 @@ impl Campaign {
         Campaign::new(scenarios)
     }
 
-    /// Caps the worker-thread count (default: available parallelism).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// The scenarios in execution order.
     pub fn scenarios(&self) -> &[Scenario] {
         &self.scenarios
@@ -1184,7 +1173,8 @@ impl Campaign {
         self.scenarios.iter().map(Scenario::analyze).collect()
     }
 
-    /// Runs every scenario in parallel and returns the outcomes in input
+    /// Runs every scenario in parallel (one worker per available core,
+    /// capped at the scenario count) and returns the outcomes in input
     /// order. Each distinct workload source (id, request count, seed) is
     /// generated once and shared across the sweep.
     ///
@@ -1193,13 +1183,9 @@ impl Campaign {
     /// Returns the first scenario error in input order; the remaining
     /// scenarios still run to completion.
     pub fn run(&self) -> Result<Vec<ScenarioOutcome>, CraidError> {
-        let threads = self
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
+        let threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
             .min(self.scenarios.len().max(1));
 
         // Generate each distinct trace once; a 7-workload × 4-fraction ×

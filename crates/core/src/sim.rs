@@ -113,8 +113,8 @@ impl DatasetMapper {
     }
 }
 
-/// Euclid's algorithm (shared with the baseline array's coprime-stride
-/// restripe sampler).
+/// Euclid's algorithm (shared with the array's coprime-stride restripe
+/// sampler).
 pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);

@@ -6,8 +6,8 @@
 
 use craid::analyze::codes;
 use craid::{
-    ActivationPolicy, ArrayPreset, ArraySpec, BaselineArray, CraidArray, Scenario, ScheduledEvent,
-    StrategyKind, WorkloadSource,
+    ActivationPolicy, ArrayPreset, ArraySpec, CraidArray, Scenario, ScheduledEvent, StrategyKind,
+    WorkloadSource,
 };
 use craid_simkit::SimTime;
 use craid_trace::WorkloadId;
@@ -256,10 +256,6 @@ proptest! {
         // the static footprint is well-defined.
         let config = scenario.array_config_for_footprint(scenario.static_footprint_blocks());
         config.validate().expect("analyzer-clean configs validate");
-        if scenario.strategy.is_craid() {
-            CraidArray::new(config).expect("analyzer-clean CRAID arrays construct");
-        } else {
-            BaselineArray::new(config).expect("analyzer-clean baseline arrays construct");
-        }
+        CraidArray::new(config).expect("analyzer-clean arrays construct");
     }
 }

@@ -6,8 +6,8 @@
 use craid::analyze::oracle::{BlockConservation, ConservationLine, ExactlyOneLocation};
 use craid::observer::RequestOutcome;
 use craid::{
-    ArrayConfig, BackgroundPriority, BaselineArray, CraidArray, InvariantOracle, Observer,
-    RunEvidence, Scenario, ScheduledEvent, StorageArray, StrategyKind,
+    ArrayConfig, BackgroundPriority, CraidArray, InvariantOracle, Observer, RunEvidence, Scenario,
+    ScheduledEvent, StorageArray, StrategyKind,
 };
 use craid_diskmodel::{BlockRange, IoKind};
 use craid_simkit::SimTime;
@@ -48,7 +48,7 @@ fn conservation_violation(
 /// mutually exclusive.
 fn colocation_violation(a: &CraidArray, block: u64) -> Option<String> {
     let mut evidence = RunEvidence::default();
-    if a.migration_pending(block) && a.monitor().cached_slot(block).is_some() {
+    if a.migration_pending(block) && a.monitor().unwrap().cached_slot(block).is_some() {
         evidence.colocated.push(block);
     }
     ExactlyOneLocation.check(&evidence)
@@ -66,7 +66,7 @@ proptest! {
     ) {
         let config = ArrayConfig::small_test(StrategyKind::Raid5, 10_000)
             .with_migration_rate(Some(rate as f64));
-        let mut a = BaselineArray::new(config).unwrap();
+        let mut a = CraidArray::new(config).unwrap();
         let report = a.expand(SimTime::from_secs(1.0), 4).unwrap();
         let enqueued = report.enqueued_blocks;
         prop_assert!(enqueued > 0);
@@ -443,7 +443,7 @@ fn rebuild_and_migration_progress_in_the_same_window_per_the_weights() {
         .with_rebuild_share(3.0)
         .with_migration_share(1.0);
     config.rebuild_rate_blocks_per_sec = 1e9;
-    let mut a = BaselineArray::new(config).unwrap();
+    let mut a = CraidArray::new(config).unwrap();
     a.fail_disk(SimTime::from_secs(0.5), 3).unwrap();
     a.repair_disk(SimTime::from_secs(1.0), 3).unwrap();
     a.expand(SimTime::from_secs(1.0), 4).unwrap();

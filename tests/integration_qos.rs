@@ -190,7 +190,7 @@ fn conservation_violation(
 /// Judge a single block's placement with the exactly-one-location oracle.
 fn colocation_violation(a: &CraidArray, block: u64) -> Option<String> {
     let mut evidence = RunEvidence::default();
-    if a.migration_pending(block) && a.monitor().cached_slot(block).is_some() {
+    if a.migration_pending(block) && a.monitor().unwrap().cached_slot(block).is_some() {
         evidence.colocated.push(block);
     }
     ExactlyOneLocation.check(&evidence)
@@ -205,11 +205,10 @@ proptest! {
         ops in proptest::collection::vec((0u64..10_000, any::<bool>(), 1u64..900, 0u32..101), 1..40),
         rate in 100u64..20_000,
     ) {
-        use craid::BaselineArray;
         let config = ArrayConfig::small_test(StrategyKind::Raid5, 10_000)
             .with_migration_rate(Some(rate as f64))
             .with_qos(SloSpec::latency_target(25.0).with_floor(0.05));
-        let mut a = BaselineArray::new(config).unwrap();
+        let mut a = CraidArray::new(config).unwrap();
         let report = a.expand(SimTime::from_secs(1.0), 4).unwrap();
         let enqueued = report.enqueued_blocks;
         prop_assert!(enqueued > 0);
