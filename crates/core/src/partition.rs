@@ -11,7 +11,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use craid_diskmodel::IoKind;
+use craid_diskmodel::{BlockRange, IoKind};
 use craid_raid::{IoPlanner, Layout, PlannedIo, Raid5Layout, Raid5PlusLayout};
 
 /// A device I/O produced by a partition: a [`PlannedIo`] whose device index
@@ -70,18 +70,23 @@ impl<L: Layout> Partition<L> {
     /// Plans the device I/Os for a set of logical partition blocks,
     /// translating device indices and block numbers to absolute coordinates.
     pub fn plan_blocks(&self, kind: IoKind, blocks: &[u64]) -> Vec<PartitionIo> {
-        self.planner
-            .plan_blocks(kind, blocks)
-            .into_iter()
-            .map(|io| PlannedIo {
-                disk: io.disk + self.first_device,
-                range: craid_diskmodel::BlockRange::new(
-                    io.range.start() + self.block_offset,
-                    io.range.len(),
-                ),
-                ..io
-            })
-            .collect()
+        self.place(self.planner.plan_blocks(kind, blocks))
+    }
+
+    /// [`Partition::plan_blocks`] for ascending, disjoint logical runs (see
+    /// [`IoPlanner::plan_runs`]).
+    pub fn plan_runs(&self, kind: IoKind, runs: &[BlockRange]) -> Vec<PartitionIo> {
+        self.place(self.planner.plan_runs(kind, runs))
+    }
+
+    /// Shifts a layout-relative plan onto this partition's devices and
+    /// block offset, in place.
+    fn place(&self, mut plan: Vec<PlannedIo>) -> Vec<PartitionIo> {
+        for io in &mut plan {
+            io.disk += self.first_device;
+            io.range = BlockRange::new(io.range.start() + self.block_offset, io.range.len());
+        }
+        plan
     }
 }
 

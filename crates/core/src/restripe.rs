@@ -9,22 +9,28 @@
 //! pacing at paper-scale footprints.
 //!
 //! [`RestripeState`] replaces both with O(1) state: a **logical cursor**
-//! over [`craid_raid::migration_stream_from`] (the reshape's moves in
-//! ascending order) plus a small **superseded set** holding only the
-//! pending blocks client writes have already rewritten at their new home.
-//! Membership of the pending set is *computed*, not stored: a block is
-//! pending iff it is ahead of the cursor, its location differs between the
-//! old and new layouts, and no write superseded it. The owning array keeps
-//! the pre-upgrade [`Partition`] alive for the restripe's lifetime so
-//! pending reads can be served from their old physical locations, and the
-//! background engine tracks only the *count* of outstanding moves
-//! ([`crate::background::TaskKind::ArchiveRestripe`], a
-//! [`Work::Stream`](crate::background)-shaped task).
+//! over [`craid_raid::migration_runs`] (the reshape's moves as ascending
+//! logical runs, one stripe unit at most) plus a small **superseded set**
+//! holding only the pending blocks client writes have already rewritten at
+//! their new home. Each background batch resumes the run walk at the
+//! cursor, comparing old and new locations once per stripe unit rather
+//! than once per block, splits the moving runs around superseded blocks,
+//! cuts the last run at the engine's exact block budget, and plans the
+//! resulting runs through both volumes ([`Partition::plan_runs`]). Batch
+//! boundaries therefore fall on the same blocks as a block-by-block walk
+//! would put them. Membership of the pending set is *computed*, not
+//! stored: a block is pending iff it is ahead of the cursor, its location
+//! differs between the old and new layouts, and no write superseded it.
+//! The owning array keeps the pre-upgrade [`Partition`] alive for the
+//! restripe's lifetime so pending reads can be served from their old
+//! physical locations, and the background engine tracks only the *count*
+//! of outstanding moves ([`crate::background::TaskKind::ArchiveRestripe`],
+//! a [`Work::Stream`](crate::background)-shaped task).
 
 use std::collections::BTreeSet;
 
-use craid_diskmodel::IoKind;
-use craid_raid::{migration_stream_from, round_robin_migration_blocks, IoPurpose, Layout};
+use craid_diskmodel::{BlockRange, IoKind};
+use craid_raid::{migration_runs, round_robin_migration_blocks, IoPurpose, Layout};
 
 use crate::background::TaskId;
 use crate::partition::{ArchiveLayout, Partition, PartitionIo};
@@ -60,8 +66,9 @@ pub struct RestripeState {
 
 impl RestripeState {
     /// Prepares a restripe from `old` to `new` over the first `used`
-    /// logical blocks, counting (without materialising) the move set.
-    /// `task` is filled in by the caller once the engine task exists.
+    /// logical blocks, counting (without materialising) the move set one
+    /// stripe-unit run at a time. `task` is filled in by the caller once
+    /// the engine task exists.
     pub fn new(old: Partition<ArchiveLayout>, new: &Partition<ArchiveLayout>, used: u64) -> Self {
         let used = used.min(old.data_capacity()).min(new.data_capacity());
         let total_moves = round_robin_migration_blocks(old.layout(), new.layout(), used);
@@ -115,40 +122,67 @@ impl RestripeState {
         std::mem::take(&mut self.unreported_forfeits)
     }
 
-    /// Advances the cursor to produce the next `budget` moves (ascending
-    /// logical order) of the reshape towards `current` (the array's live,
+    /// Advances the cursor past the next `budget` moves (ascending logical
+    /// order) of the reshape towards `current` (the array's live,
     /// post-upgrade volume — stable for the restripe's lifetime because
-    /// further expansions queue behind an in-flight restripe). Superseded
-    /// entries are skipped without counting against the budget and pruned
-    /// from the set as the cursor passes them. The engine already accounted
-    /// `budget` against this task's remaining work, so `budget` moves come
-    /// back — fewer only when supersessions raced the poll that allocated
-    /// the budget (their forfeits then saturate the engine's remaining
-    /// count, so the two stay consistent).
-    pub fn next_batch(&mut self, current: &Partition<ArchiveLayout>, budget: u64) -> Vec<u64> {
-        let mut out = Vec::with_capacity(budget as usize);
-        let mut walked = self.cursor;
-        for unit in
-            migration_stream_from(self.old.layout(), current.layout(), self.cursor, self.used)
+    /// further expansions queue behind an in-flight restripe) and returns
+    /// them as ascending, disjoint logical runs. Superseded blocks split
+    /// the runs without counting against the budget and are pruned from
+    /// the set as the cursor passes them; the last run is cut at the exact
+    /// budget, so the cursor stops just past the `budget`-th move. The
+    /// engine already accounted `budget` against this task's remaining
+    /// work, so `budget` moves come back — fewer only when supersessions
+    /// raced the poll that allocated the budget (their forfeits then
+    /// saturate the engine's remaining count, so the two stay consistent).
+    /// The engine never issues a zero budget; one yields no runs.
+    pub fn next_runs(
+        &mut self,
+        current: &Partition<ArchiveLayout>,
+        budget: u64,
+    ) -> Vec<BlockRange> {
+        let mut runs: Vec<BlockRange> = Vec::new();
+        if budget == 0 {
+            return runs;
+        }
+        let mut left = budget;
+        // The stream running dry leaves nothing before `used` to walk.
+        let mut cursor = self.used;
+        let mut skips = self.superseded.range(self.cursor..).copied().peekable();
+        'walk: for run in
+            migration_runs(self.old.layout(), current.layout(), self.cursor, self.used)
         {
-            walked = unit.logical + 1;
-            if self.superseded.remove(&unit.logical) {
-                continue; // already rewritten at the new home by a client
-            }
-            self.migrated += 1;
-            out.push(unit.logical);
-            if out.len() == budget as usize {
-                break;
+            let mut from = run.start();
+            while from < run.end() {
+                let stop = skips.peek().map_or(run.end(), |&s| s.min(run.end()));
+                let take = (stop - from).min(left);
+                if take > 0 {
+                    match runs.last_mut() {
+                        Some(last) if last.end() == from => {
+                            *last = BlockRange::new(last.start(), last.len() + take);
+                        }
+                        _ => runs.push(BlockRange::new(from, take)),
+                    }
+                    left -= take;
+                    from += take;
+                    if left == 0 {
+                        cursor = from;
+                        break 'walk;
+                    }
+                }
+                if stop < run.end() {
+                    // `from` is a block a client already rewrote at its
+                    // new home.
+                    skips.next();
+                    from += 1;
+                }
             }
         }
-        if (out.len() as u64) < budget {
-            walked = self.used; // the stream ran dry
-        }
-        self.cursor = walked;
+        self.migrated += budget - left;
+        self.cursor = cursor;
         // Anything superseded below the new cursor can never be asked about
         // again; drop it so the set stays bounded by in-flight writes.
-        self.superseded = self.superseded.split_off(&self.cursor);
-        out
+        self.superseded = self.superseded.split_off(&cursor);
+        runs
     }
 
     /// True when every move has been issued or superseded.
@@ -157,8 +191,8 @@ impl RestripeState {
     }
 
     /// Advances the cursor by `budget` moves and plans their device I/O:
-    /// a [`MigrateRead`](craid_raid::IoPurpose::MigrateRead) of each
-    /// block's pre-upgrade location plus a
+    /// a [`MigrateRead`](craid_raid::IoPurpose::MigrateRead) of each run's
+    /// pre-upgrade location plus a
     /// [`MigrateWrite`](craid_raid::IoPurpose::MigrateWrite) (parity
     /// maintenance included) at its reshaped home in `current`. Returns the
     /// number of moves issued with the plan — the one authoritative
@@ -168,42 +202,41 @@ impl RestripeState {
         current: &Partition<ArchiveLayout>,
         budget: u64,
     ) -> (u64, Vec<PartitionIo>) {
-        let moved = self.next_batch(current, budget);
+        let runs = self.next_runs(current, budget);
+        let moved: u64 = runs.iter().map(|run| run.len()).sum();
         // Usually exactly `budget` moves come back, but supersessions that
         // raced the poll which allocated the budget (e.g. a PC-migration
         // batch's write-backs earlier in the same pump) legitimately leave
         // a shortfall; their forfeits saturate the engine's remaining
         // count, so the two stay consistent either way.
         debug_assert!(
-            moved.len() as u64 <= budget,
+            moved <= budget,
             "the restripe cursor never over-issues its budget"
         );
-        let old_plan = self.old.plan_blocks(IoKind::Read, &moved);
-        let mut ios: Vec<PartitionIo> = Vec::with_capacity(old_plan.len() * 2);
-        for io in old_plan {
-            ios.push(PartitionIo {
-                purpose: IoPurpose::MigrateRead,
-                ..io
-            });
+        let mut ios = self.old.plan_runs(IoKind::Read, &runs);
+        for io in &mut ios {
+            io.purpose = IoPurpose::MigrateRead;
         }
-        for io in current.plan_blocks(IoKind::Write, &moved) {
-            ios.push(PartitionIo {
-                purpose: if io.purpose == IoPurpose::Data {
-                    IoPurpose::MigrateWrite
-                } else {
-                    io.purpose
-                },
-                ..io
-            });
-        }
-        (moved.len() as u64, ios)
+        let writes = current.plan_runs(IoKind::Write, &runs);
+        ios.extend(writes.into_iter().map(|io| PartitionIo {
+            purpose: if io.purpose == IoPurpose::Data {
+                IoPurpose::MigrateWrite
+            } else {
+                io.purpose
+            },
+            ..io
+        }));
+        (moved, ios)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use craid_raid::{migration_stream, Raid5Layout};
+    use craid_raid::{migration_stream, DiskBlock, PlannedIo, Raid5Layout};
+    use proptest::prelude::*;
+
+    include!("../../raid/src/planner_reference.rs");
 
     fn volume(disks: usize) -> Partition<ArchiveLayout> {
         Partition::new(
@@ -211,6 +244,19 @@ mod tests {
             0,
             0,
         )
+    }
+
+    /// One batch of the run cursor as the blocks it moves.
+    fn next_blocks(
+        state: &mut RestripeState,
+        current: &Partition<ArchiveLayout>,
+        budget: u64,
+    ) -> Vec<u64> {
+        state
+            .next_runs(current, budget)
+            .into_iter()
+            .flat_map(BlockRange::blocks)
+            .collect()
     }
 
     #[test]
@@ -226,13 +272,13 @@ mod tests {
         assert_eq!(state.pending(), expected.len() as u64);
         let mut walked = Vec::new();
         while !state.drained() {
-            let batch = state.next_batch(&new, 7);
+            let batch = next_blocks(&mut state, &new, 7);
             assert!(!batch.is_empty(), "a non-drained walk always progresses");
             walked.extend(batch);
         }
         assert_eq!(walked, expected, "the lazy walk equals the eager plan");
         assert_eq!(state.migrated, expected.len() as u64);
-        assert!(state.next_batch(&new, 7).is_empty());
+        assert!(state.next_runs(&new, 7).is_empty());
     }
 
     #[test]
@@ -250,7 +296,7 @@ mod tests {
             "blocks past the used range never move"
         );
         // Issue one batch past `first`: it is no longer pending.
-        state.next_batch(&new, 1);
+        state.next_runs(&new, 1);
         assert!(!state.is_pending(&new, first));
         assert!(state.is_pending(&new, *moved.last().unwrap()));
     }
@@ -272,7 +318,7 @@ mod tests {
         // The walk never issues the superseded block.
         let mut walked = Vec::new();
         while !state.drained() {
-            walked.extend(state.next_batch(&new, 64));
+            walked.extend(next_blocks(&mut state, &new, 64));
         }
         assert!(!walked.contains(&victim));
         assert_eq!(walked.len() as u64 + 1, state.total_moves());
@@ -280,5 +326,138 @@ mod tests {
         // Superseding an unmoving or already-walked block is a no-op.
         assert!(!state.supersede(&new, victim));
         assert_eq!(state.take_forfeits(), 0);
+    }
+
+    #[test]
+    fn a_budget_ending_before_a_superseded_block_leaves_it_ahead() {
+        let old = volume(8);
+        let new = volume(12);
+        let mut state = RestripeState::new(old, &new, 300);
+        let moved: Vec<u64> = migration_stream(state.old.layout(), new.layout(), 300)
+            .map(|u| u.logical)
+            .collect();
+        // Supersede the third move, then issue exactly two moves.
+        assert_eq!(moved[2], moved[1] + 1, "the first moves are one run");
+        assert!(state.supersede(&new, moved[2]));
+        assert_eq!(next_blocks(&mut state, &new, 2), moved[..2]);
+        assert_eq!(
+            state.cursor,
+            moved[1] + 1,
+            "the cursor stops after the budget"
+        );
+        assert!(state.superseded.contains(&moved[2]), "not yet passed");
+        // The next batch skips it without charging the budget.
+        assert_eq!(next_blocks(&mut state, &new, 1), [moved[3]]);
+        assert!(state.superseded.is_empty());
+        assert!(state.next_runs(&new, 0).is_empty());
+    }
+
+    /// The block-by-block cursor the run cursor replaced: the reference its
+    /// batches, cursor positions and superseded sets must match.
+    struct BlockCursor {
+        used: u64,
+        cursor: u64,
+        superseded: BTreeSet<u64>,
+    }
+
+    impl BlockCursor {
+        fn next_batch(
+            &mut self,
+            old: &Partition<ArchiveLayout>,
+            new: &Partition<ArchiveLayout>,
+            budget: u64,
+        ) -> Vec<u64> {
+            let mut out = Vec::new();
+            let mut walked = self.cursor;
+            let moving = |&b: &u64| old.layout().locate(b) != new.layout().locate(b);
+            for logical in (self.cursor..self.used).filter(moving) {
+                walked = logical + 1;
+                if self.superseded.remove(&logical) {
+                    continue;
+                }
+                out.push(logical);
+                if out.len() == budget as usize {
+                    break;
+                }
+            }
+            if (out.len() as u64) < budget {
+                walked = self.used;
+            }
+            self.cursor = walked;
+            self.superseded = self.superseded.split_off(&self.cursor);
+            out
+        }
+    }
+
+    /// The reference plan of one batch, shifted onto `partition`.
+    fn reference_on(
+        partition: &Partition<ArchiveLayout>,
+        kind: IoKind,
+        blocks: &[u64],
+    ) -> Vec<PlannedIo> {
+        reference_plan(partition.layout(), kind, blocks)
+            .into_iter()
+            .map(|io| PlannedIo {
+                disk: io.disk + partition.first_device(),
+                range: BlockRange::new(io.range.start() + partition.block_offset(), io.range.len()),
+                ..io
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The run cursor reproduces the block-by-block walk exactly: the
+        /// same moves in each batch, the same cursor and superseded set
+        /// after it, the same move count, and `plan_batch` plans what the
+        /// per-block planner plans for those blocks.
+        fn prop_run_cursor_matches_the_block_walk(
+            (group, old_groups, added_groups) in (2usize..5, 1usize..3, 1usize..3),
+            (unit, rows, used_permille) in (1u64..6, 2u64..10, 0u64..1_000),
+            max_budget in 1u64..30,
+            picks in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..40),
+        ) {
+            let layout = |groups: usize| {
+                ArchiveLayout::Ideal(Raid5Layout::new(groups * group, group, unit, rows * unit).unwrap())
+            };
+            let old = Partition::new(layout(old_groups), 0, 3);
+            let new = Partition::new(layout(old_groups + added_groups), 0, 3);
+            let cap = old.data_capacity().min(new.data_capacity());
+            let used = cap * used_permille / 1_000;
+            let mut state = RestripeState::new(old.clone(), &new, used);
+            let per_block = migration_stream(old.layout(), new.layout(), used).count() as u64;
+            prop_assert_eq!(state.total_moves(), per_block);
+            let mut reference = BlockCursor { used, cursor: 0, superseded: BTreeSet::new() };
+            let mut picks = picks.into_iter();
+            while !state.drained() {
+                // A client write to a random block, then a batch whose
+                // budget runs from one block to several stripe units; once
+                // the script is spent, drain a stripe unit at a time.
+                let budget = match picks.next() {
+                    Some((write, draw)) => {
+                        let block = write % cap;
+                        if state.supersede(&new, block) {
+                            reference.superseded.insert(block);
+                        }
+                        1 + draw % max_budget + unit * (draw % 3)
+                    }
+                    None => unit,
+                };
+                let blocks = reference.next_batch(&old, &new, budget);
+                let (moved, ios) = state.plan_batch(&new, budget);
+                prop_assert_eq!(moved, blocks.len() as u64);
+                prop_assert_eq!(state.cursor, reference.cursor);
+                prop_assert_eq!(&state.superseded, &reference.superseded);
+                let mut expected: Vec<PlannedIo> = reference_on(&old, IoKind::Read, &blocks)
+                    .into_iter()
+                    .map(|io| PlannedIo { purpose: IoPurpose::MigrateRead, ..io })
+                    .collect();
+                expected.extend(reference_on(&new, IoKind::Write, &blocks).into_iter().map(|io| {
+                    let purpose = if io.purpose == IoPurpose::Data { IoPurpose::MigrateWrite } else { io.purpose };
+                    PlannedIo { purpose, ..io }
+                }));
+                prop_assert_eq!(ios, expected);
+            }
+            prop_assert_eq!(state.migrated + state.superseded_count, per_block);
+        }
     }
 }

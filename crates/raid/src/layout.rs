@@ -13,6 +13,17 @@ use crate::types::DiskBlock;
 /// block 0 is the first block of whichever per-disk region the caller gives
 /// to this layout (CRAID places its cache partition before the archive
 /// partition on every disk and adds the base offsets itself).
+///
+/// # Stripe-unit contract
+///
+/// Logical stripe unit `u` is the blocks `u * stripe_unit() .. (u + 1) *
+/// stripe_unit()`, and the data capacity is a whole number of stripe units.
+/// Every implementor keeps a stripe unit contiguous on one disk —
+/// `locate(u * stripe_unit() + i)` is `locate(u * stripe_unit())` moved `i`
+/// blocks further on the same disk — and keeps its parity contiguous the
+/// same way through `parity_for`. The planner and the restripe walk rely on
+/// this to call `locate` and `parity_for` once per stripe unit instead of
+/// once per block.
 pub trait Layout {
     /// Number of devices this layout spreads data over.
     fn disk_count(&self) -> usize;
@@ -21,7 +32,7 @@ pub trait Layout {
     fn data_capacity(&self) -> u64;
 
     /// Blocks per stripe unit (the contiguous run placed on one disk before
-    /// moving to the next).
+    /// moving to the next; see the stripe-unit contract above).
     fn stripe_unit(&self) -> u64;
 
     /// Number of physical blocks this layout occupies on every disk
@@ -71,5 +82,33 @@ pub trait Layout {
             }
         }
         seen.iter().all(|&s| s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Raid0Layout, Raid5Layout, Raid5PlusLayout};
+
+    /// Checks the stripe-unit contract block by block.
+    fn assert_stripe_units_contiguous<L: Layout>(layout: &L) {
+        let unit = layout.stripe_unit();
+        assert_eq!(layout.data_capacity() % unit, 0);
+        let shifted = |loc: DiskBlock, i: u64| DiskBlock::new(loc.disk, loc.block + i);
+        for first in (0..layout.data_capacity()).step_by(unit as usize) {
+            let data = layout.locate(first);
+            let parity = layout.parity_for(first);
+            for i in 1..unit {
+                assert_eq!(layout.locate(first + i), shifted(data, i));
+                assert_eq!(layout.parity_for(first + i), parity.map(|p| shifted(p, i)));
+            }
+        }
+    }
+
+    #[test]
+    fn every_layout_keeps_stripe_units_and_parity_contiguous() {
+        assert_stripe_units_contiguous(&Raid0Layout::new(5, 3, 12).unwrap());
+        assert_stripe_units_contiguous(&Raid5Layout::new(12, 4, 3, 24).unwrap());
+        assert_stripe_units_contiguous(&Raid5PlusLayout::new(&[4, 3, 5], 3, 24).unwrap());
     }
 }

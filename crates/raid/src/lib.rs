@@ -54,7 +54,7 @@ pub use raid0::Raid0Layout;
 pub use raid5::Raid5Layout;
 pub use raid5plus::Raid5PlusLayout;
 pub use reshape::{
-    migration_stream, migration_stream_from, minimal_migration_blocks,
-    round_robin_migration_blocks, ExpansionSchedule, MigrationUnit,
+    migration_runs, migration_stream, minimal_migration_blocks, round_robin_migration_blocks,
+    ExpansionSchedule, MigrationUnit,
 };
 pub use types::{DiskBlock, IoPurpose, LayoutError, STRIPE_UNIT_BLOCKS_128K};

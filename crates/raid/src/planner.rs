@@ -10,12 +10,15 @@
 //!   (2 reads and 2 writes)" the paper charges for every dirty-block eviction
 //!   (§5.1). When an entire parity column is overwritten, the old-data and
 //!   old-parity reads are skipped (full-stripe write optimization).
-
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+//!
+//! Planning works in stripe-unit pieces, not blocks. A [`Layout`] keeps each
+//! logical stripe unit, and its parity, contiguous on one disk, so a run of
+//! logical blocks costs one `locate` (and, for writes, one `parity_for`) per
+//! stripe unit it crosses — the rebuild-unit granularity Thomasian's RAID
+//! tutorial costs reorganisations in.
 
 use craid_diskmodel::{BlockRange, IoKind};
+use serde::{Deserialize, Serialize};
 
 use crate::layout::Layout;
 use crate::types::{DiskBlock, IoPurpose};
@@ -41,6 +44,22 @@ impl PlannedIo {
 }
 
 /// Plans device I/Os for logical requests over a [`Layout`].
+///
+/// # Runs and set semantics
+///
+/// Every request is planned as a set of logical blocks: [`plan_runs`]
+/// takes that set as ascending, disjoint runs, and [`plan`] and
+/// [`plan_blocks`] reduce their input to such runs first (a block listed
+/// twice is planned once). The plan lists the data I/Os, then for writes
+/// the old-data reads, old-parity reads and parity writes, each group
+/// sorted by disk and block and merged where physically contiguous. A
+/// parity column is fully written, and skips its reads, when at least
+/// `data_blocks_per_parity_stripe / stripe_unit` distinct written blocks
+/// share its parity block.
+///
+/// [`plan_runs`]: IoPlanner::plan_runs
+/// [`plan`]: IoPlanner::plan
+/// [`plan_blocks`]: IoPlanner::plan_blocks
 ///
 /// # Example
 ///
@@ -81,114 +100,262 @@ impl<L: Layout> IoPlanner<L> {
     ///
     /// Panics if the range extends beyond the layout's data capacity.
     pub fn plan(&self, kind: IoKind, range: BlockRange) -> Vec<PlannedIo> {
-        let blocks: Vec<u64> = range.blocks().collect();
-        self.plan_blocks(kind, &blocks)
+        self.plan_runs(kind, &[range])
     }
 
-    /// Plans the device I/Os for an arbitrary (not necessarily contiguous)
-    /// set of logical blocks. Used by CRAID when copying the scattered hot
-    /// set into the cache partition.
+    /// Plans the device I/Os for an arbitrary (not necessarily contiguous
+    /// or sorted) set of logical blocks. Used by CRAID when copying the
+    /// scattered hot set into the cache partition.
     ///
     /// # Panics
     ///
     /// Panics if any block is beyond the layout's data capacity.
     pub fn plan_blocks(&self, kind: IoKind, logical_blocks: &[u64]) -> Vec<PlannedIo> {
-        match kind {
-            IoKind::Read => self.plan_reads(logical_blocks),
-            IoKind::Write => self.plan_writes(logical_blocks),
-        }
+        self.plan_runs(kind, &runs_of(logical_blocks))
     }
 
-    fn plan_reads(&self, logical_blocks: &[u64]) -> Vec<PlannedIo> {
-        let locs: Vec<DiskBlock> = logical_blocks
-            .iter()
-            .map(|&b| self.layout.locate(b))
-            .collect();
-        coalesce(locs, IoKind::Read, IoPurpose::Data)
-    }
-
-    fn plan_writes(&self, logical_blocks: &[u64]) -> Vec<PlannedIo> {
-        // Data writes.
-        let data_locs: Vec<DiskBlock> = logical_blocks
-            .iter()
-            .map(|&b| self.layout.locate(b))
-            .collect();
-        let mut plan = coalesce(data_locs.clone(), IoKind::Write, IoPurpose::Data);
-
-        // Parity maintenance. Group the written blocks by the parity block
-        // that protects them.
-        let per_parity_block =
-            (self.layout.data_blocks_per_parity_stripe() / self.layout.stripe_unit()).max(1);
-        let mut groups: BTreeMap<DiskBlock, Vec<DiskBlock>> = BTreeMap::new();
-        for (&logical, &loc) in logical_blocks.iter().zip(&data_locs) {
-            if let Some(parity) = self.layout.parity_for(logical) {
-                groups.entry(parity).or_default().push(loc);
+    /// Plans the device I/Os for the logical blocks of `runs`, which must
+    /// be ascending and disjoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run starts before the previous one ends or extends
+    /// beyond the layout's data capacity.
+    pub fn plan_runs(&self, kind: IoKind, runs: &[BlockRange]) -> Vec<PlannedIo> {
+        let capacity = self.layout.data_capacity();
+        let unit = self.layout.stripe_unit();
+        // Sized once up front: a restripe batch is a few stripe units, and
+        // growing these vectors piece by piece would cost as much as
+        // planning them.
+        let pieces: usize = runs.iter().map(|run| (run.len() / unit) as usize + 2).sum();
+        let mut data: Vec<Extent> = Vec::with_capacity(pieces);
+        let mut parity: Vec<ParityPiece> =
+            Vec::with_capacity(if kind.is_write() { pieces } else { 0 });
+        let mut prev_end = 0;
+        for run in runs {
+            assert!(
+                run.start() >= prev_end,
+                "runs must be ascending and disjoint ({run} starts before {prev_end})"
+            );
+            assert!(
+                run.end() <= capacity,
+                "logical block {} beyond capacity {capacity}",
+                run.start().max(capacity)
+            );
+            prev_end = run.end();
+            // One piece per stripe unit the run crosses.
+            let mut pos = run.start();
+            while pos < run.end() {
+                let len = ((pos / unit + 1) * unit).min(run.end()) - pos;
+                let at = self.layout.locate(pos);
+                data.push(Extent::at(at, len));
+                if kind.is_write() {
+                    if let Some(p) = self.layout.parity_for(pos) {
+                        parity.push(ParityPiece {
+                            parity: Extent::at(p, len),
+                            data: at,
+                        });
+                    }
+                }
+                pos += len;
             }
         }
-        if groups.is_empty() {
-            return plan; // Layout without redundancy (RAID-0).
-        }
-
-        let mut old_data_reads = Vec::new();
-        let mut parity_reads = Vec::new();
-        let mut parity_writes = Vec::new();
-        for (parity, written) in groups {
-            let full_column = written.len() as u64 >= per_parity_block;
-            if !full_column {
-                // Read-modify-write: old data of the written blocks + old parity.
-                old_data_reads.extend(written);
-                parity_reads.push(parity);
-            }
-            parity_writes.push(parity);
-        }
-        plan.extend(coalesce(
-            old_data_reads,
+        let full = (self.layout.data_blocks_per_parity_stripe() / unit).max(1);
+        let mut columns = Columns::split(&mut parity, full);
+        let mut plan = Vec::with_capacity(
+            data.len()
+                + columns.old_data_reads.len()
+                + columns.parity_reads.len()
+                + columns.parity_writes.len(),
+        );
+        coalesce(&mut data, kind, IoPurpose::Data, &mut plan);
+        coalesce(
+            &mut columns.old_data_reads,
             IoKind::Read,
             IoPurpose::OldDataRead,
-        ));
-        plan.extend(coalesce(parity_reads, IoKind::Read, IoPurpose::ParityRead));
-        plan.extend(coalesce(
-            parity_writes,
+            &mut plan,
+        );
+        coalesce(
+            &mut columns.parity_reads,
+            IoKind::Read,
+            IoPurpose::ParityRead,
+            &mut plan,
+        );
+        coalesce(
+            &mut columns.parity_writes,
             IoKind::Write,
             IoPurpose::ParityWrite,
-        ));
+            &mut plan,
+        );
         plan
     }
 }
 
-/// Merges physically contiguous blocks on the same disk into single I/Os.
-fn coalesce(mut locs: Vec<DiskBlock>, kind: IoKind, purpose: IoPurpose) -> Vec<PlannedIo> {
-    if locs.is_empty() {
-        return Vec::new();
-    }
-    locs.sort_unstable();
-    locs.dedup();
-    let mut out = Vec::new();
-    let mut run_disk = locs[0].disk;
-    let mut run_start = locs[0].block;
-    let mut run_len = 1u64;
-    for loc in &locs[1..] {
-        if loc.disk == run_disk && loc.block == run_start + run_len {
-            run_len += 1;
-        } else {
-            out.push(PlannedIo {
-                disk: run_disk,
-                range: BlockRange::new(run_start, run_len),
-                kind,
-                purpose,
-            });
-            run_disk = loc.disk;
-            run_start = loc.block;
-            run_len = 1;
+/// The ascending, duplicate-free runs covering a block list.
+fn runs_of(blocks: &[u64]) -> Vec<BlockRange> {
+    let sorted: Vec<u64>;
+    let blocks = if blocks.windows(2).all(|w| w[0] < w[1]) {
+        blocks
+    } else {
+        let mut copy = blocks.to_vec();
+        copy.sort_unstable();
+        copy.dedup();
+        sorted = copy;
+        &sorted
+    };
+    let mut runs: Vec<BlockRange> = Vec::new();
+    for &block in blocks {
+        match runs.last_mut() {
+            Some(run) if run.end() == block => *run = BlockRange::new(run.start(), run.len() + 1),
+            _ => runs.push(BlockRange::new(block, 1)),
         }
     }
-    out.push(PlannedIo {
-        disk: run_disk,
-        range: BlockRange::new(run_start, run_len),
-        kind,
-        purpose,
-    });
-    out
+    runs
+}
+
+/// Blocks `start .. start + len`, physically contiguous on one disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Extent {
+    disk: usize,
+    start: u64,
+    len: u64,
+}
+
+impl Extent {
+    fn at(loc: DiskBlock, len: u64) -> Self {
+        Extent {
+            disk: loc.disk,
+            start: loc.block,
+            len,
+        }
+    }
+
+    fn end(self) -> u64 {
+        self.start + self.len
+    }
+}
+
+/// A written stripe-unit piece seen from its parity: the parity blocks
+/// protecting it, and where its data starts (parity block `parity.start +
+/// i` protects data block `data.block + i`).
+#[derive(Debug, Clone, Copy)]
+struct ParityPiece {
+    parity: Extent,
+    data: DiskBlock,
+}
+
+/// The parity traffic of a write, before coalescing.
+#[derive(Debug)]
+struct Columns {
+    old_data_reads: Vec<Extent>,
+    parity_reads: Vec<Extent>,
+    parity_writes: Vec<Extent>,
+}
+
+impl Columns {
+    /// Splits the written pieces' parity columns into full ones (parity
+    /// write only) and partial ones (read-modify-write: the old data and
+    /// the old parity are read first). A parity block's column is full when
+    /// at least `full` pieces cover it. Pieces whose parity extents overlap
+    /// form a cluster; only inside a cluster can coverage exceed one.
+    fn split(pieces: &mut [ParityPiece], full: u64) -> Self {
+        let mut columns = Columns {
+            old_data_reads: Vec::with_capacity(pieces.len()),
+            parity_reads: Vec::with_capacity(pieces.len()),
+            parity_writes: Vec::with_capacity(pieces.len()),
+        };
+        pieces.sort_unstable_by_key(|p| p.parity);
+        let mut bounds: Vec<u64> = Vec::new();
+        let mut rest: &[ParityPiece] = pieces;
+        while let Some(first) = rest.first() {
+            let disk = first.parity.disk;
+            let start = first.parity.start;
+            let mut end = first.parity.end();
+            let size = rest
+                .iter()
+                .take_while(|p| {
+                    let joins = p.parity.disk == disk && p.parity.start < end;
+                    if joins {
+                        end = end.max(p.parity.end());
+                    }
+                    joins
+                })
+                .count();
+            let (cluster, tail) = rest.split_at(size);
+            rest = tail;
+            columns.parity_writes.push(Extent {
+                disk,
+                start,
+                len: end - start,
+            });
+            if (size as u64) < full {
+                columns.read_modify_write(cluster, start, end);
+                continue;
+            }
+            // Coverage is constant between consecutive piece boundaries.
+            bounds.clear();
+            bounds.extend(
+                cluster
+                    .iter()
+                    .flat_map(|p| [p.parity.start, p.parity.end()]),
+            );
+            bounds.sort_unstable();
+            bounds.dedup();
+            for pair in bounds.windows(2) {
+                let (lo, hi) = (pair[0], pair[1]);
+                let covering = cluster
+                    .iter()
+                    .filter(|p| p.parity.start <= lo && hi <= p.parity.end())
+                    .count() as u64;
+                if covering < full {
+                    columns.read_modify_write(cluster, lo, hi);
+                }
+            }
+        }
+        columns
+    }
+
+    /// Reads the old parity blocks `lo .. hi` of `cluster`'s disk and the
+    /// old data every piece of the cluster has under them.
+    fn read_modify_write(&mut self, cluster: &[ParityPiece], lo: u64, hi: u64) {
+        self.parity_reads.push(Extent {
+            disk: cluster[0].parity.disk,
+            start: lo,
+            len: hi - lo,
+        });
+        for piece in cluster {
+            let from = lo.max(piece.parity.start);
+            let to = hi.min(piece.parity.end());
+            if from < to {
+                self.old_data_reads.push(Extent {
+                    disk: piece.data.disk,
+                    start: piece.data.block + (from - piece.parity.start),
+                    len: to - from,
+                });
+            }
+        }
+    }
+}
+
+/// Sorts `extents` and appends them to `plan` as I/Os, merging those that
+/// are physically contiguous (or overlapping) on one disk.
+fn coalesce(extents: &mut [Extent], kind: IoKind, purpose: IoPurpose, plan: &mut Vec<PlannedIo>) {
+    extents.sort_unstable();
+    let first = plan.len();
+    for extent in extents.iter() {
+        match plan[first..].last_mut() {
+            Some(io) if io.disk == extent.disk && extent.start <= io.range.end() => {
+                let end = io.range.end().max(extent.end());
+                io.range = BlockRange::new(io.range.start(), end - io.range.start());
+            }
+            _ => plan.push(PlannedIo {
+                disk: extent.disk,
+                range: BlockRange::new(extent.start, extent.len),
+                kind,
+                purpose,
+            }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -196,7 +363,11 @@ mod tests {
     use super::*;
     use crate::raid0::Raid0Layout;
     use crate::raid5::Raid5Layout;
+    use crate::raid5plus::Raid5PlusLayout;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    include!("planner_reference.rs");
 
     fn raid5_planner() -> IoPlanner<Raid5Layout> {
         // 4 disks, one parity group of 4, unit 2, 16 blocks/disk.
@@ -294,6 +465,96 @@ mod tests {
         assert_eq!(total, 1);
     }
 
+    #[test]
+    fn a_repeated_block_is_not_a_full_stripe_write() {
+        // Nine data units share each parity block, but nine copies of one
+        // block are one written block: the column is partial and pays the
+        // read-modify-write.
+        let p = IoPlanner::new(Raid5Layout::new(10, 10, 8, 800).unwrap());
+        let once = p.plan_blocks(IoKind::Write, &[0]);
+        assert_eq!(
+            once.len(),
+            4,
+            "data write, old data, old parity, parity write"
+        );
+        assert_eq!(p.plan_blocks(IoKind::Write, &[0; 9]), once);
+    }
+
+    #[test]
+    fn every_entry_point_plans_the_same_set() {
+        let p = IoPlanner::new(Raid5Layout::new(8, 4, 4, 64).unwrap());
+        let range = BlockRange::new(3, 70);
+        let blocks: Vec<u64> = (range.start()..range.end()).rev().collect();
+        for kind in [IoKind::Read, IoKind::Write] {
+            let plan = p.plan(kind, range);
+            assert_eq!(plan, reference_plan(p.layout(), kind, &blocks));
+            assert_eq!(p.plan_blocks(kind, &blocks), plan);
+            let split = [BlockRange::new(3, 5), BlockRange::new(8, 65)];
+            assert_eq!(p.plan_runs(kind, &split), plan);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending and disjoint")]
+    fn overlapping_runs_are_refused() {
+        let p = raid5_planner();
+        p.plan_runs(
+            IoKind::Write,
+            &[BlockRange::new(4, 4), BlockRange::new(6, 1)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn runs_past_capacity_are_refused() {
+        let p = raid5_planner();
+        let cap = p.layout().data_capacity();
+        p.plan(IoKind::Read, BlockRange::new(cap - 1, 2));
+    }
+
+    /// SplitMix64: a deterministic shuffle key.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// A duplicate-free, shuffled block list over `layout`: the union of
+    /// `segments` (short ones inside a couple of stripe units, long ones
+    /// across rows, parity groups and member sets), or the whole volume.
+    fn scattered_blocks<L: Layout>(
+        layout: &L,
+        segments: &[(u64, u64, bool)],
+        seed: u64,
+    ) -> Vec<u64> {
+        let cap = layout.data_capacity();
+        let mut set = BTreeSet::new();
+        if seed.is_multiple_of(8) {
+            set.extend(0..cap);
+        }
+        for &(start, len, long) in segments {
+            let start = start % cap;
+            let len = 1 + len % if long { cap } else { 2 * layout.stripe_unit() };
+            set.extend(start..(start + len).min(cap));
+        }
+        let mut blocks: Vec<u64> = set.into_iter().collect();
+        blocks.sort_by_key(|&b| mix(b ^ seed));
+        blocks
+    }
+
+    fn assert_matches_reference<L: Layout>(layout: L, segments: &[(u64, u64, bool)], seed: u64) {
+        let blocks = scattered_blocks(&layout, segments, seed);
+        let p = IoPlanner::new(layout);
+        for kind in [IoKind::Read, IoKind::Write] {
+            assert_eq!(
+                p.plan_blocks(kind, &blocks),
+                reference_plan(p.layout(), kind, &blocks),
+                "{kind} of {blocks:?}"
+            );
+        }
+    }
+
     proptest! {
         /// Reads never generate parity traffic and always move exactly the
         /// requested number of distinct blocks.
@@ -334,6 +595,41 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// The run planner returns the per-block reference's plan, I/O for
+        /// I/O, on RAID-5 with several parity groups.
+        fn prop_raid5_matches_the_reference(
+            (groups, group, unit, rows) in (1usize..4, 2usize..6, 1u64..6, 1u64..9),
+            segments in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..6),
+            seed in any::<u64>(),
+        ) {
+            let layout = Raid5Layout::new(groups * group, group, unit, rows * unit).unwrap();
+            assert_matches_reference(layout, &segments, seed);
+        }
+
+        /// Same on RAID-5+, whose member sets differ in width (and whose
+        /// full-column threshold is the narrowest set's).
+        fn prop_raid5plus_matches_the_reference(
+            sizes in proptest::collection::vec(2usize..7, 1..4),
+            (unit, rows) in (1u64..6, 1u64..7),
+            segments in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..6),
+            seed in any::<u64>(),
+        ) {
+            let layout = Raid5PlusLayout::new(&sizes, unit, rows * unit).unwrap();
+            assert_matches_reference(layout, &segments, seed);
+        }
+
+        /// Same on RAID-0, which has no parity traffic at all.
+        fn prop_raid0_matches_the_reference(
+            (disks, unit, rows) in (2usize..7, 1u64..6, 1u64..9),
+            segments in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..6),
+            seed in any::<u64>(),
+        ) {
+            let layout = Raid0Layout::new(disks, unit, rows * unit).unwrap();
+            assert_matches_reference(layout, &segments, seed);
         }
     }
 }

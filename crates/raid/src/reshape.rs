@@ -16,6 +16,7 @@
 //! * [`ExpansionSchedule`] — the paper's ≈30 % growth schedule
 //!   (10 → 13 → 17 → 22 → 29 → 38 → 50 disks), used by the upgrade benches.
 
+use craid_diskmodel::BlockRange;
 use serde::{Deserialize, Serialize};
 
 use crate::layout::Layout;
@@ -41,8 +42,9 @@ pub struct MigrationUnit {
 /// changes. Parity blocks are not streamed (they are recomputed rather than
 /// copied), which makes the stream a *lower* bound on the real restripe
 /// traffic — and CRAID still undercuts it by orders of magnitude. Background
-/// migration engines iterate this stream instead of materialising the whole
-/// reshape plan up front.
+/// migration engines walk the same moves a stripe-unit run at a time with
+/// [`migration_runs`] instead of materialising the whole reshape plan up
+/// front.
 ///
 /// # Panics
 ///
@@ -65,37 +67,49 @@ pub fn migration_stream<'a, A: Layout, B: Layout>(
     })
 }
 
-/// [`migration_stream`] resumed at a logical cursor: the moves of the
-/// reshape whose logical block is in `[cursor, used_blocks)`, in ascending
-/// order. Paced restripe engines call this once per background batch with
-/// their saved cursor instead of materialising (or re-walking) the whole
-/// move set, so an in-flight reshape costs O(1) memory regardless of the
-/// dataset size.
+/// The moves of [`migration_stream`] whose logical block is in
+/// `[from, used_blocks)`, as ascending logical runs. Each run is one step
+/// of the walk: it never crosses a stripe-unit boundary of either layout,
+/// so its blocks sit contiguously in both and one `locate` per layout
+/// decides whether the whole run moves (see [`Layout`]). The restripe
+/// cursor resumes this walk once per background batch instead of
+/// materialising the move set, and [`round_robin_migration_blocks`] sums
+/// it.
 ///
 /// # Panics
 ///
 /// Panics if `used_blocks` exceeds the data capacity of either layout.
-pub fn migration_stream_from<'a, A: Layout, B: Layout>(
+pub fn migration_runs<'a, A: Layout, B: Layout>(
     old: &'a A,
     new: &'a B,
-    cursor: u64,
+    from: u64,
     used_blocks: u64,
-) -> impl Iterator<Item = MigrationUnit> + 'a {
+) -> impl Iterator<Item = BlockRange> + 'a {
     assert!(
         used_blocks <= old.data_capacity() && used_blocks <= new.data_capacity(),
         "used_blocks ({used_blocks}) exceeds a layout capacity (old {}, new {})",
         old.data_capacity(),
         new.data_capacity()
     );
-    (cursor.min(used_blocks)..used_blocks).filter_map(move |logical| {
-        let from = old.locate(logical);
-        let to = new.locate(logical);
-        (from != to).then_some(MigrationUnit { logical, from, to })
+    let (old_unit, new_unit) = (old.stripe_unit(), new.stripe_unit());
+    let mut pos = from.min(used_blocks);
+    std::iter::from_fn(move || {
+        while pos < used_blocks {
+            let start = pos;
+            let old_end = (start / old_unit + 1) * old_unit;
+            let new_end = (start / new_unit + 1) * new_unit;
+            pos = old_end.min(new_end).min(used_blocks);
+            if old.locate(start) != new.locate(start) {
+                return Some(BlockRange::new(start, pos - start));
+            }
+        }
+        None
     })
 }
 
 /// Number of blocks a round-robin-preserving restripe must migrate — the
-/// length of [`migration_stream`].
+/// length of [`migration_stream`], counted one [`migration_runs`] step at
+/// a time.
 ///
 /// # Panics
 ///
@@ -105,7 +119,9 @@ pub fn round_robin_migration_blocks<A: Layout, B: Layout>(
     new: &B,
     used_blocks: u64,
 ) -> u64 {
-    migration_stream(old, new, used_blocks).count() as u64
+    migration_runs(old, new, 0, used_blocks)
+        .map(BlockRange::len)
+        .sum()
 }
 
 /// The minimum number of blocks that must move to the newly added disks to
@@ -181,6 +197,7 @@ mod tests {
     use super::*;
     use crate::raid0::Raid0Layout;
     use crate::raid5::Raid5Layout;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_schedule_matches_the_text() {
@@ -255,14 +272,16 @@ mod tests {
         let new = Raid0Layout::new(5, 1, 1024).unwrap();
         let used = 500;
         let full: Vec<MigrationUnit> = migration_stream(&old, &new, used).collect();
-        // Resuming at any cursor yields exactly the moves at or past it.
+        // Resuming the run walk at any cursor yields exactly the moves at
+        // or past it.
         for cursor in [0u64, 1, 123, 499, 500, 700] {
-            let resumed: Vec<MigrationUnit> =
-                migration_stream_from(&old, &new, cursor, used).collect();
-            let expected: Vec<MigrationUnit> = full
+            let resumed: Vec<u64> = migration_runs(&old, &new, cursor, used)
+                .flat_map(BlockRange::blocks)
+                .collect();
+            let expected: Vec<u64> = full
                 .iter()
-                .copied()
-                .filter(|u| u.logical >= cursor)
+                .map(|u| u.logical)
+                .filter(|&b| b >= cursor)
                 .collect();
             assert_eq!(resumed, expected, "cursor {cursor}");
         }
@@ -290,5 +309,34 @@ mod tests {
         let old = Raid0Layout::new(4, 1, 8).unwrap();
         let new = Raid0Layout::new(5, 1, 8).unwrap();
         round_robin_migration_blocks(&old, &new, 1_000_000);
+    }
+
+    proptest! {
+        /// The run walk moves exactly the per-block stream's blocks, even
+        /// when the two layouts' stripe units differ and `used` is not a
+        /// multiple of either.
+        fn prop_runs_flatten_to_the_block_stream(
+            (old_disks, old_unit) in (2usize..6, 1u64..7),
+            (added, new_unit) in (1usize..4, 1u64..7),
+            (rows, used_frac, from_frac) in (4u64..12, 0u64..101, 0u64..101),
+        ) {
+            let old = Raid5Layout::new(old_disks, old_disks, old_unit, rows * old_unit * new_unit).unwrap();
+            let new = Raid0Layout::new(old_disks + added, new_unit, rows * old_unit * new_unit).unwrap();
+            let used = old.data_capacity().min(new.data_capacity()) * used_frac / 100;
+            let from = used * from_frac / 100;
+            let expected: Vec<u64> = migration_stream(&old, &new, used)
+                .map(|u| u.logical)
+                .filter(|&b| b >= from)
+                .collect();
+            let runs: Vec<BlockRange> = migration_runs(&old, &new, from, used).collect();
+            prop_assert!(runs.iter().all(|r| (r.start() % old_unit) + r.len() <= old_unit));
+            prop_assert!(runs.iter().all(|r| (r.start() % new_unit) + r.len() <= new_unit));
+            let walked: Vec<u64> = runs.into_iter().flat_map(BlockRange::blocks).collect();
+            prop_assert_eq!(walked, expected);
+            prop_assert_eq!(
+                round_robin_migration_blocks(&old, &new, used),
+                migration_stream(&old, &new, used).count() as u64
+            );
+        }
     }
 }

@@ -10,9 +10,9 @@
 //! 2. `integration` — every `[[test]]` target of `craid-repro`, in
 //!    manifest order, fail-fast
 //! 3. `explore` — for engine-adjacent files, the `--explore` small-scope
-//!    model checker over the drill scenarios plus the shipped
-//!    stale-generation reproducer; a counterexample's oracle code (`E4xx`)
-//!    is the killer
+//!    model checker over every drill in `examples/scenarios/` plus the
+//!    shipped stale-generation reproducer; a counterexample's oracle code
+//!    (`E4xx`) is the killer
 //!
 //! A mutant that fails to build is *unviable* (it proves nothing about the
 //! suites); one that exceeds the per-step timeout is *timeout-killed* (a
@@ -73,16 +73,30 @@ const EXPLORE_ADJACENT: &[&str] = &[
     "crates/core/src/array/",
 ];
 
-/// Statically-clean scenarios the explore tier judges against (the four
-/// drills plus the shipped stale-generation reproducer, which only the
-/// E404 oracle can distinguish from a healthy engine).
-const EXPLORE_SCENARIOS: &[&str] = &[
-    "examples/scenarios/failure_drill.toml",
-    "examples/scenarios/online_upgrade_drill.toml",
-    "examples/scenarios/qos_drill.toml",
-    "examples/scenarios/upgrade_drill.toml",
-    "examples/scenarios/invalid/stale_generation_collision.toml",
-];
+/// The shipped stale-generation reproducer, which only the E404 oracle
+/// can distinguish from a healthy engine. The explore tier judges it after
+/// the drills.
+const EXPLORE_REPRODUCER: &str = "examples/scenarios/invalid/stale_generation_collision.toml";
+
+/// Statically-clean scenarios the explore tier judges against: every drill
+/// shipped as `examples/scenarios/*.toml`, in name order (CI and
+/// `tests/integration_trace.rs` scan the same set, so a new drill is judged
+/// without being listed), then [`EXPLORE_REPRODUCER`]. Counterexamples the
+/// explorer writes next to a drill are not drills.
+fn explore_scenarios(root: &Path) -> Result<Vec<String>, String> {
+    let dir = root.join("examples/scenarios");
+    let entries =
+        std::fs::read_dir(&dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut scenarios: Vec<String> = entries
+        .flatten()
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".toml") && !name.ends_with(".counterexample.toml"))
+        .map(|name| format!("examples/scenarios/{name}"))
+        .collect();
+    scenarios.sort();
+    scenarios.push(EXPLORE_REPRODUCER.to_string());
+    Ok(scenarios)
+}
 
 /// One concrete mutation site: a single-line rewrite (or deletion) of a
 /// workspace file.
@@ -308,6 +322,7 @@ fn mutate(root: &Path, config: &Config) -> Result<ExitCode, String> {
         scratch,
         build_dir,
         suites,
+        scenarios: explore_scenarios(root)?,
         timeout: config.timeout,
         start_tier: config.start_tier,
     };
@@ -815,6 +830,8 @@ struct Runner {
     scratch: PathBuf,
     build_dir: PathBuf,
     suites: Vec<String>,
+    /// The explore tier's scenarios ([`explore_scenarios`]).
+    scenarios: Vec<String>,
     timeout: Duration,
     start_tier: u8,
 }
@@ -872,7 +889,7 @@ impl Runner {
                 }
                 Step::Timeout => return Err("baseline explore build timed out".to_string()),
             }
-            for scenario in EXPLORE_SCENARIOS {
+            for scenario in &self.scenarios {
                 let started = Instant::now();
                 match self.cargo(&self.explore_args(scenario))? {
                     Step::Pass => println!(
@@ -945,7 +962,7 @@ impl Runner {
                 Step::Fail { .. } => return Ok(Outcome::Unviable),
                 Step::Timeout => return Ok(Outcome::TimedOut { tier: "explore" }),
             }
-            for scenario in EXPLORE_SCENARIOS {
+            for scenario in &self.scenarios {
                 match self.cargo(&self.explore_args(scenario))? {
                     Step::Pass => {}
                     Step::Fail { detail } => {
@@ -1609,6 +1626,32 @@ mod tests {
         std::fs::write(&path, "crates/core/src/qos.rs:10:4 M999  # nope\n").unwrap();
         assert!(load_mutants_allow(&path).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn explore_tier_judges_every_shipped_drill() {
+        let root = workspace_root();
+        let scenarios = explore_scenarios(&root).unwrap();
+        let dir = root.join("examples/scenarios");
+        let mut drills = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "toml") {
+                let name = path.file_name().unwrap().to_string_lossy();
+                let rel = format!("examples/scenarios/{name}");
+                assert!(
+                    scenarios.contains(&rel),
+                    "{rel} is not judged: {scenarios:?}"
+                );
+                drills += 1;
+            }
+        }
+        // The only drill that runs a paced RAID-5 restripe is among them.
+        assert!(scenarios.contains(&"examples/scenarios/restripe_drill.toml".to_string()));
+        assert!(drills >= 5, "found {drills} drills in {}", dir.display());
+        assert_eq!(scenarios.len(), drills + 1);
+        assert_eq!(scenarios.last().unwrap(), EXPLORE_REPRODUCER);
+        assert!(scenarios[..drills].windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
