@@ -29,23 +29,58 @@ fn main() -> Result<(), CraidError> {
             "CRAID-5+ worst",
         ])
     );
-    for id in all {
+    // Indices into PC_SWEEP of each (workload, strategy) cell's best- and
+    // worst-balanced fraction.
+    let mut cells_best_worst = Vec::new();
+    for &id in &all {
         let mut cells = vec![id.name().to_string()];
         for &strategy in &strategies {
-            let mut by_cv: Vec<(f64, f64)> = PC_SWEEP
+            let mut by_cv: Vec<(usize, f64)> = PC_SWEEP
                 .iter()
-                .map(|&frac| (frac, sweep.report(id, frac, strategy).load_balance.mean_cv))
+                .enumerate()
+                .map(|(i, &frac)| (i, sweep.report(id, frac, strategy).load_balance.mean_cv))
                 .collect();
             by_cv.sort_by(|a, b| a.1.total_cmp(&b.1));
             let best = by_cv.first().expect("sweep is non-empty").0;
             let worst = by_cv.last().expect("sweep is non-empty").0;
-            cells.push(format!("{best:.2}"));
-            cells.push(format!("{worst:.2}"));
+            cells.push(format!("{:.2}", PC_SWEEP[best]));
+            cells.push(format!("{:.2}", PC_SWEEP[worst]));
+            cells_best_worst.push((id, strategy, best, worst));
         }
         println!("{}", row(&cells));
     }
     println!("\nAs in the paper's Table 6, the best-balanced configuration is usually a small");
     println!("partition and the worst the largest one of the sweep — growing PC slightly");
     println!("degrades balance even as it improves response time.");
+
+    // The paper's claim: a small partition balances best and the largest
+    // balances worst. Each of the last two is required of a majority of
+    // the cells, not all of them.
+    let largest = PC_SWEEP.len() - 1;
+    let majority = cells_best_worst.len() / 2 + 1;
+    for &(id, strategy, best, _) in &cells_best_worst {
+        assert!(
+            best != largest,
+            "{id} {strategy}: the largest partition balanced best"
+        );
+    }
+    let small_best = cells_best_worst
+        .iter()
+        .filter(|&&(_, _, best, _)| best < 2)
+        .count();
+    assert!(
+        small_best >= majority,
+        "one of the two smallest partitions balanced best in only {small_best} of {} cells",
+        cells_best_worst.len()
+    );
+    let largest_worst = cells_best_worst
+        .iter()
+        .filter(|&&(_, _, _, worst)| worst == largest)
+        .count();
+    assert!(
+        largest_worst >= majority,
+        "the largest partition balanced worst in only {largest_worst} of {} cells",
+        cells_best_worst.len()
+    );
     Ok(())
 }

@@ -59,11 +59,6 @@ pub fn gen_trace(id: WorkloadId) -> Trace {
     SyntheticWorkload::paper_scaled_to(id, TARGET_REQUESTS).generate(SEED)
 }
 
-/// Generates a smaller trace (for the heavier sweeps).
-pub fn gen_trace_with(id: WorkloadId, target_requests: u64, seed: u64) -> Trace {
-    SyntheticWorkload::paper_scaled_to(id, target_requests).generate(seed)
-}
-
 /// The scenario every bench builds on: the paper's array shape replaying
 /// the harness's scaled workload.
 pub fn base_scenario(id: WorkloadId) -> Scenario {
@@ -153,12 +148,6 @@ impl Sweep {
                 .to_vec(),
         );
         Sweep::of_scenarios(scenarios)
-    }
-
-    /// Every outcome, in campaign order (workload-major, then fraction,
-    /// then strategy).
-    pub fn outcomes(&self) -> &[ScenarioOutcome] {
-        &self.outcomes
     }
 
     /// The outcome of one cell of the sweep.
@@ -264,7 +253,7 @@ mod tests {
             &[StrategyKind::Raid5, StrategyKind::Craid5],
         )
         .expect("sweep configuration is valid");
-        assert_eq!(sweep.outcomes().len(), 4);
+        assert_eq!(sweep.outcomes.len(), 4);
         let report = sweep.report(WorkloadId::Wdev, 0.2, StrategyKind::Craid5);
         assert!(report.requests > 0);
         assert!(report.craid.is_some());

@@ -202,11 +202,6 @@ macro_rules! keyed_policy_type {
                     inner: KeyedPolicy::new($formula, capacity),
                 }
             }
-
-            /// Current value of the dynamic-aging factor `L`.
-            pub fn age_factor(&self) -> f64 {
-                self.inner.age
-            }
         }
 
         impl ReplacementPolicy for $name {
@@ -299,7 +294,7 @@ mod tests {
             p.access(1, R);
         }
         p.access(2, R);
-        assert!(p.age_factor() == 0.0);
+        assert!(p.inner.age == 0.0);
         // A stream of new blocks keeps evicting; each eviction raises L, so
         // eventually a newcomer's key (1 + L) exceeds block 1's stale key (50).
         let mut evicted_one = false;
@@ -315,7 +310,7 @@ mod tests {
             evicted_one,
             "dynamic aging must eventually evict the stale popular block"
         );
-        assert!(p.age_factor() > 0.0);
+        assert!(p.inner.age > 0.0);
     }
 
     #[test]
@@ -378,10 +373,10 @@ mod tests {
         let mut p = LfudaPolicy::new(1);
         p.access(1, R);
         p.access(2, R); // eviction bumps L
-        assert!(p.age_factor() > 0.0);
+        assert!(p.inner.age > 0.0);
         let drained = p.clear();
         assert_eq!(drained.len(), 1);
-        assert_eq!(p.age_factor(), 0.0);
+        assert_eq!(p.inner.age, 0.0);
         assert!(p.is_empty());
     }
 

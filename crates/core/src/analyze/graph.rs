@@ -164,11 +164,6 @@ impl StorageGraph {
             archive_data_capacity,
         }
     }
-
-    /// The mechanical disks of the graph.
-    pub fn hdds(&self) -> impl Iterator<Item = &DeviceNode> {
-        self.devices.iter().filter(|d| d.kind == DeviceKind::Hdd)
-    }
 }
 
 /// One extensible configuration check over the lowered graph.
@@ -572,7 +567,8 @@ mod tests {
     fn lowering_builds_devices_groups_and_partitions() {
         let config = ArrayConfig::paper(StrategyKind::Craid5Ssd, 100_000, 4_000);
         let graph = StorageGraph::lower(&config);
-        assert_eq!(graph.hdds().count(), 50);
+        let hdds = graph.devices.iter().filter(|d| d.kind == DeviceKind::Hdd);
+        assert_eq!(hdds.count(), 50);
         assert_eq!(graph.devices.len(), 55, "5 SSDs join the graph");
         assert_eq!(graph.parity_groups.len(), 5, "50 disks in groups of 10");
         let cache = graph.cache.expect("CRAID strategies carry a cache node");

@@ -200,19 +200,6 @@ impl Analysis {
             None => Ok(()),
         }
     }
-
-    /// Converts the analysis into a result treating **warnings as
-    /// errors** (the CI `deny` mode).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first finding of any severity as a [`CraidError`].
-    pub fn into_deny_result(self) -> Result<(), CraidError> {
-        match self.diagnostics.into_iter().next() {
-            Some(d) => Err(CraidError::from_diagnostic(d)),
-            None => Ok(()),
-        }
-    }
 }
 
 impl fmt::Display for Analysis {
@@ -467,15 +454,10 @@ mod tests {
             analysis.codes(),
             vec![codes::EVENT_BEYOND_REPLAY, codes::TOO_FEW_DISKS]
         );
-        let err = analysis.clone().into_result().unwrap_err();
+        let err = analysis.into_result().unwrap_err();
         assert!(err.to_string().contains("CRAID-E101"));
-        // Deny mode trips on the warning first.
-        let err = analysis.into_deny_result().unwrap_err();
-        assert!(err.to_string().contains("CRAID-W301"));
 
-        let clean = Analysis::default();
-        assert!(clean.clone().into_result().is_ok());
-        assert!(clean.into_deny_result().is_ok());
+        assert!(Analysis::default().into_result().is_ok());
     }
 
     #[test]

@@ -553,12 +553,6 @@ impl CraidArray {
         report
     }
 
-    /// Read access to the cache partition, if the array has one (examples
-    /// and tests).
-    pub fn cache_partition(&self) -> Option<&CachePartition> {
-        self.cache.as_ref().map(|cache| &cache.pc)
-    }
-
     /// Read access to the I/O monitor, if the array has one (examples and
     /// tests).
     pub fn monitor(&self) -> Option<&IoMonitor> {

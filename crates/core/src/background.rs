@@ -439,11 +439,6 @@ impl BackgroundEngine {
         }
     }
 
-    /// The configured scheduling weights.
-    pub fn shares(&self) -> FairShares {
-        self.shares
-    }
-
     /// Attaches a QoS throttle with the given maintenance-rate floor
     /// (fraction of each task's configured rate, in `(0, 1]`). The engine
     /// starts at full scale (1.0); a controller retargets it via
@@ -921,11 +916,6 @@ impl MigrationMap {
         self.map.remove(&logical)
     }
 
-    /// Drops every pending entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
     /// Iterates over pending blocks in ascending logical order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, OldHome)> + '_ {
         self.map.iter().map(|(&k, &v)| (k, v))
@@ -1281,7 +1271,7 @@ mod tests {
         );
         assert_eq!(map.remove(2).unwrap().pc_slot, 9);
         assert!(map.remove(2).is_none());
-        map.clear();
+        map.remove(7);
         assert!(map.is_empty());
     }
 

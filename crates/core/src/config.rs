@@ -348,33 +348,9 @@ impl ArrayConfig {
         }
     }
 
-    /// Sets the replacement policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the requested cache-partition capacity (in blocks).
     pub fn with_pc_capacity(mut self, blocks: u64) -> Self {
         self.pc_capacity_blocks = blocks;
-        self
-    }
-
-    /// Switches the spindles to the zero-latency model.
-    pub fn with_instant_devices(mut self) -> Self {
-        self.device_tier = DeviceTier::Instant;
-        self
-    }
-
-    /// Sets the stripe unit (in blocks).
-    pub fn with_stripe_unit(mut self, blocks: u64) -> Self {
-        self.stripe_unit = blocks;
-        self
-    }
-
-    /// Sets the background rebuild pace (blocks per simulated second).
-    pub fn with_rebuild_rate(mut self, blocks_per_sec: f64) -> Self {
-        self.rebuild_rate_blocks_per_sec = blocks_per_sec;
         self
     }
 
@@ -627,25 +603,17 @@ mod tests {
     fn builder_methods_compose() {
         use crate::background::BackgroundPriority;
         let cfg = ArrayConfig::small_test(StrategyKind::Craid5, 10_000)
-            .with_policy(PolicyKind::Arc)
             .with_pc_capacity(512)
-            .with_stripe_unit(8)
-            .with_rebuild_rate(1_000.0)
             .with_migration_rate(Some(2_000.0))
             .with_background_priority(BackgroundPriority::HotFirst)
             .with_rebuild_share(3.0)
-            .with_migration_share(0.5)
-            .with_instant_devices();
-        assert_eq!(cfg.policy, PolicyKind::Arc);
+            .with_migration_share(0.5);
         assert_eq!(cfg.pc_capacity_blocks, 512);
-        assert_eq!(cfg.stripe_unit, 8);
-        assert_eq!(cfg.rebuild_rate_blocks_per_sec, 1_000.0);
         assert_eq!(cfg.migration_rate_blocks_per_sec, Some(2_000.0));
         assert!(!cfg.instant_migration());
         assert_eq!(cfg.background_priority, BackgroundPriority::HotFirst);
         assert_eq!(cfg.rebuild_share, 3.0);
         assert_eq!(cfg.migration_share, 0.5);
-        assert_eq!(cfg.device_tier, DeviceTier::Instant);
     }
 
     #[test]

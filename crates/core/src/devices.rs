@@ -13,7 +13,7 @@ use craid_diskmodel::{
     SsdParameters, StorageDevice,
 };
 use craid_raid::IoPurpose;
-use craid_simkit::{SimDuration, SimTime};
+use craid_simkit::SimTime;
 
 use crate::config::{ArrayConfig, DeviceTier};
 use crate::error::CraidError;
@@ -67,11 +67,6 @@ impl DeviceIoEvent {
     pub fn bytes(&self) -> u64 {
         self.blocks * craid_diskmodel::BLOCK_SIZE_BYTES
     }
-
-    /// Time from submission to completion.
-    pub fn latency(&self) -> SimDuration {
-        self.finished.saturating_since(self.submitted)
-    }
 }
 
 /// A single simulated device of any tier.
@@ -113,14 +108,6 @@ impl DeviceUnit {
             DeviceUnit::Hdd(d) => d.capacity_blocks(),
             DeviceUnit::Ssd(d) => d.capacity_blocks(),
             DeviceUnit::Instant(d) => d.capacity_blocks(),
-        }
-    }
-
-    fn is_rotational(&self) -> bool {
-        match self {
-            DeviceUnit::Hdd(d) => d.is_rotational(),
-            DeviceUnit::Ssd(d) => d.is_rotational(),
-            DeviceUnit::Instant(d) => d.is_rotational(),
         }
     }
 }
@@ -185,16 +172,6 @@ impl DeviceSet {
         }
     }
 
-    /// Number of mechanical disks.
-    pub fn hdd_count(&self) -> usize {
-        self.hdd_count
-    }
-
-    /// Number of dedicated SSDs.
-    pub fn ssd_count(&self) -> usize {
-        self.devices.len() - self.hdd_count
-    }
-
     /// Total number of devices.
     pub fn len(&self) -> usize {
         self.devices.len()
@@ -212,15 +189,6 @@ impl DeviceSet {
     /// Panics if `device` is out of range.
     pub fn capacity_blocks(&self, device: usize) -> u64 {
         self.devices[device].capacity_blocks()
-    }
-
-    /// True if device `device` is a mechanical disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is out of range.
-    pub fn is_rotational(&self, device: usize) -> bool {
-        self.devices[device].is_rotational()
     }
 
     /// Adds `count` new mechanical disks (an online upgrade).
@@ -246,15 +214,6 @@ impl DeviceSet {
             self.states.insert(self.hdd_count + i, DiskState::Healthy);
         }
         self.hdd_count += count;
-    }
-
-    /// Health of device `device`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is out of range.
-    pub fn disk_state(&self, device: usize) -> DiskState {
-        self.states[device]
     }
 
     /// The single non-healthy device, with its state, if any.
@@ -373,15 +332,14 @@ mod tests {
     #[test]
     fn population_matches_strategy() {
         let plain = DeviceSet::from_config(&cfg(StrategyKind::Craid5));
-        assert_eq!(plain.hdd_count(), 8);
-        assert_eq!(plain.ssd_count(), 0);
+        assert_eq!(plain.hdd_count, 8);
         assert_eq!(plain.len(), 8);
 
         let ssd = DeviceSet::from_config(&cfg(StrategyKind::Craid5Ssd));
-        assert_eq!(ssd.hdd_count(), 8);
-        assert_eq!(ssd.ssd_count(), 3);
-        assert!(ssd.is_rotational(0));
-        assert!(!ssd.is_rotational(8));
+        assert_eq!(ssd.hdd_count, 8);
+        assert_eq!(ssd.len(), 11);
+        assert!(matches!(ssd.devices[0], DeviceUnit::Hdd(_)));
+        assert!(matches!(ssd.devices[8], DeviceUnit::Ssd(_)));
     }
 
     #[test]
@@ -398,7 +356,6 @@ mod tests {
         assert_eq!(ev.blocks, 8);
         assert_eq!(ev.bytes(), 8 * 4096);
         assert!(ev.finished > ev.submitted);
-        assert!(ev.latency() > SimDuration::ZERO);
         assert_eq!(set.load_stats()[2].requests, 1);
         assert_eq!(set.load_stats()[3].requests, 0);
     }
@@ -423,11 +380,11 @@ mod tests {
         let mut set = DeviceSet::from_config(&cfg(StrategyKind::Craid5Ssd));
         let before = set.len();
         set.add_hdds(4);
-        assert_eq!(set.hdd_count(), 12);
+        assert_eq!(set.hdd_count, 12);
         assert_eq!(set.len(), before + 4);
         // SSDs still trail and are still flash.
-        assert!(!set.is_rotational(set.len() - 1));
-        assert!(set.is_rotational(11));
+        assert!(matches!(set.devices[set.len() - 1], DeviceUnit::Ssd(_)));
+        assert!(matches!(set.devices[11], DeviceUnit::Hdd(_)));
         // The new disks accept I/O.
         let ev = set.submit(
             SimTime::ZERO,
@@ -442,11 +399,11 @@ mod tests {
     #[test]
     fn disk_state_lifecycle_fail_rebuild_heal() {
         let mut set = DeviceSet::from_config(&cfg(StrategyKind::Raid5));
-        assert_eq!(set.disk_state(3), DiskState::Healthy);
+        assert_eq!(set.states[3], DiskState::Healthy);
         assert_eq!(set.degraded_disk(), None);
 
         set.fail_disk(3).unwrap();
-        assert_eq!(set.disk_state(3), DiskState::Failed);
+        assert_eq!(set.states[3], DiskState::Failed);
         assert_eq!(set.degraded_disk(), Some((3, DiskState::Failed)));
         // Single-fault world: a second failure is rejected.
         assert!(matches!(set.fail_disk(5), Err(CraidError::InvalidFault(_))));
@@ -454,7 +411,7 @@ mod tests {
         assert!(set.start_rebuild(5).is_err());
 
         set.start_rebuild(3).unwrap();
-        assert_eq!(set.disk_state(3), DiskState::Rebuilding);
+        assert_eq!(set.states[3], DiskState::Rebuilding);
         // A rebuilding spare accepts writes.
         let ev = set.submit(
             SimTime::ZERO,
@@ -466,7 +423,7 @@ mod tests {
         assert_eq!(ev.purpose, IoPurpose::RebuildWrite);
 
         set.complete_rebuild(3);
-        assert_eq!(set.disk_state(3), DiskState::Healthy);
+        assert_eq!(set.states[3], DiskState::Healthy);
         assert_eq!(set.degraded_disk(), None);
     }
 
@@ -483,12 +440,12 @@ mod tests {
         set.fail_disk(2).unwrap();
         set.start_rebuild(2).unwrap();
         set.add_hdds(4);
-        assert_eq!(set.disk_state(2), DiskState::Rebuilding);
+        assert_eq!(set.states[2], DiskState::Rebuilding);
         for d in 8..12 {
-            assert_eq!(set.disk_state(d), DiskState::Healthy);
+            assert_eq!(set.states[d], DiskState::Healthy);
         }
         // SSD state slots trail along with the spliced devices.
-        assert_eq!(set.disk_state(set.len() - 1), DiskState::Healthy);
+        assert_eq!(set.states[set.len() - 1], DiskState::Healthy);
     }
 
     #[test]

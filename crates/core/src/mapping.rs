@@ -95,17 +95,6 @@ impl MappingCache {
         }
     }
 
-    /// Marks the cached copy of `pa_block` as identical to the archive copy
-    /// (after a write-back). Returns true if the block was mapped.
-    pub fn mark_clean(&mut self, pa_block: u64) -> bool {
-        if let Some(m) = self.map.get_mut(&pa_block) {
-            m.dirty = false;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Removes the translation for `pa_block`, returning it if present.
     pub fn remove(&mut self, pa_block: u64) -> Option<Mapping> {
         self.map.remove(&pa_block)
@@ -152,15 +141,6 @@ impl MappingCache {
             );
         }
         MappingCache { map }
-    }
-
-    /// Estimated memory footprint in bytes, following the paper's accounting:
-    /// 4 bytes per LBA (two LBAs), one dirty bit and 8 bytes of structure
-    /// pointers per entry.
-    pub fn estimated_memory_bytes(&self) -> u64 {
-        let per_entry = 4 + 4 + 8; // two LBAs + pointers
-        let dirty_bits = (self.map.len() as u64).div_ceil(8);
-        self.map.len() as u64 * per_entry + dirty_bits
     }
 }
 
@@ -209,8 +189,6 @@ mod tests {
         m.insert(5, 9, false);
         assert!(m.mark_dirty(5));
         assert!(m.lookup(5).unwrap().dirty);
-        assert!(m.mark_clean(5));
-        assert!(!m.lookup(5).unwrap().dirty);
         assert!(!m.mark_dirty(999), "unknown blocks are not marked");
     }
 
@@ -256,19 +234,6 @@ mod tests {
         assert!(!recovered.contains(1), "clean blocks are invalidated");
         assert!(recovered.lookup(2).unwrap().dirty);
         assert_eq!(recovered.lookup(3).unwrap().pc_block, 12);
-    }
-
-    #[test]
-    fn memory_estimate_matches_paper_scale() {
-        // 1 GB of 4 KiB cached blocks = 262 144 entries. The paper budgets
-        // ≈5.9 MB per GB of cache partition; our estimate must be in that
-        // ballpark (same order, below 8 MB).
-        let mut m = MappingCache::new();
-        for b in 0..262_144u64 {
-            m.insert(b, b, b % 7 == 0);
-        }
-        let mb = m.estimated_memory_bytes() as f64 / (1024.0 * 1024.0);
-        assert!(mb > 3.0 && mb < 8.0, "estimated {mb} MB per cached GB");
     }
 
     proptest! {

@@ -127,7 +127,6 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[derive(Debug)]
 pub struct IoMonitor {
     policy: Box<dyn ReplacementPolicy>,
-    policy_kind: PolicyKind,
     mapping: MappingCache,
     stats: MonitorStats,
     /// Per-block access counts — the heat signal the background engine's
@@ -149,16 +148,10 @@ impl IoMonitor {
         assert!(capacity_blocks > 0, "cache capacity must be positive");
         IoMonitor {
             policy: policy_kind.build(capacity_blocks as usize),
-            policy_kind,
             mapping: MappingCache::new(),
             stats: MonitorStats::default(),
             heat: std::collections::BTreeMap::new(),
         }
-    }
-
-    /// The policy the monitor was configured with.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy_kind
     }
 
     /// Counters accumulated so far.
@@ -413,7 +406,6 @@ impl IoMonitor {
             );
         }
         self.policy = fresh;
-        self.policy_kind = kind;
     }
 
     /// Adjusts the policy's capacity after the cache partition was rebuilt
@@ -604,12 +596,6 @@ mod tests {
         );
         // A second readmit is a no-op: the block is already home.
         assert!(m.readmit(pa, mapping.dirty, &mut pc).is_none());
-    }
-
-    #[test]
-    fn policy_kind_is_exposed() {
-        let m = monitor(8);
-        assert_eq!(m.policy_kind(), PolicyKind::Wlru(0.5));
     }
 
     #[test]

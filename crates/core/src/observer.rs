@@ -90,16 +90,6 @@ impl MultiObserver {
     pub fn push(&mut self, observer: Box<dyn Observer>) {
         self.observers.push(observer);
     }
-
-    /// Number of attached observers.
-    pub fn len(&self) -> usize {
-        self.observers.len()
-    }
-
-    /// True if no observers are attached.
-    pub fn is_empty(&self) -> bool {
-        self.observers.is_empty()
-    }
 }
 
 impl Observer for MultiObserver {
@@ -374,7 +364,7 @@ mod tests {
         let mut multi = MultiObserver::new();
         multi.push(Box::new(Shared(a.clone())));
         multi.push(Box::new(Shared(b.clone())));
-        assert_eq!(multi.len(), 2);
+        assert_eq!(multi.observers.len(), 2);
 
         let record = TraceRecord::new(SimTime::ZERO, IoKind::Read, 0, 8);
         let outcome = RequestOutcome {

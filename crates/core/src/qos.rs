@@ -141,14 +141,6 @@ impl SloSpec {
         }
     }
 
-    /// A spec with a queue-depth target and defaults everywhere else.
-    pub fn queue_depth_target(depth: f64) -> Self {
-        SloSpec {
-            max_queue_depth: Some(depth),
-            ..SloSpec::default()
-        }
-    }
-
     /// Sets the maintenance-rate floor (fraction of the configured rates).
     #[must_use]
     pub fn with_floor(mut self, floor: f64) -> Self {
@@ -160,15 +152,6 @@ impl SloSpec {
     #[must_use]
     pub fn with_window(mut self, secs: f64) -> Self {
         self.window_secs = secs;
-        self
-    }
-
-    /// Sets the controller gains (additive increase per second,
-    /// multiplicative decrease factor).
-    #[must_use]
-    pub fn with_gains(mut self, increase_per_sec: f64, decrease_factor: f64) -> Self {
-        self.increase_per_sec = increase_per_sec;
-        self.decrease_factor = decrease_factor;
         self
     }
 
@@ -310,11 +293,6 @@ impl QosController {
                 ..QosStats::default()
             },
         }
-    }
-
-    /// The spec this controller steers by.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
     }
 
     /// The current throttle scale in `[floor, 1.0]`.
@@ -502,6 +480,14 @@ mod tests {
     use craid_metrics::Quantiles;
     use proptest::prelude::*;
 
+    /// A spec with a queue-depth target and defaults everywhere else.
+    fn queue_depth_target(depth: f64) -> SloSpec {
+        SloSpec {
+            max_queue_depth: Some(depth),
+            ..SloSpec::default()
+        }
+    }
+
     fn observe_latency(c: &mut QosController, now: SimTime, worst_ms: f64) {
         c.observe(now, worst_ms, &[]);
     }
@@ -598,10 +584,13 @@ mod tests {
 
     #[test]
     fn spec_defaults_and_builders_compose() {
-        let spec = SloSpec::latency_target(25.0)
-            .with_floor(0.2)
-            .with_window(3.0)
-            .with_gains(0.1, 0.25);
+        let spec = SloSpec {
+            increase_per_sec: 0.1,
+            decrease_factor: 0.25,
+            ..SloSpec::latency_target(25.0)
+                .with_floor(0.2)
+                .with_window(3.0)
+        };
         assert_eq!(spec.target_latency_ms, Some(25.0));
         assert_eq!(spec.percentile, 0.95);
         assert_eq!(spec.floor, 0.2);
@@ -609,7 +598,7 @@ mod tests {
         assert_eq!(spec.increase_per_sec, 0.1);
         assert_eq!(spec.decrease_factor, 0.25);
         assert!(spec.validate().is_ok());
-        assert!(SloSpec::queue_depth_target(4.0).validate().is_ok());
+        assert!(queue_depth_target(4.0).validate().is_ok());
     }
 
     #[test]
@@ -617,15 +606,16 @@ mod tests {
         assert!(SloSpec::default().validate().is_err(), "no target set");
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(SloSpec::latency_target(bad).validate().is_err());
-            assert!(SloSpec::queue_depth_target(bad).validate().is_err());
+            assert!(queue_depth_target(bad).validate().is_err());
             assert!(SloSpec::latency_target(10.0)
                 .with_window(bad)
                 .validate()
                 .is_err());
-            assert!(SloSpec::latency_target(10.0)
-                .with_gains(bad, 0.5)
-                .validate()
-                .is_err());
+            let spec = SloSpec {
+                increase_per_sec: bad,
+                ..SloSpec::latency_target(10.0)
+            };
+            assert!(spec.validate().is_err());
         }
         for bad in [0.0, -0.5, 1.5, f64::NAN] {
             assert!(SloSpec::latency_target(10.0)
@@ -634,10 +624,11 @@ mod tests {
                 .is_err());
         }
         for bad in [0.0, 1.0, 2.0, f64::NAN] {
-            assert!(SloSpec::latency_target(10.0)
-                .with_gains(0.05, bad)
-                .validate()
-                .is_err());
+            let spec = SloSpec {
+                decrease_factor: bad,
+                ..SloSpec::latency_target(10.0)
+            };
+            assert!(spec.validate().is_err());
         }
         let mut spec = SloSpec::latency_target(10.0);
         spec.percentile = 1.5;
@@ -707,9 +698,11 @@ mod tests {
 
     #[test]
     fn good_service_recovers_additively_to_the_ceiling() {
-        let spec = SloSpec::latency_target(10.0)
-            .with_window(2.0)
-            .with_gains(0.25, 0.5);
+        let spec = SloSpec {
+            increase_per_sec: 0.25,
+            decrease_factor: 0.5,
+            ..SloSpec::latency_target(10.0).with_window(2.0)
+        };
         let mut c = QosController::new(spec);
         for i in 0..MIN_WINDOW_SAMPLES {
             observe_latency(&mut c, SimTime::from_millis(i as f64), 100.0);
@@ -751,7 +744,7 @@ mod tests {
         use crate::devices::DeviceIoEvent;
         use craid_diskmodel::IoKind;
         use craid_raid::IoPurpose;
-        let mut c = QosController::new(SloSpec::queue_depth_target(2.0).with_window(10.0));
+        let mut c = QosController::new(queue_depth_target(2.0).with_window(10.0));
         let mut reports = Vec::new();
         for depth in 0..(MIN_WINDOW_SAMPLES as u64) {
             reports.push(RequestReport {

@@ -166,26 +166,6 @@ impl MigrationStats {
     pub fn any_archive_restripes(&self) -> bool {
         self.archive_restripes_started > 0
     }
-
-    /// Mean archive-restripe window across completed restripes, in
-    /// simulated seconds (0 when none completed).
-    pub fn mean_archive_window_secs(&self) -> f64 {
-        if self.archive_restripes_completed == 0 {
-            0.0
-        } else {
-            self.archive_restripe_secs / self.archive_restripes_completed as f64
-        }
-    }
-
-    /// Mean upgrade window across completed migrations, in simulated
-    /// seconds (0 when none completed).
-    pub fn mean_window_secs(&self) -> f64 {
-        if self.migrations_completed == 0 {
-            0.0
-        } else {
-            self.migration_secs / self.migrations_completed as f64
-        }
-    }
 }
 
 /// What the QoS control subsystem did during a run: the maintenance
@@ -302,16 +282,6 @@ pub struct SimulationReport {
 }
 
 impl SimulationReport {
-    /// Mean read response time in milliseconds (0 if no reads were issued).
-    pub fn read_mean_ms(&self) -> f64 {
-        self.read.mean_ms
-    }
-
-    /// Mean write response time in milliseconds (0 if no writes were issued).
-    pub fn write_mean_ms(&self) -> f64 {
-        self.write.mean_ms
-    }
-
     /// Serializes the report as pretty JSON.
     ///
     /// # Panics
@@ -390,14 +360,12 @@ mod tests {
         assert!(json.contains("CRAID-5"));
         let back: SimulationReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-        assert_eq!(back.read_mean_ms(), 4.2);
-        assert_eq!(back.write_mean_ms(), 0.0);
+        assert_eq!(back.read.mean_ms, 4.2);
+        assert_eq!(back.write.mean_ms, 0.0);
         assert!(back.fault.any_faults());
         assert_eq!(back.fault.mttr_secs(), 42.0);
         assert!(back.migration.any_migrations());
-        assert_eq!(back.migration.mean_window_secs(), 6.0);
         assert!(back.migration.any_archive_restripes());
-        assert_eq!(back.migration.mean_archive_window_secs(), 30.0);
         assert_eq!(
             back.migration.effective_priority,
             Some(crate::background::BackgroundPriority::HotFirst)
@@ -427,6 +395,5 @@ mod tests {
     fn migration_stats_handle_empty_runs() {
         let stats = MigrationStats::default();
         assert!(!stats.any_migrations());
-        assert_eq!(stats.mean_window_secs(), 0.0);
     }
 }

@@ -1051,13 +1051,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Appends an arbitrary event.
-    #[must_use]
-    pub fn event(mut self, event: ScheduledEvent) -> Self {
-        self.scenario.events.push(event);
-        self
-    }
-
     /// Attaches a serializable observer.
     #[must_use]
     pub fn observe(mut self, spec: ObserverSpec) -> Self {
@@ -1152,25 +1145,6 @@ impl Campaign {
     /// The scenarios in execution order.
     pub fn scenarios(&self) -> &[Scenario] {
         &self.scenarios
-    }
-
-    /// Number of scenarios.
-    pub fn len(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    /// True if the campaign is empty.
-    pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
-    }
-
-    /// Statically analyses every scenario ([`Scenario::analyze`]), in
-    /// input order, without running anything. Campaign CI gates use
-    /// this warn-by-default (`analysis.into_result()`) or in deny mode
-    /// (`analysis.into_deny_result()`, warnings refused too) before
-    /// spending any simulation time.
-    pub fn analyze(&self) -> Vec<crate::analyze::Analysis> {
-        self.scenarios.iter().map(Scenario::analyze).collect()
     }
 
     /// Runs every scenario in parallel (one worker per available core,
@@ -1578,7 +1552,7 @@ mod tests {
             &[0.05, 0.2],
             &[StrategyKind::Raid5, StrategyKind::Craid5],
         );
-        assert_eq!(campaign.len(), 8);
+        assert_eq!(campaign.scenarios().len(), 8);
         let names: Vec<&str> = campaign
             .scenarios()
             .iter()

@@ -73,15 +73,9 @@ impl DatasetMapper {
     }
 
     /// Maps one dataset-relative range onto one or more volume ranges
-    /// (usually one; more when the range straddles a scatter extent).
-    pub fn map(&self, range: BlockRange) -> Vec<BlockRange> {
-        let mut out = Vec::with_capacity(range.len().div_ceil(MAP_EXTENT_BLOCKS) as usize + 1);
-        self.map_into(range, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`DatasetMapper::map`] for the replay hot
-    /// loop: clears `out` and fills it with the mapped sub-ranges.
+    /// (usually one; more when the range straddles a scatter extent). Clears
+    /// `out` and fills it with the mapped sub-ranges, so the replay loop
+    /// reuses one buffer.
     pub fn map_into(&self, range: BlockRange, out: &mut Vec<BlockRange>) {
         assert!(
             range.end() <= self.dataset_blocks,
@@ -668,9 +662,10 @@ mod tests {
     #[test]
     fn mapper_preserves_length_and_stays_in_bounds() {
         let mapper = DatasetMapper::new(10_000, 1_000_000, 42);
+        let mut mapped = Vec::new();
         for start in [0u64, 100, 255, 256, 9_990] {
             let len = 8.min(10_000 - start);
-            let mapped = mapper.map(BlockRange::new(start, len));
+            mapper.map_into(BlockRange::new(start, len), &mut mapped);
             let total: u64 = mapped.iter().map(|r| r.len()).sum();
             assert_eq!(total, len);
             assert!(mapped.iter().all(|r| r.end() <= 1_000_000));
@@ -681,8 +676,9 @@ mod tests {
     fn mapper_is_injective_on_extents() {
         let mapper = DatasetMapper::new(4_096, 65_536, 7);
         let mut seen = std::collections::HashSet::new();
+        let mut mapped = Vec::new();
         for extent in 0..(4_096 / MAP_EXTENT_BLOCKS) {
-            let mapped = mapper.map(BlockRange::new(extent * MAP_EXTENT_BLOCKS, 1));
+            mapper.map_into(BlockRange::new(extent * MAP_EXTENT_BLOCKS, 1), &mut mapped);
             assert!(
                 seen.insert(mapped[0].start()),
                 "two extents mapped to the same place"

@@ -88,21 +88,6 @@ impl SegmentedCache {
         }
     }
 
-    /// Number of blocks one segment can hold.
-    pub fn segment_blocks(&self) -> u64 {
-        self.segment_blocks
-    }
-
-    /// Total hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Hit ratio over the cache's lifetime, or 0 if it was never accessed.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -164,16 +149,6 @@ impl SegmentedCache {
         }
         self.segments.push(seg);
     }
-
-    /// Discards all cached segments (e.g. after a simulated power cycle).
-    pub fn invalidate(&mut self) {
-        self.segments.clear();
-    }
-
-    /// Number of resident segments.
-    pub fn resident_segments(&self) -> usize {
-        self.segments.len()
-    }
 }
 
 #[cfg(test)]
@@ -191,8 +166,8 @@ mod tests {
         let r = BlockRange::new(100, 4);
         assert_eq!(c.access(IoKind::Read, r), CacheOutcome::Miss);
         assert_eq!(c.access(IoKind::Read, r), CacheOutcome::Hit);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.hits, 1);
+        assert_eq!(c.misses, 1);
         assert_eq!(c.hit_ratio(), 0.5);
     }
 
@@ -244,7 +219,7 @@ mod tests {
             c.access(IoKind::Read, BlockRange::new(4_000, 2)),
             CacheOutcome::Hit
         );
-        assert!(c.resident_segments() <= 4);
+        assert!(c.segments.len() <= 4);
     }
 
     #[test]
@@ -263,16 +238,6 @@ mod tests {
             assert_eq!(c.access(IoKind::Read, r), CacheOutcome::Miss);
         }
         assert_eq!(c.hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn invalidate_clears_residency() {
-        let mut c = small_cache();
-        let r = BlockRange::new(7, 3);
-        c.access(IoKind::Read, r);
-        assert_eq!(c.access(IoKind::Read, r), CacheOutcome::Hit);
-        c.invalidate();
-        assert_eq!(c.access(IoKind::Read, r), CacheOutcome::Miss);
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub trait DeviceModel {
     /// Usable capacity in 4 KiB blocks.
     fn capacity_blocks(&self) -> u64;
 
-    /// True for mechanical (rotating) devices.
-    fn is_rotational(&self) -> bool;
-
     /// Computes the service time of one request and updates device state.
     fn service(&mut self, kind: IoKind, range: BlockRange) -> ServiceBreakdown;
 }
@@ -74,10 +71,6 @@ impl InstantModel {
 impl DeviceModel for InstantModel {
     fn capacity_blocks(&self) -> u64 {
         self.capacity_blocks
-    }
-
-    fn is_rotational(&self) -> bool {
-        false
     }
 
     fn service(&mut self, _kind: IoKind, range: BlockRange) -> ServiceBreakdown {
@@ -113,25 +106,7 @@ pub struct DeviceLoadStats {
     pub queue_depth_max: u64,
 }
 
-impl DeviceLoadStats {
-    /// Mean queue depth observed at request submission.
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.queue_depth_sum as f64 / self.requests as f64
-        }
-    }
-
-    /// Device utilisation over `elapsed` wall-clock simulation time.
-    pub fn utilisation(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            (self.busy.as_secs() / elapsed.as_secs()).min(1.0)
-        }
-    }
-}
+impl DeviceLoadStats {}
 
 /// Completion report for one submitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -144,13 +119,6 @@ pub struct Completion {
     pub queue_depth: u64,
     /// Service-time breakdown.
     pub breakdown: ServiceBreakdown,
-}
-
-impl Completion {
-    /// Total time from submission to completion.
-    pub fn latency(&self, submitted: SimTime) -> SimDuration {
-        self.finished.saturating_since(submitted)
-    }
 }
 
 /// A queued storage device: a [`DeviceModel`] plus FCFS queueing and load
@@ -193,29 +161,9 @@ impl<M: DeviceModel> StorageDevice<M> {
         self.model.capacity_blocks()
     }
 
-    /// True for mechanical devices.
-    pub fn is_rotational(&self) -> bool {
-        self.model.is_rotational()
-    }
-
-    /// Immutable access to the underlying model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
     /// Accumulated load statistics.
     pub fn stats(&self) -> &DeviceLoadStats {
         &self.stats
-    }
-
-    /// The earliest time a newly submitted request could start.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
-    /// True if the device would be servicing a request at time `at`.
-    pub fn is_busy_at(&self, at: SimTime) -> bool {
-        self.next_free > at
     }
 
     /// Submits a request arriving at `now` and returns its completion time.
@@ -260,15 +208,6 @@ impl<M: DeviceModel> StorageDevice<M> {
             queue_depth,
             breakdown,
         }
-    }
-
-    /// Resets queueing state and statistics, keeping the model (and therefore
-    /// its capacity/parameters) intact. Used when an experiment reuses a
-    /// testbed across configurations.
-    pub fn reset(&mut self) {
-        self.next_free = SimTime::ZERO;
-        self.outstanding.clear();
-        self.stats = DeviceLoadStats::default();
     }
 }
 
@@ -339,38 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_is_bounded() {
-        let mut dev = hdd_device();
-        for i in 0..50 {
-            dev.submit(SimTime::ZERO, IoKind::Read, (i * 1_000) % 200_000, 8);
-        }
-        let elapsed = dev.next_free().saturating_since(SimTime::ZERO);
-        let u = dev.stats().utilisation(elapsed);
-        assert!(
-            u > 0.9 && u <= 1.0,
-            "device saturated by back-to-back work, got {u}"
-        );
-        assert_eq!(dev.stats().utilisation(SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
     fn latency_includes_queueing() {
         let mut dev = hdd_device();
         let submit = SimTime::ZERO;
         dev.submit(submit, IoKind::Read, 10_000, 8);
         let c = dev.submit_detailed(submit, IoKind::Read, BlockRange::new(220_000, 8));
-        assert!(c.latency(submit) > c.breakdown.total());
-    }
-
-    #[test]
-    fn reset_clears_state_but_keeps_capacity() {
-        let mut dev = hdd_device();
-        dev.submit(SimTime::ZERO, IoKind::Read, 0, 8);
-        let cap = dev.capacity_blocks();
-        dev.reset();
-        assert_eq!(dev.stats().requests, 0);
-        assert_eq!(dev.next_free(), SimTime::ZERO);
-        assert_eq!(dev.capacity_blocks(), cap);
+        assert!(c.finished.saturating_since(submit) > c.breakdown.total());
     }
 
     #[test]
@@ -379,7 +292,8 @@ mod tests {
         for i in 0..10 {
             dev.submit(SimTime::ZERO, IoKind::Read, i * 10_000, 8);
         }
-        assert!(dev.stats().mean_queue_depth() > 3.0);
-        assert_eq!(dev.stats().queue_depth_max, 9);
+        let s = dev.stats();
+        assert!(s.queue_depth_sum as f64 / s.requests as f64 > 3.0);
+        assert_eq!(s.queue_depth_max, 9);
     }
 }

@@ -163,16 +163,6 @@ impl HddModel {
         }
     }
 
-    /// The parameter set this model was built with.
-    pub fn params(&self) -> &HddParameters {
-        &self.params
-    }
-
-    /// Hit ratio of the drive's internal cache so far.
-    pub fn internal_cache_hit_ratio(&self) -> f64 {
-        self.cache.hit_ratio()
-    }
-
     fn blocks_per_cylinder(&self) -> u64 {
         (self.params.capacity_blocks / u64::from(self.params.cylinders)).max(1)
     }
@@ -218,10 +208,6 @@ impl HddModel {
 impl DeviceModel for HddModel {
     fn capacity_blocks(&self) -> u64 {
         self.params.capacity_blocks
-    }
-
-    fn is_rotational(&self) -> bool {
-        true
     }
 
     fn service(&mut self, kind: IoKind, range: BlockRange) -> ServiceBreakdown {
@@ -306,10 +292,10 @@ mod tests {
             assert!(t >= prev, "seek time must not decrease with distance");
             prev = t;
         }
-        assert_eq!(m.seek_time(1), m.params().track_to_track_seek);
+        assert_eq!(m.seek_time(1), m.params.track_to_track_seek);
         assert_eq!(
-            m.seek_time(m.params().cylinders - 1),
-            m.params().full_stroke_seek
+            m.seek_time(m.params.cylinders - 1),
+            m.params.full_stroke_seek
         );
     }
 
@@ -317,7 +303,7 @@ mod tests {
     fn zoned_rate_decreases_inward() {
         let m = model();
         let outer = m.media_rate_at(0);
-        let inner = m.media_rate_at(m.params().capacity_blocks - 1);
+        let inner = m.media_rate_at(m.params.capacity_blocks - 1);
         assert!(outer > inner);
         assert!((outer - 125.0).abs() < 1e-6);
         assert!((inner - 73.0).abs() < 1.0);
@@ -329,7 +315,7 @@ mod tests {
         let b = m.service(IoKind::Read, BlockRange::new(200_000, 8));
         assert!(!b.cache_hit);
         assert!(b.seek > SimDuration::ZERO);
-        assert_eq!(b.rotation, m.params().revolution_time() / 2);
+        assert_eq!(b.rotation, m.params.revolution_time() / 2);
         assert!(b.total() > SimDuration::from_millis(2.0));
     }
 
@@ -365,7 +351,7 @@ mod tests {
             hit.total(),
             miss.total()
         );
-        assert!(m.internal_cache_hit_ratio() > 0.0);
+        assert!(m.cache.hit_ratio() > 0.0);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl BlockRange {
         self.start < other.end() && other.start < self.end()
     }
 
-    /// True if `other` starts exactly where this range ends.
-    pub const fn is_followed_by(self, other: BlockRange) -> bool {
-        other.start == self.end()
-    }
-
     /// Iterates over the individual block numbers of the range.
     pub fn blocks(self) -> impl Iterator<Item = u64> {
         self.start..self.end()
@@ -162,8 +157,6 @@ mod tests {
         let c = BlockRange::new(10, 10);
         assert!(a.overlaps(b));
         assert!(!a.overlaps(c));
-        assert!(a.is_followed_by(c));
-        assert!(!a.is_followed_by(b));
         assert!(a.contains(0) && a.contains(9) && !a.contains(10));
     }
 

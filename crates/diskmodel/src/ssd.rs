@@ -96,20 +96,11 @@ impl SsdModel {
         }
         SsdModel { params }
     }
-
-    /// The parameter set this model was built with.
-    pub fn params(&self) -> &SsdParameters {
-        &self.params
-    }
 }
 
 impl DeviceModel for SsdModel {
     fn capacity_blocks(&self) -> u64 {
         self.params.capacity_blocks
-    }
-
-    fn is_rotational(&self) -> bool {
-        false
     }
 
     fn service(&mut self, kind: IoKind, range: BlockRange) -> ServiceBreakdown {
@@ -194,13 +185,6 @@ mod tests {
         assert_eq!(one.rotation, eight.rotation);
         let seventeen = ssd.service(IoKind::Read, BlockRange::new(200, 17));
         assert!(seventeen.rotation > eight.rotation);
-    }
-
-    #[test]
-    fn not_rotational() {
-        let ssd = SsdModel::new(SsdParameters::msr_ideal());
-        assert!(!ssd.is_rotational());
-        assert!(ssd.capacity_blocks() > 0);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl LoadBalanceTracker {
         self.cv_samples
     }
 
-    /// Per-device byte totals over the whole run.
-    pub fn device_totals(&self) -> &[f64] {
-        &self.totals
-    }
-
     /// cv of the whole-run per-device totals (a single-number imbalance
     /// summary, coarser than the per-second distribution).
     pub fn overall_cv(&self) -> f64 {
@@ -180,7 +175,7 @@ mod tests {
         let mut t = LoadBalanceTracker::new(2);
         t.record(SimTime::ZERO, 0, 100);
         t.record(SimTime::from_secs(2.0), 1, 300);
-        assert_eq!(t.device_totals(), &[100.0, 300.0]);
+        assert_eq!(t.totals, [100.0, 300.0]);
         assert!(t.overall_cv() > 0.0);
     }
 

@@ -97,11 +97,6 @@ impl Quantiles {
         Some(self.samples[nearest_rank(q, self.samples.len())])
     }
 
-    /// Median shortcut.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
     /// Arithmetic mean of the samples, or `None` if empty.
     ///
     /// The sum runs over the *sorted* samples so the result depends only on
@@ -129,16 +124,6 @@ impl Quantiles {
         self.samples.first().copied()
     }
 
-    /// The empirical CDF evaluated at `value`: fraction of samples `≤ value`.
-    pub fn cdf_at(&mut self, value: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let idx = self.samples.partition_point(|&s| s <= value);
-        idx as f64 / self.samples.len() as f64
-    }
-
     /// `points` evenly spaced points of the empirical CDF as
     /// `(value, cumulative_fraction)` pairs — the series plotted in the
     /// paper's Figures 5 and 7.
@@ -160,18 +145,6 @@ impl Quantiles {
             })
             .collect()
     }
-
-    /// The samples in ascending order.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
-    }
-
-    /// Merges another collector's samples into this one.
-    pub fn merge(&mut self, other: &Quantiles) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +159,6 @@ mod tests {
         assert_eq!(q.quantile(0.5), None);
         assert_eq!(q.mean(), None);
         assert_eq!(q.cdf_points(10), Vec::new());
-        assert_eq!(q.cdf_at(1.0), 0.0);
     }
 
     #[test]
@@ -197,22 +169,11 @@ mod tests {
         }
         assert_eq!(q.quantile(0.0), Some(1.0));
         assert_eq!(q.quantile(1.0), Some(100.0));
-        assert_eq!(q.median(), Some(50.0));
+        assert_eq!(q.quantile(0.5), Some(50.0));
         assert_eq!(q.quantile(0.99), Some(99.0));
         assert_eq!(q.min(), Some(1.0));
         assert_eq!(q.max(), Some(100.0));
         assert_eq!(q.mean(), Some(50.5));
-    }
-
-    #[test]
-    fn cdf_at_counts_fraction_below() {
-        let mut q = Quantiles::new();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            q.record(v);
-        }
-        assert_eq!(q.cdf_at(0.5), 0.0);
-        assert_eq!(q.cdf_at(2.0), 0.5);
-        assert_eq!(q.cdf_at(10.0), 1.0);
     }
 
     #[test]
@@ -243,21 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_sample_sets() {
-        let mut a = Quantiles::new();
-        let mut b = Quantiles::new();
-        for v in 1..=50 {
-            a.record(v as f64);
-        }
-        for v in 51..=100 {
-            b.record(v as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        assert_eq!(a.median(), Some(50.0));
-    }
-
-    #[test]
     fn nearest_rank_matches_quantile_and_counts_at_edge_percentiles() {
         let edges = |n: usize| {
             let n = n as f64;
@@ -281,7 +227,8 @@ mod tests {
             for &s in &samples {
                 q.record(s);
             }
-            let sorted = q.sorted_samples().to_vec();
+            q.ensure_sorted();
+            let sorted = q.samples.clone();
             for p in edges(n) {
                 let rank = nearest_rank(p, n);
                 assert!(rank < n, "n={n} p={p}: rank {rank} out of range");

@@ -82,11 +82,6 @@ impl SequentialityTracker {
         }
     }
 
-    /// Total number of device accesses recorded.
-    pub fn total_accesses(&self) -> u64 {
-        self.total_accesses
-    }
-
     /// Flushes the current second and returns the per-second sequentiality
     /// percentage samples (0–100), ready to be turned into Fig. 5's CDF.
     pub fn finish(mut self) -> Quantiles {

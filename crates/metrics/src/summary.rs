@@ -109,35 +109,6 @@ impl StreamingSummary {
     pub fn ci95_half_width(&self) -> f64 {
         1.96 * self.std_error()
     }
-
-    /// `(low, high)` bounds of the 95 % confidence interval of the mean.
-    pub fn ci95(&self) -> (f64, f64) {
-        let hw = self.ci95_half_width();
-        (self.mean() - hw, self.mean() + hw)
-    }
-
-    /// Merges another summary into this one (exact for count/mean/variance).
-    pub fn merge(&mut self, other: &StreamingSummary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        let new_m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.mean = new_mean;
-        self.m2 = new_m2;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -180,43 +151,6 @@ mod tests {
             large.record((i % 5) as f64);
         }
         assert!(large.ci95_half_width() < small.ci95_half_width());
-        let (lo, hi) = large.ci95();
-        assert!(lo <= large.mean() && large.mean() <= hi);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut whole = StreamingSummary::new();
-        for &v in &data {
-            whole.record(v);
-        }
-        let mut a = StreamingSummary::new();
-        let mut b = StreamingSummary::new();
-        for &v in &data[..37] {
-            a.record(v);
-        }
-        for &v in &data[37..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = StreamingSummary::new();
-        s.record(3.0);
-        let before = s.clone();
-        s.merge(&StreamingSummary::new());
-        assert_eq!(s, before);
-        let mut empty = StreamingSummary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

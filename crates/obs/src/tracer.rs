@@ -284,16 +284,6 @@ impl Trace {
         self.emitted.iter().sum()
     }
 
-    /// Number of distinct categories that saw at least one event.
-    pub fn categories_seen(&self) -> usize {
-        self.emitted.iter().filter(|&&n| n > 0).count()
-    }
-
-    /// The metrics registry that accumulated during the recording.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
     /// Snapshots the whole recording (emission ledger + metrics) into the
     /// serializable [`ObsSnapshot`](crate::ObsSnapshot) reports embed.
     pub fn snapshot(&mut self) -> crate::ObsSnapshot {
@@ -471,7 +461,7 @@ mod tests {
         assert_eq!(trace.dropped, 2);
         assert_eq!(trace.emitted(SpanCategory::Cache), 5);
         assert_eq!(trace.total_emitted(), 5);
-        assert_eq!(trace.categories_seen(), 1);
+        assert_eq!(trace.emitted.iter().filter(|&&n| n > 0).count(), 1);
         let first: Vec<u64> = trace.events.iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(first, vec![2, 3, 4], "the oldest events were evicted");
     }

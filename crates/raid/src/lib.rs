@@ -6,8 +6,9 @@
 //! The paper's evaluation compares six allocation policies (its Fig. 3); the
 //! layouts they are built from live here:
 //!
-//! * [`Raid0Layout`] — plain rotating stripes, no redundancy. Used for the
-//!   CRAID cache-partition variant the paper mentions but does not plot.
+//! * [`Raid0Layout`] — plain rotating stripes, no redundancy. No strategy
+//!   builds it (every cache partition is RAID-5); it is the simplest layout
+//!   the reshape, planner and layout-contract tests exercise.
 //! * [`Raid5Layout`] — RAID-5 with *parity groups*: stripes span every disk
 //!   but parity rotates independently inside each group of `G` disks
 //!   (Fig. 3a), bounding the fault domain while keeping full parallelism.
@@ -57,4 +58,4 @@ pub use reshape::{
     migration_runs, migration_stream, minimal_migration_blocks, round_robin_migration_blocks,
     ExpansionSchedule, MigrationUnit,
 };
-pub use types::{DiskBlock, IoPurpose, LayoutError, STRIPE_UNIT_BLOCKS_128K};
+pub use types::{DiskBlock, IoPurpose, LayoutError};

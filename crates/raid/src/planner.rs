@@ -36,21 +36,14 @@ pub struct PlannedIo {
     pub purpose: IoPurpose,
 }
 
-impl PlannedIo {
-    /// Number of blocks moved by this I/O.
-    pub fn blocks(&self) -> u64 {
-        self.range.len()
-    }
-}
-
 /// Plans device I/Os for logical requests over a [`Layout`].
 ///
 /// # Runs and set semantics
 ///
 /// Every request is planned as a set of logical blocks: [`plan_runs`]
-/// takes that set as ascending, disjoint runs, and [`plan`] and
-/// [`plan_blocks`] reduce their input to such runs first (a block listed
-/// twice is planned once). The plan lists the data I/Os, then for writes
+/// takes that set as ascending, disjoint runs, and [`plan_blocks`]
+/// reduces its input to such runs first (a block listed twice is planned
+/// once). The plan lists the data I/Os, then for writes
 /// the old-data reads, old-parity reads and parity writes, each group
 /// sorted by disk and block and merged where physically contiguous. A
 /// parity column is fully written, and skips its reads, when at least
@@ -58,7 +51,6 @@ impl PlannedIo {
 /// share its parity block.
 ///
 /// [`plan_runs`]: IoPlanner::plan_runs
-/// [`plan`]: IoPlanner::plan
 /// [`plan_blocks`]: IoPlanner::plan_blocks
 ///
 /// # Example
@@ -70,7 +62,7 @@ impl PlannedIo {
 /// let planner = IoPlanner::new(Raid5Layout::new(4, 4, 2, 16).unwrap());
 /// // A single-block overwrite needs 4 device I/Os: old data, old parity,
 /// // new data, new parity.
-/// let plan = planner.plan(IoKind::Write, BlockRange::new(0, 1));
+/// let plan = planner.plan_runs(IoKind::Write, &[BlockRange::new(0, 1)]);
 /// assert_eq!(plan.len(), 4);
 /// ```
 #[derive(Debug, Clone)]
@@ -87,20 +79,6 @@ impl<L: Layout> IoPlanner<L> {
     /// The wrapped layout.
     pub fn layout(&self) -> &L {
         &self.layout
-    }
-
-    /// Consumes the planner and returns the layout.
-    pub fn into_layout(self) -> L {
-        self.layout
-    }
-
-    /// Plans the device I/Os for a logical request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range extends beyond the layout's data capacity.
-    pub fn plan(&self, kind: IoKind, range: BlockRange) -> Vec<PlannedIo> {
-        self.plan_runs(kind, &[range])
     }
 
     /// Plans the device I/Os for an arbitrary (not necessarily contiguous
@@ -377,31 +355,31 @@ mod tests {
     #[test]
     fn single_block_read_is_one_io() {
         let p = raid5_planner();
-        let plan = p.plan(IoKind::Read, BlockRange::new(0, 1));
+        let plan = p.plan_runs(IoKind::Read, &[BlockRange::new(0, 1)]);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].kind, IoKind::Read);
         assert_eq!(plan[0].purpose, IoPurpose::Data);
-        assert_eq!(plan[0].blocks(), 1);
+        assert_eq!(plan[0].range.len(), 1);
     }
 
     #[test]
     fn contiguous_read_coalesces_per_disk() {
         let p = raid5_planner();
         // One stripe unit (2 blocks) lives on one disk → a 2-block read is 1 I/O.
-        let plan = p.plan(IoKind::Read, BlockRange::new(0, 2));
+        let plan = p.plan_runs(IoKind::Read, &[BlockRange::new(0, 2)]);
         assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0].blocks(), 2);
+        assert_eq!(plan[0].range.len(), 2);
         // Crossing into the next unit touches a second disk.
-        let plan = p.plan(IoKind::Read, BlockRange::new(0, 3));
+        let plan = p.plan_runs(IoKind::Read, &[BlockRange::new(0, 3)]);
         assert_eq!(plan.len(), 2);
-        let total: u64 = plan.iter().map(|io| io.blocks()).sum();
+        let total: u64 = plan.iter().map(|io| io.range.len()).sum();
         assert_eq!(total, 3);
     }
 
     #[test]
     fn small_write_pays_the_four_io_penalty() {
         let p = raid5_planner();
-        let plan = p.plan(IoKind::Write, BlockRange::new(0, 1));
+        let plan = p.plan_runs(IoKind::Write, &[BlockRange::new(0, 1)]);
         let data_writes = plan
             .iter()
             .filter(|io| io.purpose == IoPurpose::Data)
@@ -442,7 +420,7 @@ mod tests {
     #[test]
     fn raid0_write_has_no_parity_traffic() {
         let p = IoPlanner::new(Raid0Layout::new(4, 2, 16).unwrap());
-        let plan = p.plan(IoKind::Write, BlockRange::new(0, 8));
+        let plan = p.plan_runs(IoKind::Write, &[BlockRange::new(0, 8)]);
         assert!(plan.iter().all(|io| io.purpose == IoPurpose::Data));
         assert!(plan.iter().all(|io| io.kind == IoKind::Write));
     }
@@ -451,17 +429,17 @@ mod tests {
     fn plan_blocks_accepts_scattered_input() {
         let p = raid5_planner();
         let plan = p.plan_blocks(IoKind::Read, &[0, 7, 13, 1]);
-        let total: u64 = plan.iter().map(|io| io.blocks()).sum();
+        let total: u64 = plan.iter().map(|io| io.range.len()).sum();
         assert_eq!(total, 4);
         // Blocks 0 and 1 are contiguous on one disk and must be coalesced.
-        assert!(plan.iter().any(|io| io.blocks() == 2));
+        assert!(plan.iter().any(|io| io.range.len() == 2));
     }
 
     #[test]
     fn duplicate_blocks_are_deduplicated() {
         let p = raid5_planner();
         let plan = p.plan_blocks(IoKind::Read, &[5, 5, 5]);
-        let total: u64 = plan.iter().map(|io| io.blocks()).sum();
+        let total: u64 = plan.iter().map(|io| io.range.len()).sum();
         assert_eq!(total, 1);
     }
 
@@ -486,7 +464,7 @@ mod tests {
         let range = BlockRange::new(3, 70);
         let blocks: Vec<u64> = (range.start()..range.end()).rev().collect();
         for kind in [IoKind::Read, IoKind::Write] {
-            let plan = p.plan(kind, range);
+            let plan = p.plan_runs(kind, &[range]);
             assert_eq!(plan, reference_plan(p.layout(), kind, &blocks));
             assert_eq!(p.plan_blocks(kind, &blocks), plan);
             let split = [BlockRange::new(3, 5), BlockRange::new(8, 65)];
@@ -509,7 +487,7 @@ mod tests {
     fn runs_past_capacity_are_refused() {
         let p = raid5_planner();
         let cap = p.layout().data_capacity();
-        p.plan(IoKind::Read, BlockRange::new(cap - 1, 2));
+        p.plan_runs(IoKind::Read, &[BlockRange::new(cap - 1, 2)]);
     }
 
     /// SplitMix64: a deterministic shuffle key.
@@ -564,9 +542,9 @@ mod tests {
             let cap = p.layout().data_capacity();
             let start = start.min(cap - 1);
             let len = len.min(cap - start);
-            let plan = p.plan(IoKind::Read, BlockRange::new(start, len));
+            let plan = p.plan_runs(IoKind::Read, &[BlockRange::new(start, len)]);
             prop_assert!(plan.iter().all(|io| io.purpose == IoPurpose::Data && io.kind == IoKind::Read));
-            let total: u64 = plan.iter().map(|io| io.blocks()).sum();
+            let total: u64 = plan.iter().map(|io| io.range.len()).sum();
             prop_assert_eq!(total, len);
         }
 
@@ -579,11 +557,11 @@ mod tests {
             let cap = p.layout().data_capacity();
             let start = start.min(cap - 1);
             let len = len.min(cap - start);
-            let plan = p.plan(IoKind::Write, BlockRange::new(start, len));
-            let data: u64 = plan.iter().filter(|io| io.purpose == IoPurpose::Data).map(|io| io.blocks()).sum();
+            let plan = p.plan_runs(IoKind::Write, &[BlockRange::new(start, len)]);
+            let data: u64 = plan.iter().filter(|io| io.purpose == IoPurpose::Data).map(|io| io.range.len()).sum();
             prop_assert_eq!(data, len);
-            let parity_reads: u64 = plan.iter().filter(|io| io.purpose == IoPurpose::ParityRead).map(|io| io.blocks()).sum();
-            let parity_writes: u64 = plan.iter().filter(|io| io.purpose == IoPurpose::ParityWrite).map(|io| io.blocks()).sum();
+            let parity_reads: u64 = plan.iter().filter(|io| io.purpose == IoPurpose::ParityRead).map(|io| io.range.len()).sum();
+            let parity_writes: u64 = plan.iter().filter(|io| io.purpose == IoPurpose::ParityWrite).map(|io| io.range.len()).sum();
             prop_assert!(parity_writes >= 1);
             prop_assert!(parity_reads <= parity_writes, "cannot read more parity than we rewrite");
             // Device targets of data writes never coincide with the parity

@@ -1,9 +1,10 @@
 //! RAID-0: rotating stripes without redundancy.
 //!
-//! The paper evaluates CRAID variants whose cache partition uses RAID-0 (its
-//! results are relegated to a technical report for space), and RAID-0 is also
-//! the cheapest layout to reason about in tests, so it is kept as a first
-//! class citizen here.
+//! The paper mentions CRAID variants whose cache partition uses RAID-0 (their
+//! results are relegated to a technical report); this simulator builds none,
+//! since every cache partition is RAID-5. RAID-0 stays as the test layout:
+//! the cheapest one to reason about, it anchors the reshape, planner and
+//! layout-contract tests.
 
 use serde::{Deserialize, Serialize};
 

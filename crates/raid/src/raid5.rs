@@ -90,26 +90,6 @@ impl Raid5Layout {
         })
     }
 
-    /// A layout matching the paper's stand-alone RAID-5 baseline: all `disks`
-    /// devices, parity groups of `group`, 128 KiB stripe unit.
-    pub fn paper_baseline(
-        disks: usize,
-        group: usize,
-        blocks_per_disk: u64,
-    ) -> Result<Self, LayoutError> {
-        Self::new(
-            disks,
-            group,
-            crate::types::STRIPE_UNIT_BLOCKS_128K,
-            blocks_per_disk,
-        )
-    }
-
-    /// Parity group width.
-    pub fn parity_group(&self) -> usize {
-        self.group
-    }
-
     /// Number of parity groups.
     pub fn group_count(&self) -> usize {
         self.disks / self.group
@@ -269,7 +249,7 @@ mod tests {
     #[test]
     fn paper_testbed_shape() {
         // 50 disks, parity groups of 10, 128 KiB units — the evaluation setup.
-        let l = Raid5Layout::paper_baseline(50, 10, 32 * 100).unwrap();
+        let l = Raid5Layout::new(50, 10, 32, 32 * 100).unwrap();
         assert_eq!(l.disk_count(), 50);
         assert_eq!(l.group_count(), 5);
         assert_eq!(l.stripe_unit(), 32);

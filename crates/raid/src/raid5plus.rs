@@ -34,10 +34,10 @@ struct MemberSet {
 /// // An array that started with 4 disks and was later expanded with 3 more.
 /// let l = Raid5PlusLayout::new(&[4, 3], 2, 16).unwrap();
 /// assert_eq!(l.disk_count(), 7);
-/// assert_eq!(l.set_count(), 2);
-/// // Blocks of the second set land on disks 4..7.
-/// let cap0 = l.set_capacity(0);
-/// assert!(l.locate(cap0).disk >= 4);
+/// // The first set holds 3 data units × 8 rows × 2 blocks = 48 blocks; the
+/// // second set's blocks land on disks 4..7.
+/// assert!(l.locate(47).disk < 4);
+/// assert!(l.locate(48).disk >= 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Raid5PlusLayout {
@@ -87,31 +87,6 @@ impl Raid5PlusLayout {
             stripe_unit,
             blocks_per_disk,
         })
-    }
-
-    /// The expansion schedule used throughout the paper's evaluation: a
-    /// 10-disk array grown by ≈30 % per step (+3, +4, +5, +7, +9, +12) until
-    /// it reaches 50 disks.
-    pub fn paper_schedule(blocks_per_disk: u64) -> Result<Self, LayoutError> {
-        Self::new(
-            &[10, 3, 4, 5, 7, 9, 12],
-            crate::types::STRIPE_UNIT_BLOCKS_128K,
-            blocks_per_disk,
-        )
-    }
-
-    /// Number of member RAID-5 sets.
-    pub fn set_count(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Data capacity of member set `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_capacity(&self, idx: usize) -> u64 {
-        self.sets[idx].layout.data_capacity()
     }
 
     /// The member set that owns `logical`, and the offset within it.
@@ -201,20 +176,17 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashSet;
 
-    #[test]
-    fn paper_schedule_reaches_50_disks() {
-        let l = Raid5PlusLayout::paper_schedule(32 * 4).unwrap();
-        assert_eq!(l.disk_count(), 50);
-        assert_eq!(l.set_count(), 7);
-        assert!(l.uses_all_disks());
+    /// Data capacity of member set `idx`.
+    fn set_capacity(l: &Raid5PlusLayout, idx: usize) -> u64 {
+        l.sets[idx].layout.data_capacity()
     }
 
     #[test]
     fn sets_own_disjoint_disk_ranges() {
         let l = Raid5PlusLayout::new(&[4, 3, 5], 2, 8).unwrap();
         assert_eq!(l.disk_count(), 12);
-        let cap0 = l.set_capacity(0);
-        let cap1 = l.set_capacity(1);
+        let cap0 = set_capacity(&l, 0);
+        let cap1 = set_capacity(&l, 1);
         // Blocks of set 0 stay on disks 0..4, set 1 on 4..7, set 2 on 7..12.
         for b in 0..cap0 {
             assert!(l.locate(b).disk < 4);
@@ -231,17 +203,17 @@ mod tests {
     #[test]
     fn capacity_is_sum_of_sets() {
         let l = Raid5PlusLayout::new(&[4, 3], 2, 8).unwrap();
-        assert_eq!(l.data_capacity(), l.set_capacity(0) + l.set_capacity(1));
+        assert_eq!(l.data_capacity(), set_capacity(&l, 0) + set_capacity(&l, 1));
         // Set of 4 disks: 3 data units/row × 4 rows × 2 blocks = 24.
-        assert_eq!(l.set_capacity(0), 24);
+        assert_eq!(set_capacity(&l, 0), 24);
         // Set of 3 disks: 2 data units/row × 4 rows × 2 blocks = 16.
-        assert_eq!(l.set_capacity(1), 16);
+        assert_eq!(set_capacity(&l, 1), 16);
     }
 
     #[test]
     fn parity_stays_within_owning_set() {
         let l = Raid5PlusLayout::new(&[4, 3], 2, 8).unwrap();
-        let cap0 = l.set_capacity(0);
+        let cap0 = set_capacity(&l, 0);
         for b in 0..l.data_capacity() {
             let p = l.parity_for(b).unwrap();
             if b < cap0 {

@@ -3,10 +3,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Stripe unit of 128 KiB expressed in 4 KiB blocks — the value the paper
-/// adopts for every policy, following Chen & Lee's striping study.
-pub const STRIPE_UNIT_BLOCKS_128K: u64 = 32;
-
 /// A physical block location: device index within the array plus the block
 /// number local to that device (relative to the partition's base offset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -60,23 +56,6 @@ pub enum IoPurpose {
 }
 
 impl IoPurpose {
-    /// True for the two parity-maintenance read purposes.
-    pub const fn is_parity_overhead(self) -> bool {
-        matches!(
-            self,
-            IoPurpose::OldDataRead | IoPurpose::ParityRead | IoPurpose::ParityWrite
-        )
-    }
-
-    /// True for I/O that only exists because a disk failed: degraded-mode
-    /// reconstruction reads and the rebuild stream onto the hot spare.
-    pub const fn is_fault_recovery(self) -> bool {
-        matches!(
-            self,
-            IoPurpose::ReconstructRead | IoPurpose::RebuildRead | IoPurpose::RebuildWrite
-        )
-    }
-
     /// True for the background data movement of an online expansion.
     pub const fn is_migration(self) -> bool {
         matches!(self, IoPurpose::MigrateRead | IoPurpose::MigrateWrite)
@@ -150,19 +129,10 @@ mod tests {
 
     #[test]
     fn purpose_classification() {
-        assert!(!IoPurpose::Data.is_parity_overhead());
-        assert!(IoPurpose::OldDataRead.is_parity_overhead());
-        assert!(IoPurpose::ParityRead.is_parity_overhead());
-        assert!(IoPurpose::ParityWrite.is_parity_overhead());
-        assert!(!IoPurpose::Data.is_fault_recovery());
-        assert!(!IoPurpose::ParityWrite.is_fault_recovery());
-        assert!(IoPurpose::ReconstructRead.is_fault_recovery());
-        assert!(IoPurpose::RebuildRead.is_fault_recovery());
-        assert!(IoPurpose::RebuildWrite.is_fault_recovery());
         assert!(IoPurpose::MigrateRead.is_migration());
         assert!(IoPurpose::MigrateWrite.is_migration());
-        assert!(!IoPurpose::MigrateRead.is_fault_recovery());
         assert!(!IoPurpose::RebuildWrite.is_migration());
+        assert!(!IoPurpose::Data.is_migration());
     }
 
     #[test]

@@ -29,7 +29,6 @@ use crate::rng::SimRng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    theta: f64,
 }
 
 impl Zipf {
@@ -58,22 +57,7 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Zipf { cdf, theta }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if the sampler has a single rank.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// The skew parameter this sampler was built with.
-    pub fn theta(&self) -> f64 {
-        self.theta
+        Zipf { cdf }
     }
 
     /// Draws a rank in `[0, n)`; rank 0 is the most popular.
@@ -85,20 +69,6 @@ impl Zipf {
         {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
-
-    /// Probability mass of rank `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn pmf(&self, r: usize) -> f64 {
-        assert!(r < self.cdf.len(), "rank out of range");
-        if r == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[r] - self.cdf[r - 1]
         }
     }
 
@@ -136,11 +106,6 @@ impl RunLength {
         assert!(max > 0, "maximum run length must be positive");
         assert!(alpha.is_finite() && alpha > 0.0, "alpha must be positive");
         RunLength { max, alpha }
-    }
-
-    /// Largest length this sampler can produce.
-    pub fn max(&self) -> usize {
-        self.max
     }
 
     /// Draws a run length in `[1, max]`.
@@ -191,15 +156,18 @@ mod tests {
     fn zipf_theta_zero_is_uniform() {
         let zipf = Zipf::new(10, 0.0);
         for r in 0..10 {
-            assert!((zipf.pmf(r) - 0.1).abs() < 1e-12);
+            let mass = zipf.head_mass(r + 1) - zipf.head_mass(r);
+            assert!((mass - 0.1).abs() < 1e-12);
         }
         assert_eq!(zipf.head_mass(10), 1.0);
     }
 
     #[test]
-    fn zipf_pmf_sums_to_one() {
+    fn zipf_masses_sum_to_one() {
         let zipf = Zipf::new(500, 0.8);
-        let sum: f64 = (0..500).map(|r| zipf.pmf(r)).sum();
+        let sum: f64 = (0..500)
+            .map(|r| zipf.head_mass(r + 1) - zipf.head_mass(r))
+            .sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 

@@ -1,15 +1,14 @@
 //! # craid-simkit
 //!
-//! A small, deterministic discrete-event simulation kernel used by the CRAID
-//! storage simulator (a reproduction of the FAST '14 paper *"CRAID: Online
-//! RAID Upgrades Using Dynamic Hot Data Reorganization"*).
-//!
-//! The kernel provides three things:
+//! Deterministic simulation primitives used by the CRAID storage simulator
+//! (a reproduction of the FAST '14 paper *"CRAID: Online RAID Upgrades Using
+//! Dynamic Hot Data Reorganization"*). The simulator's replay is driven by
+//! trace records, so the kernel needs no event queue of its own; it provides
+//! two things:
 //!
 //! * [`SimTime`] / [`SimDuration`] — fixed-point simulated time (nanosecond
-//!   resolution) with total ordering, so event ordering is reproducible across
-//!   runs and platforms (no floating-point tie ambiguity).
-//! * [`EventQueue`] — a monotonic future-event list with FIFO tie-breaking.
+//!   resolution) with total ordering, so request ordering is reproducible
+//!   across runs and platforms (no floating-point tie ambiguity).
 //! * [`SimRng`] and the [`dist`] module — seeded random-number plumbing and
 //!   the small set of distributions the workload generators need (Zipf,
 //!   exponential, Pareto-ish burst lengths).
@@ -17,32 +16,21 @@
 //! # Example
 //!
 //! ```
-//! use craid_simkit::{EventQueue, SimTime, SimDuration};
+//! use craid_simkit::{SimDuration, SimTime};
 //!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Arrive(u32), Done(u32) }
-//!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO, Ev::Arrive(1));
-//! q.schedule(SimTime::from_millis(2.0), Ev::Done(1));
-//! q.schedule(SimTime::from_millis(1.0), Ev::Arrive(2));
-//!
-//! let (t, e) = q.pop().unwrap();
-//! assert_eq!(t, SimTime::ZERO);
-//! assert_eq!(e, Ev::Arrive(1));
-//! assert_eq!(q.len(), 2);
+//! let arrival = SimTime::from_millis(2.0);
+//! let finished = arrival + SimDuration::from_micros(750.0);
+//! assert!(finished > arrival);
+//! assert_eq!(finished.saturating_since(arrival).as_micros(), 750.0);
+//! assert_eq!(arrival.saturating_since(finished), SimDuration::ZERO);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use engine::{EventLoop, Handler, StopReason};
-pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -120,11 +120,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Returns the later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
@@ -200,11 +195,6 @@ impl SimDuration {
     /// Duration in seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// True if this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating subtraction.
@@ -373,7 +363,6 @@ mod tests {
         let late = SimTime::from_millis(5.0);
         assert_eq!(late.saturating_since(early).as_millis(), 4.0);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

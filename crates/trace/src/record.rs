@@ -130,24 +130,6 @@ impl Trace {
             _ => craid_simkit::SimDuration::ZERO,
         }
     }
-
-    /// Total bytes read by the trace.
-    pub fn read_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.kind.is_read())
-            .map(TraceRecord::bytes)
-            .sum()
-    }
-
-    /// Total bytes written by the trace.
-    pub fn write_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.kind.is_write())
-            .map(TraceRecord::bytes)
-            .sum()
-    }
 }
 
 impl<'a> IntoIterator for &'a Trace {
@@ -190,8 +172,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
         assert_eq!(t.footprint_blocks(), 1_000);
-        assert_eq!(t.read_bytes(), 6 * BLOCK_SIZE_BYTES);
-        assert_eq!(t.write_bytes(), 2 * BLOCK_SIZE_BYTES);
         assert_eq!(t.duration().as_millis(), 2.0);
         assert_eq!(t.iter().count(), 3);
         assert_eq!((&t).into_iter().count(), 3);
@@ -202,7 +182,6 @@ mod tests {
         let t = Trace::new("empty", 10, Vec::new());
         assert!(t.is_empty());
         assert_eq!(t.duration(), craid_simkit::SimDuration::ZERO);
-        assert_eq!(t.read_bytes(), 0);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl SyntheticWorkload {
         &self.spec
     }
 
-    /// The configured scale factor.
-    pub fn scale_factor(&self) -> u64 {
-        self.scale
-    }
-
     /// Footprint (distinct 4 KiB blocks) after scaling.
     pub fn scaled_footprint_blocks(&self) -> u64 {
         let scaled = self.spec.footprint_blocks() / self.scale;

@@ -13,7 +13,7 @@
 //! * `std-hash` — `HashMap`/`HashSet` (iteration order varies per process
 //!   unless the hasher is seeded deterministically),
 //! * `wall-clock` — `std::time::*` / `SystemTime` / `Instant::now` (simulated
-//!   time must come from the event loop, never the host clock),
+//!   time must come from the simulation clock, never the host clock),
 //! * `ambient-randomness` — `thread_rng`, `from_entropy`, `RandomState`,
 //!   `getrandom`, `/dev/urandom` (all randomness must flow through the
 //!   seeded `rand` shim).
@@ -31,6 +31,15 @@
 //! recognises literal operands (`x == 0.0`, `1.5 != y`), not inferred
 //! float types, which covers the pins the rule exists to stop.
 //!
+//! A sixth rule, `dead-pub`, keeps the workspace free of code nothing
+//! calls: it flags a `pub fn` or `pub const fn` defined outside
+//! `#[cfg(test)]` code under `crates/` (shims exempt) whose name appears as
+//! an identifier in no `.rs` file under `crates/`, `tests/`, `examples/` or
+//! `replaybench/`, apart from its own definition and its own file's
+//! `#[cfg(test)]` code. Comments and string literals are not uses. A method
+//! whose name another item shares escapes the rule; it only catches names
+//! no caller spells.
+//!
 //! Pre-existing uses are grandfathered in `crates/xtask/lint.allow`, one
 //! `<path> <rule>` pair per line. The lint fails on any *new* violation and
 //! on any *stale* allowlist entry, so the allowlist can only shrink.
@@ -38,8 +47,10 @@
 //! `#[cfg(test)]` modules are exempt (tests may use wall-clock timeouts and
 //! unordered sets freely), as are the root `tests/` directory, generated
 //! `target/` trees, and this crate itself (its source spells out the very
-//! patterns it greps for).
+//! patterns it greps for). The root `tests/` directory and `replaybench/`
+//! are read only as callers for `dead-pub`.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -123,25 +134,35 @@ fn lint() -> ExitCode {
     };
 
     let mut files = Vec::new();
-    for dir in ["crates", "examples"] {
+    for dir in ["crates", "examples", "tests", "replaybench"] {
         collect_rust_files(&root.join(dir), &root, &mut files);
     }
     files.sort();
 
-    let mut violations = Vec::new();
-    for rel in &files {
-        let source = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
+    let mut sources = Vec::with_capacity(files.len());
+    for rel in files {
+        match std::fs::read_to_string(root.join(&rel)) {
+            Ok(source) => sources.push((rel, source)),
             Err(err) => {
                 eprintln!("xtask lint: cannot read {rel}: {err}");
                 return ExitCode::FAILURE;
             }
-        };
-        scan_file(rel, &source, &mut violations);
-        let lines = effective_lines(&source);
+        }
+    }
+
+    let mut violations = Vec::new();
+    let mut scanned = 0;
+    for (rel, source) in &sources {
+        if !(rel.starts_with("crates/") || rel.starts_with("examples/")) {
+            continue;
+        }
+        scanned += 1;
+        scan_file(rel, source, &mut violations);
+        let lines = effective_lines(source);
         scan_wildcard_arms(rel, &lines, &mut violations);
         scan_float_eq(rel, &lines, &mut violations);
     }
+    scan_dead_pub(&sources, &mut violations);
 
     let mut fresh: Vec<&Violation> = Vec::new();
     let mut used = vec![false; allowlist.len()];
@@ -169,10 +190,11 @@ fn lint() -> ExitCode {
         eprintln!(
             "\nSimulated code must use BTreeMap/BTreeSet, SimTime, and the seeded \
              rand shim; matches over ScheduledEvent variants or diagnostic codes \
-             must stay exhaustive; exact float pins must compare via to_bits. If a \
-             use is genuinely deterministic (order never observed, shim-internal, \
-             a zero-guard rather than a pin), add '<path> <rule>' to \
-             crates/xtask/lint.allow with a justifying comment."
+             must stay exhaustive; exact float pins must compare via to_bits; a \
+             pub fn nothing calls must be deleted. If a use is genuinely \
+             deterministic (order never observed, shim-internal, a zero-guard \
+             rather than a pin), add '<path> <rule>' to crates/xtask/lint.allow \
+             with a justifying comment."
         );
     }
     if !stale.is_empty() {
@@ -184,8 +206,7 @@ fn lint() -> ExitCode {
 
     if fresh.is_empty() && stale.is_empty() {
         println!(
-            "xtask lint: {} files scanned, {} grandfathered use(s), no new violations",
-            files.len(),
+            "xtask lint: {scanned} files scanned, {} grandfathered use(s), no new violations",
             violations.len()
         );
         ExitCode::SUCCESS
@@ -447,6 +468,91 @@ fn is_float_literal(token: &str) -> bool {
         || digits.len() < token.len()
 }
 
+/// Flags every `pub fn` / `pub const fn` defined in non-test code under
+/// `crates/` (shims exempt) whose name no other identifier spells: none in
+/// another file, and none in its own file outside `#[cfg(test)]` code.
+/// `sources` holds every caller-bearing file as `(root-relative path,
+/// text)`. Records one violation per uncalled function.
+fn scan_dead_pub(sources: &[(String, String)], out: &mut Vec<Violation>) {
+    let lives: Vec<Vec<(usize, String)>> =
+        sources.iter().map(|(_, s)| effective_lines(s)).collect();
+    let all: Vec<BTreeMap<&str, usize>> = sources
+        .iter()
+        .map(|(_, s)| ident_counts(s.lines().map(strip_line_comment)))
+        .collect();
+    let mut total: BTreeMap<&str, usize> = BTreeMap::new();
+    for (ident, n) in all.iter().flatten() {
+        *total.entry(ident).or_default() += n;
+    }
+
+    for (f, (path, _)) in sources.iter().enumerate() {
+        if !path.starts_with("crates/") || path.starts_with("crates/shims/") {
+            continue;
+        }
+        let live = ident_counts(lives[f].iter().map(|(_, code)| code.as_str()));
+        for (lineno, code) in &lives[f] {
+            let idents = line_idents(code);
+            let after_pub = idents
+                .iter()
+                .position(|&t| t == "pub")
+                .map(|i| &idents[i + 1..]);
+            let name = match after_pub {
+                Some(["fn", name, ..] | ["const", "fn", name, ..]) => *name,
+                _ => continue,
+            };
+            // Uses: every mention in other files, plus the live mentions in
+            // this one other than the definition itself.
+            if total[name] - all[f][name] == 0 && live[name] == 1 {
+                out.push(Violation {
+                    path: path.clone(),
+                    rule: "dead-pub",
+                    line: *lineno,
+                    excerpt: code.clone(),
+                });
+            }
+        }
+    }
+}
+
+/// How often each identifier occurs across `lines`.
+fn ident_counts<'a>(lines: impl Iterator<Item = &'a str>) -> BTreeMap<&'a str, usize> {
+    let mut counts = BTreeMap::new();
+    for ident in lines.flat_map(line_idents) {
+        *counts.entry(ident).or_default() += 1;
+    }
+    counts
+}
+
+/// The identifiers (and keywords) of one comment-stripped line, skipping
+/// string literals. A char literal or lifetime yields its letters, which
+/// can only make a name look used, never unused.
+fn line_idents(code: &str) -> Vec<&str> {
+    let bytes = code.as_bytes();
+    let mut idents = Vec::new();
+    // The current identifier as `start..end`; it ends at any byte that is
+    // not an identifier byte or sits inside a string literal.
+    let mut run: Option<(usize, usize)> = None;
+    let mut flush = |run: Option<(usize, usize)>| {
+        if let Some((start, end)) = run {
+            if !bytes[start].is_ascii_digit() {
+                idents.push(&code[start..end]);
+            }
+        }
+    };
+    for i in mutate::code_positions(code) {
+        let ident_byte = bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_';
+        match run {
+            Some((start, end)) if ident_byte && end == i => run = Some((start, i + 1)),
+            _ => {
+                flush(run.take());
+                run = ident_byte.then_some((i, i + 1));
+            }
+        }
+    }
+    flush(run);
+    idents
+}
+
 /// The lines of `source` that the lint actually inspects: comments stripped,
 /// `#[cfg(test)]` items (modules or functions) skipped by brace matching.
 fn effective_lines(source: &str) -> Vec<(usize, String)> {
@@ -662,6 +768,58 @@ mod tests {
                       \x20   }\n\
                       }\n";
         assert_eq!(float_eq_hits(source), Vec::<usize>::new());
+    }
+
+    fn dead_pub_hits(files: &[(&str, &str)]) -> Vec<(String, usize)> {
+        let sources: Vec<(String, String)> = files
+            .iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect();
+        let mut out = Vec::new();
+        scan_dead_pub(&sources, &mut out);
+        out.iter().map(|v| (v.path.clone(), v.line)).collect()
+    }
+
+    #[test]
+    fn uncalled_pub_fn_is_flagged() {
+        // Called only from its own tests, named in a comment, a doc comment
+        // and a string: none of these is a use.
+        let lib = "/// `orphan` is documented here.\n\
+                   pub const fn orphan() -> u32 {\n\
+                   \x20   7\n\
+                   }\n\
+                   pub fn used() -> u32 {\n\
+                   \x20   let _ = \"orphan\"; // orphan\n\
+                   \x20   1\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   #[test]\n\
+                   \x20   fn t() {\n\
+                   \x20       assert_eq!(super::orphan(), 7);\n\
+                   \x20   }\n\
+                   }\n";
+        let caller = "fn main() {\n    let _ = craid::used();\n}\n";
+        assert_eq!(
+            dead_pub_hits(&[("crates/a/src/lib.rs", lib), ("examples/x.rs", caller)]),
+            vec![("crates/a/src/lib.rs".to_string(), 2)]
+        );
+    }
+
+    #[test]
+    fn pub_fn_called_from_another_files_tests_passes() {
+        let lib = "pub fn helper(n: u64) -> u64 {\n    n + 1\n}\n";
+        let other = "#[cfg(test)]\n\
+                     mod tests {\n\
+                     \x20   #[test]\n\
+                     \x20   fn t() {\n\
+                     \x20       assert_eq!(crate::a::helper(1), 2);\n\
+                     \x20   }\n\
+                     }\n";
+        assert_eq!(
+            dead_pub_hits(&[("crates/a/src/a.rs", lib), ("crates/a/src/b.rs", other)]),
+            Vec::<(String, usize)>::new()
+        );
     }
 
     #[test]

@@ -698,8 +698,9 @@ fn scan_arm_deletion(s: &str, _raw: &str, rel: &str, lineno: usize, out: &mut Ve
     });
 }
 
-/// Byte positions of `s` outside string literals, for site scanners.
-fn code_positions(s: &str) -> impl Iterator<Item = usize> + '_ {
+/// Byte positions of `s` outside string literals, for site scanners and
+/// the lint's identifier scan.
+pub(crate) fn code_positions(s: &str) -> impl Iterator<Item = usize> + '_ {
     let bytes = s.as_bytes();
     let mut in_str = false;
     let mut skip_next = false;

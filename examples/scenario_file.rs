@@ -37,6 +37,10 @@
 //! minimized decision path, writes a reproducer TOML next to the
 //! scenario, and exits non-zero. `scope` is `quick`, `default`, `wide`,
 //! or comma-separated overrides like `requests=32,events=3`.
+//!
+//! Any other argument, or a second scenario path, is refused before the
+//! scenario loads: the error names the argument and the exit status is
+//! non-zero, so a mistyped flag never runs a different mode.
 
 use craid::{ExploreScope, Scenario, ScenarioOutcome};
 
@@ -62,7 +66,26 @@ fn run_maybe_traced(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (paths, flags): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| !a.starts_with("--"));
+        std::env::args().skip(1).partition(|a| !a.starts_with('-'));
+    let known = |flag: &&String| {
+        ["--json", "--check", "--deny", "--explore"].contains(&flag.as_str())
+            || ["--explore=", "--trace-out=", "--trace-format="]
+                .iter()
+                .any(|prefix| flag.starts_with(prefix))
+    };
+    let refused = match (flags.iter().find(|f| !known(f)), paths.get(1)) {
+        (Some(flag), _) => Some(format!("unknown argument '{flag}'")),
+        (None, Some(path)) => Some(format!("unexpected second scenario path '{path}'")),
+        (None, None) => None,
+    };
+    if let Some(message) = refused {
+        eprintln!("scenario_file: {message}");
+        eprintln!(
+            "usage: scenario_file [path/to/scenario.toml] [--json] [--check [--deny]] \
+             [--explore[=scope]] [--trace-out=PATH] [--trace-format=chrome|jsonl]"
+        );
+        std::process::exit(2);
+    }
     let json_only = flags.iter().any(|f| f == "--json");
     let check_only = flags.iter().any(|f| f == "--check");
     let deny_warnings = flags.iter().any(|f| f == "--deny");
