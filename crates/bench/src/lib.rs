@@ -224,6 +224,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn table_cells_are_right_aligned_and_rounded() {
+        assert_eq!(f2(1.239), "1.24");
+        assert_eq!(pct(0.12345), "12.35%");
+        assert_eq!(header_row(&["a", "b"]), format!("{:>14} {:>14}", "a", "b"));
+    }
+
+    #[test]
     fn trace_generation_is_fast_and_deterministic() {
         let a = gen_trace(WorkloadId::Wdev);
         let b = gen_trace(WorkloadId::Wdev);

@@ -478,6 +478,18 @@ mod tests {
     const W: AccessMeta = AccessMeta::write(1);
 
     #[test]
+    fn recency_list_pops_least_recent_first() {
+        let mut l = LruList::new();
+        for b in [1, 2, 3] {
+            l.touch(b);
+        }
+        l.touch(1); // 2 is now the least recent
+        assert!(l.remove(3) && !l.remove(3));
+        let popped = [l.pop_lru(), l.pop_lru(), l.pop_lru()];
+        assert_eq!((popped, l.len()), ([Some(2), Some(1), None], 0));
+    }
+
+    #[test]
     fn lru_evicts_least_recently_used() {
         let mut p = LruPolicy::new(3);
         p.access(1, R);

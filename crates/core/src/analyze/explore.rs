@@ -682,6 +682,23 @@ mod tests {
     }
 
     #[test]
+    fn path_string_names_the_decisions_or_the_production_schedule() {
+        let choice = |chosen| Choice {
+            point: DecisionPoint::EventOrder,
+            chosen,
+            arity: 2,
+        };
+        let mut cx = Counterexample {
+            diagnostics: Vec::new(),
+            path: vec![choice(0), choice(0)],
+            scenario: Scenario::builder().small_test().build(),
+        };
+        assert!(cx.path_string().starts_with("production schedule"));
+        cx.path[1] = choice(1);
+        assert_eq!(cx.path_string(), "event-order:0/2 -> event-order:1/2");
+    }
+
+    #[test]
     fn static_errors_short_circuit_exploration() {
         let mut scenario = Scenario::builder().requests(100).small_test().build();
         scenario.workload.requests = 0;

@@ -10,8 +10,9 @@
 //!
 //! Three passes run, in order:
 //!
-//! 1. **Storage-graph rules** ([`graph`]): the resolved [`ArrayConfig`]
-//!    is lowered into an explicit device / parity-group / partition graph
+//! 1. **Storage-graph rules** ([`graph`]): the resolved
+//!    [`ArrayConfig`](crate::ArrayConfig) is lowered into an explicit
+//!    device / parity-group / partition graph
 //!    ([`graph::StorageGraph`]) and an extensible set of
 //!    [`graph::Rule`] objects checks capacity arithmetic, parity-group
 //!    divisibility, cache-partition bindings, fair-share weights, QoS
@@ -52,7 +53,6 @@ use std::fmt;
 
 use craid_trace::SyntheticWorkload;
 
-use crate::config::ArrayConfig;
 use crate::error::CraidError;
 use crate::scenario::{Scenario, ScheduledEvent};
 
@@ -409,15 +409,6 @@ pub fn analyze_scenario(scenario: &Scenario) -> Analysis {
         &scenario.events,
         Some(scenario.static_duration_secs()),
     ));
-    Analysis { diagnostics }
-}
-
-/// Analyses a raw configuration + schedule pair (no scenario surface,
-/// no replay-horizon information). [`crate::Simulation::analyze`] is the
-/// public entry point.
-pub fn analyze_config_events(config: &ArrayConfig, events: &[ScheduledEvent]) -> Analysis {
-    let mut diagnostics = graph::check_config(config);
-    diagnostics.extend(timeline::check_schedule(config, events, None));
     Analysis { diagnostics }
 }
 

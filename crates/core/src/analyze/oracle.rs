@@ -342,6 +342,14 @@ mod tests {
     use crate::background::TaskKind;
 
     #[test]
+    fn library_lists_each_oracle_once_in_code_order() {
+        let codes: Vec<_> = all_oracles().iter().map(|o| o.code()).collect();
+        assert_eq!(codes.len(), 6);
+        assert!(codes.windows(2).all(|w| w[0] < w[1]), "{codes:?}");
+        assert!(codes.iter().all(|c| c.starts_with("CRAID-E4")), "{codes:?}");
+    }
+
+    #[test]
     fn empty_evidence_is_clean() {
         assert!(check_all(&RunEvidence::default()).is_empty());
     }

@@ -382,4 +382,15 @@ mod tests {
         assert!(result.is_err());
         assert!(!active(), "a panicking branch must not leak the chooser");
     }
+
+    #[test]
+    fn stale_generation_fault_is_scoped_to_its_body() {
+        use faults::{
+            stale_generation_guard_disabled as off, with_stale_generation_guard_disabled,
+        };
+        assert!(!off() && with_stale_generation_guard_disabled(off));
+        let panicked =
+            std::panic::catch_unwind(|| with_stale_generation_guard_disabled(|| panic!()));
+        assert!(panicked.is_err() && !off(), "a panic leaked the fault");
+    }
 }

@@ -496,6 +496,15 @@ mod tests {
     }
 
     #[test]
+    fn only_arrays_without_a_cache_partition_report_restripe_as_migration() {
+        let movers: Vec<_> = StrategyKind::ALL
+            .into_iter()
+            .filter(|s| s.restripe_is_migration())
+            .collect();
+        assert_eq!(movers, [StrategyKind::Raid5, StrategyKind::Raid5Plus]);
+    }
+
+    #[test]
     fn strategy_names_round_trip_through_strings() {
         for s in StrategyKind::ALL {
             // The figure label round-trips...

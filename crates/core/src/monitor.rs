@@ -599,6 +599,22 @@ mod tests {
     }
 
     #[test]
+    fn switch_policy_keeps_residents_and_dirty_bits() {
+        // The WLRU case above spares dirty block 1; after a switch to LRU,
+        // rebuilt in ascending block order, block 1 is the victim.
+        let mut pc = pc(1);
+        let mut m = monitor(pc.capacity());
+        m.access(1, IoKind::Write, 1, &mut pc);
+        m.access(2, IoKind::Read, 1, &mut pc);
+        m.access(3, IoKind::Read, 1, &mut pc);
+        m.switch_policy(PolicyKind::Lru);
+        assert_eq!(m.cached_blocks(), 3);
+        assert!(m.mapping().lookup(1).unwrap().dirty);
+        let (_, ev) = m.access(4, IoKind::Read, 1, &mut pc);
+        assert_eq!((ev.len(), ev[0].pa_block, ev[0].dirty), (1, 1, true));
+    }
+
+    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         monitor(0);

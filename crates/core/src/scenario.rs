@@ -1271,6 +1271,14 @@ mod tests {
     }
 
     #[test]
+    fn static_duration_bounds_the_generated_trace() {
+        let s = tiny();
+        let secs = s.static_duration_secs();
+        let traced = s.trace().duration().as_secs();
+        assert!(traced <= secs && traced > 0.9 * secs, "{traced} vs {secs}");
+    }
+
+    #[test]
     fn pair_observer_forwards_every_hook_to_both_sides() {
         let mut a = Counting::default();
         let mut b = Counting::default();

@@ -144,15 +144,6 @@ impl Simulation {
             .map(|(report, _, _)| report)
     }
 
-    /// Statically analyses this configuration plus an event schedule —
-    /// the storage-graph rules and the symbolic timeline interpreter of
-    /// [`crate::analyze`] — without replaying anything. The replay-reach
-    /// check is skipped (no workload is attached here);
-    /// [`crate::Scenario::analyze`] has the full picture.
-    pub fn analyze(&self, events: &[ScheduledEvent]) -> crate::analyze::Analysis {
-        crate::analyze::analyze_config_events(&self.config, events)
-    }
-
     /// Replays `trace` while driving a [`ScheduledEvent`] timeline, with
     /// every hook delivered to `observer` (pass
     /// [`NullObserver`] when nothing needs to watch).

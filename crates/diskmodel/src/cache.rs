@@ -223,6 +223,16 @@ mod tests {
     }
 
     #[test]
+    fn a_new_segment_drops_the_segments_it_shadows() {
+        let mut c = small_cache();
+        c.access(IoKind::Read, BlockRange::new(0, 2)); // [0, 10)
+        c.access(IoKind::Read, BlockRange::new(20, 2)); // [20, 30)
+        c.access(IoKind::Read, BlockRange::new(0, 12)); // [0, 16) covers [0, 10)
+        let hit = c.access(IoKind::Read, BlockRange::new(8, 4));
+        assert_eq!((c.segments.len(), hit), (2, CacheOutcome::Hit));
+    }
+
+    #[test]
     fn oversized_request_streams_past_cache() {
         let mut c = small_cache();
         let big = BlockRange::new(0, 64);

@@ -106,8 +106,6 @@ pub struct DeviceLoadStats {
     pub queue_depth_max: u64,
 }
 
-impl DeviceLoadStats {}
-
 /// Completion report for one submitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Completion {
@@ -275,6 +273,19 @@ mod tests {
         assert_eq!(s.writes, 1);
         assert_eq!(s.bytes, 12 * crate::request::BLOCK_SIZE_BYTES);
         assert!(s.busy > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn saturated_device_is_busy_until_its_last_completion() {
+        let mut dev = hdd_device();
+        let mut last = SimTime::ZERO;
+        for i in 0..50 {
+            last = dev.submit(SimTime::ZERO, IoKind::Read, (i * 1_000) % 200_000, 8);
+        }
+        assert_eq!(dev.stats().busy, last.saturating_since(SimTime::ZERO));
+        // An idle gap is not busy time.
+        let after_gap = dev.submit(last + SimDuration::from_secs(1.0), IoKind::Read, 0, 8);
+        assert!(dev.stats().busy < after_gap.saturating_since(SimTime::ZERO));
     }
 
     #[test]

@@ -154,6 +154,18 @@ mod tests {
     }
 
     #[test]
+    fn std_error_scales_std_dev_by_root_count() {
+        let mut s = StreamingSummary::new();
+        for v in [1.0, 3.0, 5.0, 7.0] {
+            s.record(v);
+        }
+        assert!((s.std_dev() - (20.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert!((s.std_error() - s.std_dev() / 2.0).abs() < 1e-12);
+        assert!((s.ci95_half_width() - 1.96 * s.std_error()).abs() < 1e-12);
+        assert_eq!(StreamingSummary::new().std_error(), 0.0);
+    }
+
+    #[test]
     #[should_panic(expected = "must be finite")]
     fn non_finite_sample_rejected() {
         StreamingSummary::new().record(f64::NAN);
@@ -172,6 +184,17 @@ mod tests {
             prop_assert!(s.mean() <= s.max() + 1e-9);
             prop_assert!(s.variance() >= 0.0);
             prop_assert_eq!(s.count() as usize, values.len());
+        }
+
+        /// Recording the same samples in reverse gives the same summary.
+        #[test]
+        fn prop_summary_ignores_record_order(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
+            let (mut fwd, mut rev) = (StreamingSummary::new(), StreamingSummary::new());
+            values.iter().for_each(|&v| fwd.record(v));
+            values.iter().rev().for_each(|&v| rev.record(v));
+            prop_assert_eq!((fwd.count(), fwd.min(), fwd.max()), (rev.count(), rev.min(), rev.max()));
+            prop_assert!((fwd.mean() - rev.mean()).abs() <= 1e-6);
+            prop_assert!((fwd.variance() - rev.variance()).abs() <= 1e-6 * fwd.variance().max(1.0));
         }
     }
 }

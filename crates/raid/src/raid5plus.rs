@@ -182,6 +182,16 @@ mod tests {
     }
 
     #[test]
+    fn paper_schedule_reaches_50_disks() {
+        // The 10-disk array plus one set per step of the paper's schedule.
+        let mut sets = vec![10];
+        sets.extend(crate::ExpansionSchedule::paper().additions());
+        let l = Raid5PlusLayout::new(&sets, 32, 32 * 4).unwrap();
+        assert_eq!((l.disk_count(), l.sets.len()), (50, 7));
+        assert!(l.uses_all_disks());
+    }
+
+    #[test]
     fn sets_own_disjoint_disk_ranges() {
         let l = Raid5PlusLayout::new(&[4, 3, 5], 2, 8).unwrap();
         assert_eq!(l.disk_count(), 12);

@@ -366,6 +366,22 @@ mod tests {
     }
 
     #[test]
+    fn max_and_min_pick_the_later_and_earlier_instant() {
+        let (a, b) = (SimTime::from_millis(1.0), SimTime::from_millis(2.0));
+        assert_eq!((a.max(b), b.max(a)), (b, b));
+        assert_eq!((a.min(b), b.min(a)), (a, a));
+    }
+
+    #[test]
+    fn saturating_ops_clamp_at_the_bounds() {
+        let (a, one) = (SimDuration::from_millis(3.0), SimDuration::from_millis(1.0));
+        assert_eq!(a.saturating_sub(one).as_millis(), 2.0);
+        assert_eq!(SimDuration::ZERO.saturating_sub(a), SimDuration::ZERO);
+        assert_eq!(a.saturating_mul(3).as_millis(), 9.0);
+        assert_eq!(a.saturating_mul(u64::MAX).as_nanos(), u64::MAX);
+    }
+
+    #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn negative_time_panics() {
         let _ = SimTime::from_millis(-1.0);

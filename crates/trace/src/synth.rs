@@ -384,6 +384,21 @@ mod tests {
     }
 
     #[test]
+    fn scaled_duration_is_floored_and_bounds_the_trace() {
+        let gen = SyntheticWorkload::paper(WorkloadId::Wdev).scale(50_000);
+        assert_eq!(gen.scaled_duration_secs(), 84.0);
+        assert!(gen.generate(1).duration().as_secs() <= 84.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid workload spec: top20 share")]
+    fn from_spec_rejects_an_invalid_spec() {
+        let mut spec = WorkloadSpec::paper(WorkloadId::Wdev);
+        spec.top20_share = 1.5;
+        let _ = SyntheticWorkload::from_spec(spec);
+    }
+
+    #[test]
     #[should_panic(expected = "scale must be positive")]
     fn zero_scale_rejected() {
         let _ = SyntheticWorkload::paper(WorkloadId::Wdev).scale(0);

@@ -823,6 +823,62 @@ mod tests {
     }
 
     #[test]
+    fn dead_pub_needs_a_whole_identifier_use() {
+        // `count_all` and `count` share a prefix with `count_ios`, not a name.
+        let lib = "pub fn count_ios() -> u64 {\n    0\n}\n";
+        let caller = "fn main() {\n    let _ = count_all() + count();\n}\n";
+        assert_eq!(
+            dead_pub_hits(&[("crates/a/src/lib.rs", lib), ("tests/it.rs", caller)]),
+            vec![("crates/a/src/lib.rs".to_string(), 1)]
+        );
+    }
+
+    #[test]
+    fn dead_pub_reads_callers_in_tests_examples_and_replaybench() {
+        let lib = "pub fn a() {}\npub fn b() {}\npub fn c() {}\npub fn d() {\n    a();\n}\n";
+        let hits = dead_pub_hits(&[
+            ("crates/a/src/lib.rs", lib),
+            ("tests/it.rs", "fn t() {\n    b();\n}\n"),
+            ("examples/x.rs", "pub fn unchecked() {\n    c();\n}\n"),
+            ("replaybench/src/main.rs", "fn main() {\n    d();\n}\n"),
+        ]);
+        // `a` has a live caller in its own file; only `crates/` is checked.
+        assert_eq!(hits, Vec::<(String, usize)>::new());
+    }
+
+    #[test]
+    fn dead_pub_skips_shims_test_code_and_narrower_visibility() {
+        let test_only = "#[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}\n";
+        let hits = dead_pub_hits(&[
+            ("crates/shims/s/src/lib.rs", "pub fn shim_only() {}\n"),
+            ("crates/a/src/lib.rs", test_only),
+            ("crates/a/src/b.rs", "pub(crate) fn internal() {}\n"),
+        ]);
+        assert_eq!(hits, Vec::<(String, usize)>::new());
+    }
+
+    #[test]
+    fn line_idents_skip_strings_and_numbers() {
+        assert_eq!(
+            line_idents("let x1 = f(\"g h\", 42, y_2.0);"),
+            vec!["let", "x1", "f", "y_2"]
+        );
+    }
+
+    #[test]
+    fn determinism_patterns_are_flagged_once_per_rule() {
+        let source = "use std::collections::HashMap;\n\
+                      fn f() -> HashSet<u8> {\n\
+                      \x20   let _ = Instant::now(); // thread_rng\n\
+                      \x20   HashSet::new()\n\
+                      }\n";
+        let mut out = Vec::new();
+        scan_file("test.rs", source, &mut out);
+        let hits: Vec<_> = out.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(hits, vec![("std-hash", 1), ("wall-clock", 3)]);
+    }
+
+    #[test]
     fn cfg_test_matches_are_exempt() {
         let source = "#[cfg(test)]\n\
                       mod tests {\n\

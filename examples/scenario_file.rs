@@ -64,28 +64,33 @@ fn run_maybe_traced(
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (paths, flags): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| !a.starts_with('-'));
+/// Splits the arguments into scenario paths and flags, or names the
+/// argument that must be refused: one that is not a documented flag, or a
+/// second scenario path.
+fn split_args(args: impl Iterator<Item = String>) -> Result<(Vec<String>, Vec<String>), String> {
+    let (paths, flags): (Vec<String>, Vec<String>) = args.partition(|a| !a.starts_with('-'));
     let known = |flag: &&String| {
         ["--json", "--check", "--deny", "--explore"].contains(&flag.as_str())
             || ["--explore=", "--trace-out=", "--trace-format="]
                 .iter()
                 .any(|prefix| flag.starts_with(prefix))
     };
-    let refused = match (flags.iter().find(|f| !known(f)), paths.get(1)) {
-        (Some(flag), _) => Some(format!("unknown argument '{flag}'")),
-        (None, Some(path)) => Some(format!("unexpected second scenario path '{path}'")),
-        (None, None) => None,
-    };
-    if let Some(message) = refused {
+    match (flags.iter().find(|f| !known(f)), paths.get(1)) {
+        (Some(flag), _) => Err(format!("unknown argument '{flag}'")),
+        (None, Some(path)) => Err(format!("unexpected second scenario path '{path}'")),
+        (None, None) => Ok((paths, flags)),
+    }
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (paths, flags) = split_args(std::env::args().skip(1)).unwrap_or_else(|message| {
         eprintln!("scenario_file: {message}");
         eprintln!(
             "usage: scenario_file [path/to/scenario.toml] [--json] [--check [--deny]] \
              [--explore[=scope]] [--trace-out=PATH] [--trace-format=chrome|jsonl]"
         );
         std::process::exit(2);
-    }
+    });
     let json_only = flags.iter().any(|f| f == "--json");
     let check_only = flags.iter().any(|f| f == "--check");
     let deny_warnings = flags.iter().any(|f| f == "--deny");
@@ -271,4 +276,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("The same scenario serializes back with `scenario.to_toml()`; edit the file,");
     println!("rerun, and the engine replays the identical workload against the new timeline.");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::split_args;
+
+    /// The refusal message for a space-separated command line, if any.
+    fn refusal(line: &str) -> Option<String> {
+        split_args(line.split_whitespace().map(str::to_string)).err()
+    }
+
+    #[test]
+    fn documented_flags_and_one_path_are_accepted() {
+        let line = "drill.toml --json --check --deny --explore --explore=quick \
+                    --trace-out=t.json --trace-format=jsonl";
+        assert_eq!(refusal(line), None);
+    }
+
+    #[test]
+    fn a_misspelled_flag_is_refused() {
+        let refused = refusal("drill.toml --chek --deny");
+        assert_eq!(refused.unwrap(), "unknown argument '--chek'");
+    }
+
+    #[test]
+    fn a_misspelled_option_with_a_value_is_refused() {
+        let refused = refusal("--trace-fromat=jsonl");
+        assert_eq!(refused.unwrap(), "unknown argument '--trace-fromat=jsonl'");
+    }
+
+    #[test]
+    fn a_single_dash_argument_is_refused() {
+        assert_eq!(refusal("-j").unwrap(), "unknown argument '-j'");
+    }
+
+    #[test]
+    fn a_second_scenario_path_is_refused() {
+        let refused = refusal("a.toml b.toml --check");
+        assert_eq!(refused.unwrap(), "unexpected second scenario path 'b.toml'");
+    }
 }
