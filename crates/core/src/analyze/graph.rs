@@ -646,4 +646,85 @@ mod tests {
             assert!(check_config(&config).is_empty(), "{strategy}");
         }
     }
+
+    /// One configuration tripping each `CRAID-E1xx` code, in code order,
+    /// with the full text `--check` prints for it, help lines included.
+    #[test]
+    fn every_config_code_renders_its_pinned_text() {
+        use StrategyKind::{Craid5, Craid5Plus, Craid5Ssd, Raid5};
+        fn slo(c: &mut ArrayConfig) -> &mut SloSpec {
+            c.qos.insert(SloSpec::latency_target(25.0))
+        }
+        let cases: [(StrategyKind, fn(&mut ArrayConfig)); 22] = [
+            (Craid5, |c| c.disks = 0),
+            (Craid5, |c| c.parity_group = 3),
+            (Craid5, |c| c.stripe_unit = 0),
+            (Craid5, |c| c.dataset_blocks = 0),
+            (Craid5, |c| c.pc_capacity_blocks = 0),
+            (Craid5Ssd, |c| c.ssd_cache_devices = 1),
+            (Craid5Plus, |c| c.expansion_sets = Vec::new()),
+            (Craid5Plus, |c| c.expansion_sets = vec![4, 2]),
+            (Craid5Plus, |c| c.expansion_sets = vec![7, 1]),
+            (Raid5, |c| c.hdd_capacity_blocks = 2),
+            (Craid5, |c| c.rebuild_rate_blocks_per_sec = 0.0),
+            (Craid5, |c| {
+                (c.rebuild_share, c.migration_share) = (-1.0, f64::NAN)
+            }),
+            (Craid5, |c| c.migration_rate_blocks_per_sec = Some(0.0)),
+            (Craid5, |c| c.dataset_blocks = 1 << 40),
+            (Craid5, |c| slo(c).target_latency_ms = None),
+            (Craid5, |c| slo(c).target_latency_ms = Some(-1.0)),
+            (Craid5, |c| slo(c).percentile = 1.5),
+            (Craid5, |c| slo(c).max_queue_depth = Some(0.0)),
+            (Craid5, |c| slo(c).floor = 1.5),
+            (Craid5, |c| slo(c).window_secs = 0.0),
+            (Craid5, |c| slo(c).increase_per_sec = 0.0),
+            (Craid5, |c| slo(c).decrease_factor = 1.0),
+        ];
+        let mut rendered = String::new();
+        for (index, (strategy, mutate)) in cases.into_iter().enumerate() {
+            let mut config = ArrayConfig::small_test(strategy, 10_000);
+            mutate(&mut config);
+            let analysis = crate::analyze::Analysis {
+                diagnostics: check_config(&config),
+            };
+            assert_eq!(analysis.codes()[0], format!("CRAID-E{}", 101 + index));
+            rendered.push_str(&analysis.to_string());
+        }
+        let expected = "\
+error[CRAID-E101] array.disks: need at least 2 disks, got 0
+  help: the paper's testbed uses 50; the small test preset uses 8
+error[CRAID-E102] array.parity_group: parity group 3 must be >= 2 and divide the disk count 8
+  help: full-width RAID-5 layouts split the disks into equal parity groups
+error[CRAID-E103] array.stripe_unit: stripe unit must be positive
+error[CRAID-E104] array.dataset_blocks: dataset must contain at least one block
+error[CRAID-E105] array.pc_capacity_blocks: CRAID strategies need a non-empty cache partition
+  help: scenarios size it via pc_fraction; direct configs via pc_capacity_blocks
+error[CRAID-E106] array.ssd_cache_devices: the SSD cache tier needs at least 2 devices
+error[CRAID-E107] array.expansion_sets: an aggregated archive needs at least one RAID set
+error[CRAID-E108] array.expansion_sets: expansion sets [4, 2] must sum to the disk count 8
+  help: each entry is the disk count of one aggregation step
+error[CRAID-E109] array.expansion_sets: every RAID set needs at least 2 disks
+error[CRAID-E110] array.hdd_capacity_blocks: disks are smaller than one stripe unit
+error[CRAID-E114] array.dataset_blocks: archive partition (0 blocks) cannot hold the dataset (10000 blocks)
+  help: shrink pc_fraction, add disks, or scale the workload down
+error[CRAID-E111] array.rebuild_rate: rebuild rate must be finite and positive, got 0
+error[CRAID-E112] array.rebuild_share: rebuild_share must be finite and positive, got -1
+error[CRAID-E112] array.migration_share: migration_share must be finite and positive, got NaN
+error[CRAID-E113] array.migration_rate: migration rate must be positive (or +inf / omitted for an instant migration), got 0
+error[CRAID-E114] array.dataset_blocks: archive partition (12580896 blocks) cannot hold the dataset (1099511627776 blocks)
+  help: shrink pc_fraction, add disks, or scale the workload down
+error[CRAID-E115] array.qos: an SLO needs at least one target (target_latency_ms or max_queue_depth)
+  help: set target_latency_ms (and optionally percentile) or max_queue_depth
+error[CRAID-E116] array.qos.target_latency_ms: target_latency_ms must be finite and positive, got -1
+error[CRAID-E117] array.qos.percentile: percentile must be in [0, 1], got 1.5
+error[CRAID-E118] array.qos.max_queue_depth: max_queue_depth must be finite and positive, got 0
+error[CRAID-E119] array.qos.floor: floor must be in (0, 1], got 1.5
+  help: the floor is a fraction of the configured maintenance rates
+error[CRAID-E120] array.qos.window_secs: window_secs must be finite and positive, got 0
+error[CRAID-E121] array.qos.increase_per_sec: increase_per_sec must be finite and positive, got 0
+error[CRAID-E122] array.qos.decrease_factor: decrease_factor must be in (0, 1), got 1
+";
+        assert_eq!(rendered, expected);
+    }
 }
