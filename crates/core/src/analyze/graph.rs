@@ -1,14 +1,8 @@
-//! Storage-graph lowering and the configuration rule engine.
-//!
-//! An [`ArrayConfig`] is a flat bag of knobs; the relationships between
-//! them (which devices form which parity groups, where the cache
-//! partition lives, how much archive capacity is left for the dataset)
-//! are implicit in the array-construction code. This pass makes them
-//! explicit: [`StorageGraph::lower`] turns a config into a graph of
-//! device, parity-group and partition nodes — **never panicking, even
-//! on garbage input** — and an extensible list of [`Rule`] objects
-//! checks invariants over that graph, each emitting structured
-//! [`Diagnostic`]s instead of a first-error-wins string.
+//! Configuration rules: [`check_config`] checks an [`ArrayConfig`] and
+//! [`check_slo`] a QoS spec, each emitting structured [`Diagnostic`]s for
+//! every violation instead of a first-error-wins string. Checking never
+//! panics, even on garbage input: the capacity arithmetic only runs on a
+//! sound geometry.
 //!
 //! [`ArrayConfig::validate`] delegates here and returns the first
 //! error-severity finding, so the legacy `Result` surface and the
@@ -18,289 +12,96 @@ use crate::analyze::{codes, Diagnostic};
 use crate::config::ArrayConfig;
 use crate::qos::SloSpec;
 
-/// What kind of device a [`DeviceNode`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceKind {
-    /// A mechanical disk.
-    Hdd,
-    /// A dedicated cache SSD.
-    Ssd,
-}
+/// Checks a configuration and returns every violation, in rule order:
+/// shape, cache binding, aggregation schedule, device capacity, rebuild
+/// rate, fair shares, QoS ranges, migration rate and dataset fit. The
+/// order decides which error [`ArrayConfig::validate`] reports first.
+pub fn check_config(config: &ArrayConfig) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
 
-/// One device of the lowered storage graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceNode {
-    /// Device index (mechanical disks first, then SSDs).
-    pub id: usize,
-    /// Mechanical disk or SSD.
-    pub kind: DeviceKind,
-    /// Raw capacity in blocks.
-    pub capacity_blocks: u64,
-}
-
-/// One parity group of the archive partition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParityGroupNode {
-    /// Member device ids.
-    pub members: Vec<usize>,
-    /// The aggregation step this group came from (0 for full-width
-    /// layouts).
-    pub generation: usize,
-}
-
-/// Where the cache partition's blocks live.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachePartitionNode {
-    /// The devices the partition is bound to.
-    pub devices: Vec<usize>,
-    /// Reserved blocks per device, when the geometry allows computing
-    /// it (`None` on broken geometry — a rule reports the breakage).
-    pub blocks_per_device: Option<u64>,
-    /// Requested capacity in data blocks.
-    pub requested_blocks: u64,
-}
-
-/// The lowered storage graph: devices, parity groups, partitions and
-/// the capacity arithmetic derived from them. Lowering is total — any
-/// config lowers, and broken relationships surface as `None` fields
-/// plus rule diagnostics rather than panics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageGraph {
-    /// The configuration the graph was lowered from.
-    pub config: ArrayConfig,
-    /// Every device, mechanical disks first.
-    pub devices: Vec<DeviceNode>,
-    /// Archive parity groups (one per aggregation set for `+`
-    /// archives, `disks / parity_group` full-width groups otherwise).
-    pub parity_groups: Vec<ParityGroupNode>,
-    /// The cache partition, for CRAID strategies.
-    pub cache: Option<CachePartitionNode>,
-    /// Client-visible data capacity of the archive partition, when the
-    /// geometry is sound enough to compute it.
-    pub archive_data_capacity: Option<u64>,
-}
-
-impl StorageGraph {
-    /// Lowers a configuration into the explicit graph. Total: never
-    /// panics, whatever the config holds.
-    pub fn lower(config: &ArrayConfig) -> StorageGraph {
-        let mut devices: Vec<DeviceNode> = (0..config.disks)
-            .map(|id| DeviceNode {
-                id,
-                kind: DeviceKind::Hdd,
-                capacity_blocks: config.hdd_capacity_blocks,
-            })
-            .collect();
-        if config.strategy.uses_ssd_cache() {
-            devices.extend((0..config.ssd_cache_devices).map(|i| DeviceNode {
-                id: config.disks + i,
-                kind: DeviceKind::Ssd,
-                capacity_blocks: config.ssd.capacity_blocks,
-            }));
-        }
-
-        let parity_groups = if config.strategy.archive_is_aggregated() {
-            let mut groups = Vec::new();
-            let mut next = 0usize;
-            for (generation, &set) in config.expansion_sets.iter().enumerate() {
-                let end = next.saturating_add(set).min(config.disks);
-                groups.push(ParityGroupNode {
-                    members: (next..end).collect(),
-                    generation,
-                });
-                next = end;
-            }
-            groups
-        } else if config.parity_group >= 2 && config.disks.is_multiple_of(config.parity_group) {
-            (0..config.disks / config.parity_group)
-                .map(|g| ParityGroupNode {
-                    members: (g * config.parity_group..(g + 1) * config.parity_group).collect(),
-                    generation: 0,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Guarded capacity arithmetic: the raw helpers divide by the
-        // data units per row, which is zero on broken geometry.
-        let geometry_sound = config.stripe_unit > 0
-            && config.disks >= 2
-            && config.parity_group >= 2
-            && config.disks.is_multiple_of(config.parity_group)
-            && config.data_units_per_row() > 0;
-
-        let cache = if config.strategy.is_craid() {
-            let (devices, blocks_per_device) = if config.strategy.uses_ssd_cache() {
-                let ids = (config.disks..config.disks + config.ssd_cache_devices).collect();
-                let blocks = (config.ssd_cache_devices >= 2 && config.stripe_unit > 0)
-                    .then(|| config.pc_blocks_per_ssd());
-                (ids, blocks)
-            } else {
-                let ids = (0..config.disks).collect();
-                let blocks = geometry_sound.then(|| config.pc_blocks_per_hdd());
-                (ids, blocks)
-            };
-            Some(CachePartitionNode {
-                devices,
-                blocks_per_device,
-                requested_blocks: config.pc_capacity_blocks,
-            })
-        } else {
-            None
-        };
-
-        let archive_data_capacity = geometry_sound.then(|| {
-            config.pa_blocks_per_hdd() / config.stripe_unit
-                * config.data_units_per_row()
-                * config.stripe_unit
-        });
-
-        StorageGraph {
-            config: config.clone(),
-            devices,
-            parity_groups,
-            cache,
-            archive_data_capacity,
-        }
+    // Shape: disk count, parity geometry, stripe unit, dataset.
+    if config.disks < 2 {
+        out.push(
+            Diagnostic::error(
+                codes::TOO_FEW_DISKS,
+                "array.disks",
+                format!("need at least 2 disks, got {}", config.disks),
+            )
+            .with_help("the paper's testbed uses 50; the small test preset uses 8"),
+        );
     }
-}
-
-/// One extensible configuration check over the lowered graph.
-///
-/// Rules append every violation they find; severity and code live in
-/// the diagnostics themselves. [`default_rules`] lists the built-in
-/// set in the order [`ArrayConfig::validate`] historically checked, so
-/// the first emitted error matches the legacy first-error behaviour.
-pub trait Rule {
-    /// Short identifier (used in docs and debugging).
-    fn name(&self) -> &'static str;
-    /// Appends every violation of this rule to `out`.
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>);
-}
-
-/// Array shape: disk count, parity geometry, stripe unit, dataset.
-struct ShapeRule;
-
-impl Rule for ShapeRule {
-    fn name(&self) -> &'static str {
-        "shape"
+    if config.parity_group < 2 || !config.disks.is_multiple_of(config.parity_group) {
+        out.push(
+            Diagnostic::error(
+                codes::PARITY_GROUP,
+                "array.parity_group",
+                format!(
+                    "parity group {} must be >= 2 and divide the disk count {}",
+                    config.parity_group, config.disks
+                ),
+            )
+            .with_help("full-width RAID-5 layouts split the disks into equal parity groups"),
+        );
+    }
+    if config.stripe_unit == 0 {
+        out.push(Diagnostic::error(
+            codes::STRIPE_UNIT,
+            "array.stripe_unit",
+            "stripe unit must be positive",
+        ));
+    }
+    if config.dataset_blocks == 0 {
+        out.push(Diagnostic::error(
+            codes::EMPTY_DATASET,
+            "array.dataset_blocks",
+            "dataset must contain at least one block",
+        ));
     }
 
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        let config = &graph.config;
-        if config.disks < 2 {
-            out.push(
-                Diagnostic::error(
-                    codes::TOO_FEW_DISKS,
-                    "array.disks",
-                    format!("need at least 2 disks, got {}", config.disks),
-                )
-                .with_help("the paper's testbed uses 50; the small test preset uses 8"),
-            );
-        }
-        if config.parity_group < 2 || !config.disks.is_multiple_of(config.parity_group) {
-            out.push(
-                Diagnostic::error(
-                    codes::PARITY_GROUP,
-                    "array.parity_group",
-                    format!(
-                        "parity group {} must be >= 2 and divide the disk count {}",
-                        config.parity_group, config.disks
-                    ),
-                )
-                .with_help("full-width RAID-5 layouts split the disks into equal parity groups"),
-            );
-        }
-        if config.stripe_unit == 0 {
-            out.push(Diagnostic::error(
-                codes::STRIPE_UNIT,
-                "array.stripe_unit",
-                "stripe unit must be positive",
-            ));
-        }
-        if config.dataset_blocks == 0 {
-            out.push(Diagnostic::error(
-                codes::EMPTY_DATASET,
-                "array.dataset_blocks",
-                "dataset must contain at least one block",
-            ));
-        }
+    // Cache binding: CRAID needs capacity; the SSD tier needs enough
+    // devices to form a parity group.
+    if config.strategy.is_craid() && config.pc_capacity_blocks == 0 {
+        out.push(
+            Diagnostic::error(
+                codes::EMPTY_CACHE_PARTITION,
+                "array.pc_capacity_blocks",
+                "CRAID strategies need a non-empty cache partition",
+            )
+            .with_help("scenarios size it via pc_fraction; direct configs via pc_capacity_blocks"),
+        );
     }
-}
-
-/// Cache-partition binding: CRAID needs capacity; the SSD tier needs
-/// enough devices to form a parity group.
-struct CacheBindingRule;
-
-impl Rule for CacheBindingRule {
-    fn name(&self) -> &'static str {
-        "cache-binding"
+    if config.strategy.uses_ssd_cache() && config.ssd_cache_devices < 2 {
+        out.push(Diagnostic::error(
+            codes::SSD_TIER_TOO_SMALL,
+            "array.ssd_cache_devices",
+            "the SSD cache tier needs at least 2 devices",
+        ));
     }
 
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        let config = &graph.config;
-        if let Some(cache) = &graph.cache {
-            if cache.requested_blocks == 0 {
-                out.push(
-                    Diagnostic::error(
-                        codes::EMPTY_CACHE_PARTITION,
-                        "array.pc_capacity_blocks",
-                        "CRAID strategies need a non-empty cache partition",
-                    )
-                    .with_help(
-                        "scenarios size it via pc_fraction; direct configs via pc_capacity_blocks",
-                    ),
-                );
-            }
-        }
-        if config.strategy.uses_ssd_cache() && config.ssd_cache_devices < 2 {
-            out.push(Diagnostic::error(
-                codes::SSD_TIER_TOO_SMALL,
-                "array.ssd_cache_devices",
-                "the SSD cache tier needs at least 2 devices",
-            ));
-        }
-    }
-}
-
-/// Aggregation schedule of `+` archives: non-empty, summing to the
-/// disk count, every set wide enough to be a RAID set.
-struct AggregationRule;
-
-impl Rule for AggregationRule {
-    fn name(&self) -> &'static str {
-        "aggregation-schedule"
-    }
-
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        let config = &graph.config;
-        if !config.strategy.archive_is_aggregated() {
-            return;
-        }
-        if config.expansion_sets.is_empty() {
+    // Aggregation schedule of `+` archives: non-empty, summing to the
+    // disk count, every set wide enough to be a RAID set.
+    if config.strategy.archive_is_aggregated() {
+        let sets = &config.expansion_sets;
+        if sets.is_empty() {
             out.push(Diagnostic::error(
                 codes::NO_EXPANSION_SETS,
                 "array.expansion_sets",
                 "an aggregated archive needs at least one RAID set",
             ));
-        }
-        if !config.expansion_sets.is_empty()
-            && config.expansion_sets.iter().sum::<usize>() != config.disks
-        {
+        } else if sets.iter().sum::<usize>() != config.disks {
             out.push(
                 Diagnostic::error(
                     codes::EXPANSION_SETS_SUM,
                     "array.expansion_sets",
                     format!(
-                        "expansion sets {:?} must sum to the disk count {}",
-                        config.expansion_sets, config.disks
+                        "expansion sets {sets:?} must sum to the disk count {}",
+                        config.disks
                     ),
                 )
                 .with_help("each entry is the disk count of one aggregation step"),
             );
         }
-        if config.expansion_sets.iter().any(|&s| s < 2) {
+        if sets.iter().any(|&s| s < 2) {
             out.push(Diagnostic::error(
                 codes::EXPANSION_SET_TOO_SMALL,
                 "array.expansion_sets",
@@ -308,167 +109,83 @@ impl Rule for AggregationRule {
             ));
         }
     }
-}
 
-/// Per-device capacity sanity.
-struct DeviceCapacityRule;
-
-impl Rule for DeviceCapacityRule {
-    fn name(&self) -> &'static str {
-        "device-capacity"
+    if config.hdd_capacity_blocks < config.stripe_unit {
+        out.push(Diagnostic::error(
+            codes::DISK_TOO_SMALL,
+            "array.hdd_capacity_blocks",
+            "disks are smaller than one stripe unit",
+        ));
     }
 
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        let config = &graph.config;
-        if config.hdd_capacity_blocks < config.stripe_unit {
+    let rate = config.rebuild_rate_blocks_per_sec;
+    if !rate.is_finite() || rate <= 0.0 {
+        out.push(Diagnostic::error(
+            codes::REBUILD_RATE,
+            "array.rebuild_rate",
+            format!("rebuild rate must be finite and positive, got {rate}"),
+        ));
+    }
+
+    for (name, share) in [
+        ("rebuild_share", config.rebuild_share),
+        ("migration_share", config.migration_share),
+    ] {
+        if !share.is_finite() || share <= 0.0 {
             out.push(Diagnostic::error(
-                codes::DISK_TOO_SMALL,
-                "array.hdd_capacity_blocks",
-                "disks are smaller than one stripe unit",
+                codes::SHARE_WEIGHT,
+                format!("array.{name}"),
+                format!("{name} must be finite and positive, got {share}"),
             ));
         }
     }
-}
 
-/// Background-maintenance pacing: the rebuild rate.
-struct RebuildRateRule;
-
-impl Rule for RebuildRateRule {
-    fn name(&self) -> &'static str {
-        "rebuild-rate"
+    if let Some(spec) = &config.qos {
+        out.extend(check_slo(spec, "array.qos"));
     }
 
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        let rate = graph.config.rebuild_rate_blocks_per_sec;
-        if !rate.is_finite() || rate <= 0.0 {
+    // +inf is legal and means "instant", exactly like omitting the knob:
+    // an unbounded pace degenerates to the atomic upgrade.
+    if let Some(rate) = config.migration_rate_blocks_per_sec {
+        if rate.is_nan() || rate <= 0.0 {
             out.push(Diagnostic::error(
-                codes::REBUILD_RATE,
-                "array.rebuild_rate",
-                format!("rebuild rate must be finite and positive, got {rate}"),
+                codes::MIGRATION_RATE,
+                "array.migration_rate",
+                format!(
+                    "migration rate must be positive (or +inf / omitted for an \
+                     instant migration), got {rate}"
+                ),
             ));
         }
     }
-}
 
-/// Fair-share weights of the background engine.
-struct FairShareRule;
-
-impl Rule for FairShareRule {
-    fn name(&self) -> &'static str {
-        "fair-shares"
-    }
-
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        for (name, share) in [
-            ("rebuild_share", graph.config.rebuild_share),
-            ("migration_share", graph.config.migration_share),
-        ] {
-            if !share.is_finite() || share <= 0.0 {
-                out.push(Diagnostic::error(
-                    codes::SHARE_WEIGHT,
-                    format!("array.{name}"),
-                    format!("{name} must be finite and positive, got {share}"),
-                ));
-            }
-        }
-    }
-}
-
-/// QoS SLO ranges (floor, gains, targets, window).
-struct QosRule;
-
-impl Rule for QosRule {
-    fn name(&self) -> &'static str {
-        "qos-ranges"
-    }
-
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        if let Some(spec) = &graph.config.qos {
-            out.extend(check_slo(spec, "array.qos"));
-        }
-    }
-}
-
-/// Migration pacing of `expand` events.
-struct MigrationRateRule;
-
-impl Rule for MigrationRateRule {
-    fn name(&self) -> &'static str {
-        "migration-rate"
-    }
-
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        if let Some(rate) = graph.config.migration_rate_blocks_per_sec {
-            // +inf is legal and means "instant", exactly like omitting
-            // the knob: an unbounded pace degenerates to the atomic
-            // upgrade.
-            if rate.is_nan() || rate <= 0.0 {
-                out.push(Diagnostic::error(
-                    codes::MIGRATION_RATE,
-                    "array.migration_rate",
+    // Dataset fit: the scattered dataset must fit in the archive partition
+    // left over after the cache reservation. The capacity helpers divide by
+    // the data units per row, which is zero on broken geometry — the shape
+    // checks above already reported why.
+    let geometry_sound = config.stripe_unit > 0
+        && config.disks >= 2
+        && config.parity_group >= 2
+        && config.disks.is_multiple_of(config.parity_group)
+        && config.data_units_per_row() > 0;
+    if geometry_sound {
+        let pa_data_capacity = config.pa_blocks_per_hdd() / config.stripe_unit
+            * config.data_units_per_row()
+            * config.stripe_unit;
+        if pa_data_capacity < config.dataset_blocks {
+            out.push(
+                Diagnostic::error(
+                    codes::DATASET_DOES_NOT_FIT,
+                    "array.dataset_blocks",
                     format!(
-                        "migration rate must be positive (or +inf / omitted for an \
-                         instant migration), got {rate}"
+                        "archive partition ({pa_data_capacity} blocks) cannot hold \
+                         the dataset ({} blocks)",
+                        config.dataset_blocks
                     ),
-                ));
-            }
+                )
+                .with_help("shrink pc_fraction, add disks, or scale the workload down"),
+            );
         }
-    }
-}
-
-/// Capacity arithmetic: the scattered dataset must fit in the archive
-/// partition left over after the cache reservation.
-struct DatasetFitRule;
-
-impl Rule for DatasetFitRule {
-    fn name(&self) -> &'static str {
-        "dataset-fit"
-    }
-
-    fn check(&self, graph: &StorageGraph, out: &mut Vec<Diagnostic>) {
-        // `None` means the geometry is broken; the shape rule already
-        // reported why, and capacity arithmetic would be meaningless.
-        if let Some(pa_data_capacity) = graph.archive_data_capacity {
-            if pa_data_capacity < graph.config.dataset_blocks {
-                out.push(
-                    Diagnostic::error(
-                        codes::DATASET_DOES_NOT_FIT,
-                        "array.dataset_blocks",
-                        format!(
-                            "archive partition ({pa_data_capacity} blocks) cannot hold \
-                             the dataset ({} blocks)",
-                            graph.config.dataset_blocks
-                        ),
-                    )
-                    .with_help("shrink pc_fraction, add disks, or scale the workload down"),
-                );
-            }
-        }
-    }
-}
-
-/// The built-in rule set, in the order [`ArrayConfig::validate`]
-/// historically checked its constraints.
-pub fn default_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(ShapeRule),
-        Box::new(CacheBindingRule),
-        Box::new(AggregationRule),
-        Box::new(DeviceCapacityRule),
-        Box::new(RebuildRateRule),
-        Box::new(FairShareRule),
-        Box::new(QosRule),
-        Box::new(MigrationRateRule),
-        Box::new(DatasetFitRule),
-    ]
-}
-
-/// Lowers a configuration and runs every built-in rule over the graph.
-pub fn check_config(config: &ArrayConfig) -> Vec<Diagnostic> {
-    let graph = StorageGraph::lower(config);
-    let mut out = Vec::new();
-    for rule in default_rules() {
-        rule.check(&graph, &mut out);
     }
     out
 }
@@ -564,45 +281,14 @@ mod tests {
     use crate::config::StrategyKind;
 
     #[test]
-    fn lowering_builds_devices_groups_and_partitions() {
-        let config = ArrayConfig::paper(StrategyKind::Craid5Ssd, 100_000, 4_000);
-        let graph = StorageGraph::lower(&config);
-        let hdds = graph.devices.iter().filter(|d| d.kind == DeviceKind::Hdd);
-        assert_eq!(hdds.count(), 50);
-        assert_eq!(graph.devices.len(), 55, "5 SSDs join the graph");
-        assert_eq!(graph.parity_groups.len(), 5, "50 disks in groups of 10");
-        let cache = graph.cache.expect("CRAID strategies carry a cache node");
-        assert_eq!(cache.devices, (50..55).collect::<Vec<_>>());
-        assert!(cache.blocks_per_device.unwrap() > 0);
-        assert!(graph.archive_data_capacity.unwrap() >= 100_000);
-    }
-
-    #[test]
-    fn aggregated_lowering_groups_by_expansion_set() {
-        let config = ArrayConfig::paper(StrategyKind::Raid5Plus, 100_000, 0);
-        let graph = StorageGraph::lower(&config);
-        assert_eq!(
-            graph.parity_groups.len(),
-            7,
-            "one group per aggregation step"
-        );
-        assert_eq!(graph.parity_groups[0].members.len(), 10);
-        assert_eq!(graph.parity_groups[6].generation, 6);
-        assert!(graph.cache.is_none(), "baselines carry no cache partition");
-    }
-
-    #[test]
-    fn lowering_is_total_on_garbage() {
+    fn checking_is_total_on_garbage() {
         // Division-by-zero bait: zero stripe unit, zero parity group,
-        // one disk. Lowering must not panic and must withhold derived
-        // capacities instead.
+        // one disk. Checking must not panic and must skip the capacity
+        // arithmetic instead.
         let mut config = ArrayConfig::small_test(StrategyKind::Craid5, 10_000);
         config.stripe_unit = 0;
         config.parity_group = 0;
         config.disks = 1;
-        let graph = StorageGraph::lower(&config);
-        assert!(graph.archive_data_capacity.is_none());
-        assert!(graph.cache.unwrap().blocks_per_device.is_none());
         let findings = check_config(&config);
         assert!(findings.iter().any(|d| d.code == codes::TOO_FEW_DISKS));
         assert!(findings.iter().any(|d| d.code == codes::STRIPE_UNIT));
@@ -638,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn valid_presets_lower_clean() {
+    fn valid_presets_check_clean() {
         for strategy in StrategyKind::ALL {
             let config = ArrayConfig::paper(strategy, 100_000, 4_000);
             assert!(check_config(&config).is_empty(), "{strategy}");
@@ -655,7 +341,8 @@ mod tests {
         fn slo(c: &mut ArrayConfig) -> &mut SloSpec {
             c.qos.insert(SloSpec::latency_target(25.0))
         }
-        let cases: [(StrategyKind, fn(&mut ArrayConfig)); 22] = [
+        type Case = (StrategyKind, fn(&mut ArrayConfig));
+        let cases: [Case; 22] = [
             (Craid5, |c| c.disks = 0),
             (Craid5, |c| c.parity_group = 3),
             (Craid5, |c| c.stripe_unit = 0),

@@ -10,14 +10,15 @@
 //!
 //! Three passes run, in order:
 //!
-//! 1. **Storage-graph rules** ([`graph`]): the resolved
-//!    [`ArrayConfig`](crate::ArrayConfig) is lowered into an explicit
-//!    device / parity-group / partition graph
-//!    ([`graph::StorageGraph`]) and an extensible set of
-//!    [`graph::Rule`] objects checks capacity arithmetic, parity-group
-//!    divisibility, cache-partition bindings, fair-share weights, QoS
-//!    ranges and maintenance-rate sanity.
-//! 2. **Symbolic timeline interpretation** ([`timeline`]): the
+//! 1. **Scenario-surface checks** ([`check_surface`]): the scenario's own
+//!    knobs (`pc_fraction`, request counts, phase-swap sources). Findings
+//!    here stop the analysis, because the later passes resolve the
+//!    workload from these knobs.
+//! 2. **Configuration rules** ([`graph::check_config`]): the resolved
+//!    [`ArrayConfig`](crate::ArrayConfig)'s capacity arithmetic,
+//!    parity-group divisibility, cache-partition binding, fair-share
+//!    weights, QoS ranges and maintenance-rate sanity.
+//! 3. **Symbolic timeline interpretation** ([`timeline`]): the
 //!    [`ScheduledEvent`] schedule is abstractly replayed over per-disk
 //!    state machines (healthy / failed / rebuilding), expansion
 //!    generations and the activation policy — catching repairs of
@@ -25,8 +26,6 @@
 //!    expansions that shrink or break the array, events beyond the reach
 //!    of the workload, and `wait-for-repair` activations that can
 //!    provably never fire.
-//! 3. **Scenario-surface rules** (this module): the scenario's own knobs
-//!    (`pc_fraction`, request counts, phase-swap sources).
 //!
 //! Beyond the static passes, [`explore`] *dynamically* model-checks the
 //! scheduler's decision space on a small-scope projection of the
@@ -153,7 +152,8 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The result of analysing a scenario or configuration: every finding,
-/// in pass order (graph rules, then timeline, then scenario surface).
+/// in pass order (scenario surface, then configuration rules, then
+/// timeline).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Analysis {
     /// Every diagnostic the passes emitted.
@@ -216,7 +216,7 @@ impl fmt::Display for Analysis {
 
 /// The stable diagnostic codes, grouped by pass.
 ///
-/// `CRAID-E1xx` are storage-graph (configuration) errors, `CRAID-E2xx`
+/// `CRAID-E1xx` are configuration errors, `CRAID-E2xx`
 /// timeline errors, `CRAID-W3xx` timeline warnings. Codes never change
 /// meaning; retired codes are not reused.
 ///
@@ -321,16 +321,12 @@ pub mod codes {
     pub const THROTTLE_CLAMP: &str = "CRAID-E406";
 }
 
-/// Analyses a scenario: storage-graph rules over the resolved config,
-/// symbolic timeline interpretation, and the scenario-surface checks.
-///
-/// Pure: no trace is generated and no simulated I/O happens — the
-/// workload footprint and duration are resolved from the scaling
-/// formulas alone.
-pub fn analyze_scenario(scenario: &Scenario) -> Analysis {
+/// The scenario-surface checks: the knobs trace generation asserts on —
+/// `pc_fraction` and the request count of the base workload and of every
+/// phase-swap source. [`Scenario::validate`] returns the first finding, so
+/// a run never generates a trace its inputs would panic on.
+pub fn check_surface(scenario: &Scenario) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
-
-    // Scenario surface: the two knobs trace generation asserts on.
     let fraction = scenario.array.pc_fraction;
     if !fraction.is_finite() || fraction <= 0.0 {
         diagnostics.push(
@@ -370,10 +366,20 @@ pub fn analyze_scenario(scenario: &Scenario) -> Analysis {
             }
         }
     }
+    diagnostics
+}
 
-    // The remaining passes need the resolved config, which needs the
+/// Analyses a scenario: the scenario-surface checks, then configuration
+/// rules over the resolved config and symbolic timeline interpretation.
+///
+/// Pure: no trace is generated and no simulated I/O happens — the
+/// workload footprint and duration are resolved from the scaling
+/// formulas alone.
+pub fn analyze_scenario(scenario: &Scenario) -> Analysis {
+    // The later passes need the resolved config, which needs the
     // statically-scaled footprint; skip them when the surface checks
     // already failed (the scaling formulas assert on these inputs).
+    let mut diagnostics = check_surface(scenario);
     if !diagnostics.is_empty() {
         return Analysis { diagnostics };
     }

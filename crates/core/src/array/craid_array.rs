@@ -8,8 +8,8 @@ use craid_raid::{IoPurpose, Layout, Raid5Layout, Raid5PlusLayout};
 use craid_simkit::SimTime;
 
 use crate::background::{
-    merge_blocks_to_ranges, BackgroundEngine, BackgroundPriority, Batch, MigrationMap, OldHome,
-    TaskId, TaskKind,
+    merge_blocks_to_ranges, prioritized_segments, BackgroundEngine, BackgroundPriority, Batch,
+    MigrationMap, OldHome, TaskId, TaskKind,
 };
 use crate::config::{ArrayConfig, StrategyKind};
 use crate::devices::{DeviceIoEvent, DeviceSet, DiskState};
@@ -271,16 +271,16 @@ impl CraidArray {
     ) {
         let slots: Vec<u64> = tasks.iter().map(|t| t.pc_slot).collect();
         let pa_blocks: Vec<u64> = tasks.iter().map(|t| t.pa_block).collect();
-        for io in pc.plan_blocks(IoKind::Read, &slots) {
-            report
-                .events
-                .push(devices.submit(now, io.disk, io.kind, io.range, io.purpose));
-        }
-        for io in pa.plan_blocks(IoKind::Write, &pa_blocks) {
-            report
-                .events
-                .push(devices.submit(now, io.disk, io.kind, io.range, io.purpose));
-        }
+        devices.issue(
+            now,
+            &pc.plan_blocks(IoKind::Read, &slots),
+            &mut report.events,
+        );
+        devices.issue(
+            now,
+            &pa.plan_blocks(IoKind::Write, &pa_blocks),
+            &mut report.events,
+        );
         report.writeback_blocks += tasks.len() as u64;
     }
 
@@ -298,10 +298,11 @@ impl CraidArray {
         self.config.pc_blocks_per_hdd() + pa_live
     }
 
-    /// The rebuild's segment order for `disk`: sequential, or — under
-    /// `HotFirst` with a monitor to rank heat — the cache-partition rows
-    /// first, then the hottest archive stripes this disk holds, then the
-    /// cold remainder.
+    /// The order a rebuild of `disk` streams its `live` physical blocks in:
+    /// sequential, or — under `HotFirst` with a monitor to rank heat — the
+    /// cache-partition rows first, then the hottest archive stripes this
+    /// disk holds (at most [`fault::MAX_HOT_REBUILD_BLOCKS`] of them), then
+    /// the cold remainder. Every segment ends within `live`.
     fn rebuild_plan(&self, disk: usize, live: u64) -> Vec<BlockRange> {
         let mut hot = Vec::new();
         if let (BackgroundPriority::HotFirst, Some(cache)) =
@@ -314,7 +315,7 @@ impl CraidArray {
             // Rank globally, filter to this disk, and only then cap — so
             // the cap bounds the blocks this rebuild front-loads, not a
             // share of a global list diluted by the other disks.
-            let on_disk: Vec<u64> = cache
+            let mut physical: Vec<u64> = cache
                 .monitor
                 .hottest_blocks(usize::MAX)
                 .into_iter()
@@ -323,12 +324,12 @@ impl CraidArray {
                     (loc.disk == disk).then_some(loc.block + self.pa.block_offset())
                 })
                 .collect();
-            let mut physical = fault::cap_hot_blocks(on_disk);
+            physical.truncate(fault::MAX_HOT_REBUILD_BLOCKS);
             physical.sort_unstable();
             physical.dedup();
             hot.extend(merge_blocks_to_ranges(&physical));
         }
-        fault::rebuild_segments(live, hot)
+        prioritized_segments(live, hot)
     }
 
     /// Forwards supersessions the redirector recorded against the archive
@@ -346,16 +347,18 @@ impl CraidArray {
     /// Issues the device I/O moving one batch of migrated blocks into the
     /// rebuilt cache partition: read the pre-upgrade copy from its old
     /// slot, re-admit it (dirty bit preserved), write the new slot, and pay
-    /// the write-backs of whatever the re-admissions displaced.
+    /// the write-backs of whatever the re-admissions displaced. The device
+    /// events are appended to `events`.
     fn apply_migration_batch(
         &mut self,
         now: SimTime,
         id: TaskId,
         blocks: &[u64],
-    ) -> Vec<DeviceIoEvent> {
+        events: &mut Vec<DeviceIoEvent>,
+    ) {
         // Only a cache partition enqueues block-list migrations.
         let Some(cache) = self.cache.as_mut() else {
-            return Vec::new();
+            return;
         };
         // First settle the bookkeeping (map removal, re-admission,
         // displaced evictions), then plan the I/O — re-admitting first
@@ -438,22 +441,17 @@ impl CraidArray {
         self.flush_archive_forfeits();
         // Old-geometry reads reconstruct via the old parity groups; the
         // rest via the current layouts.
-        let mut ios = self.degrade_old_pc(id, old_ios);
-        ios.extend(self.degrade(new_ios));
-        let mut events = Vec::with_capacity(ios.len());
-        for io in ios {
-            events.push(
-                self.devices
-                    .submit(now, io.disk, io.kind, io.range, io.purpose),
-            );
-        }
-        events
+        let old_ios = self.degrade(old_ios, Some(id));
+        let new_ios = self.degrade(new_ios, None);
+        self.devices.issue(now, &old_ios, events);
+        self.devices.issue(now, &new_ios, events);
     }
 
     /// Issues the device I/O for the next `budget` archive-restripe moves:
     /// advance the cursor, read each block's pre-reshape location, write
-    /// its reshaped home (parity maintenance included).
-    fn apply_archive_batch(&mut self, now: SimTime, budget: u64) -> Vec<DeviceIoEvent> {
+    /// its reshaped home (parity maintenance included). The device events
+    /// are appended to `events`.
+    fn apply_archive_batch(&mut self, now: SimTime, budget: u64, events: &mut Vec<DeviceIoEvent>) {
         let (moved, ios) = self
             .archive_restripe
             .as_mut()
@@ -463,53 +461,35 @@ impl CraidArray {
         // An ideal-archive reshape preserves the parity-group width (the
         // expanded count must stay a multiple of the group), so the current
         // layout's peers are also correct for pre-reshape locations.
-        let ios = self.degrade(ios);
-        let mut events = Vec::with_capacity(ios.len());
-        for io in ios {
-            events.push(
-                self.devices
-                    .submit(now, io.disk, io.kind, io.range, io.purpose),
-            );
-        }
-        events
-    }
-
-    /// Degraded-mode rewrite for I/O planned against a *pre-upgrade* cache
-    /// partition: reconstruction peers come from that generation's parity
-    /// groups — the groups that actually protect those copies — not the
-    /// rebuilt one (the two can group disks differently when the expanded
-    /// count stops dividing by the parity group).
-    fn degrade_old_pc(&mut self, generation: TaskId, plan: Vec<PartitionIo>) -> Vec<PartitionIo> {
-        let Some((failed, state)) = self.devices.degraded_disk() else {
-            return plan;
-        };
-        let old_layout = self
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.old_pcs.get(&generation))
-            .expect("old-geometry I/O implies a preserved old PC")
-            .layout();
-        fault::degrade_plan(
-            plan,
-            failed,
-            state == DiskState::Rebuilding,
-            |io| old_layout.reconstruction_peers(io.disk),
-            &mut self.fault_stats,
-        )
+        let ios = self.degrade(ios, None);
+        self.devices.issue(now, &ios, events);
     }
 
     /// Rewrites a plan for degraded mode when a disk is failed or
-    /// rebuilding; a no-op on a healthy array.
-    fn degrade(&mut self, plan: Vec<PartitionIo>) -> Vec<PartitionIo> {
+    /// rebuilding; a no-op on a healthy array. `generation` names the
+    /// migration whose *pre-upgrade* cache partition the plan addresses
+    /// (`None` for the current layouts): its copies are protected by that
+    /// geometry's parity groups, not the rebuilt one's (the two can group
+    /// disks differently when the expanded count stops dividing by the
+    /// parity group).
+    fn degrade(&mut self, plan: Vec<PartitionIo>, generation: Option<TaskId>) -> Vec<PartitionIo> {
         let Some((failed, state)) = self.devices.degraded_disk() else {
             return plan;
         };
         // Degraded mode: reads of the lost disk are reconstructed from its
         // parity-group peers — the PC and PA layouts group disks
         // differently, so the peer set depends on which per-disk region the
-        // I/O falls in.
+        // I/O falls in. Every generation's PC spans the same leading
+        // `pc_blocks_per_hdd` blocks of each disk.
         let pc_limit = self.config.pc_blocks_per_hdd();
-        let pc_layout = self.cache.as_ref().map(|cache| cache.pc.layout());
+        let pc_layout = self.cache.as_ref().map(|cache| match generation {
+            Some(id) => cache
+                .old_pcs
+                .get(&id)
+                .expect("old-geometry I/O implies a preserved old PC")
+                .layout(),
+            None => cache.pc.layout(),
+        });
         let pa_layout = self.pa.layout();
         let peers_for = |io: &PartitionIo| match pc_layout {
             Some(pc_layout) if io.range.start() < pc_limit => {
@@ -539,16 +519,9 @@ impl CraidArray {
             }
         };
         self.flush_archive_forfeits();
-        let plan = self.degrade(plan);
+        let plan = self.degrade(plan, None);
         let mut report = RequestReport::default();
-        let mut finish = now;
-        for io in plan {
-            let event = self
-                .devices
-                .submit(now, io.disk, io.kind, io.range, io.purpose);
-            finish = finish.max(event.finished);
-            report.events.push(event);
-        }
+        let finish = self.devices.issue(now, &plan, &mut report.events);
         report.response = finish.saturating_since(now);
         report
     }
@@ -844,7 +817,7 @@ impl StorageArray for CraidArray {
             dirty_writebacks: plan.dirty_writebacks,
             ..RequestReport::default()
         };
-        plan.foreground = self.degrade(plan.foreground);
+        let mut foreground = self.degrade(plan.foreground, None);
         for (generation, slots) in old_slot_reads {
             let old_ios = self
                 .cache
@@ -852,24 +825,11 @@ impl StorageArray for CraidArray {
                 .and_then(|cache| cache.old_pcs.get(&generation))
                 .expect("pending dirty blocks imply a preserved old PC geometry")
                 .plan_blocks(IoKind::Read, &slots);
-            let degraded_old = self.degrade_old_pc(generation, old_ios);
-            plan.foreground.extend(degraded_old);
+            foreground.extend(self.degrade(old_ios, Some(generation)));
         }
-        plan.background = self.degrade(plan.background);
-        let mut finish = now;
-        for io in plan.foreground {
-            let ev = self
-                .devices
-                .submit(now, io.disk, io.kind, io.range, io.purpose);
-            finish = finish.max(ev.finished);
-            report.events.push(ev);
-        }
-        for io in plan.background {
-            let ev = self
-                .devices
-                .submit(now, io.disk, io.kind, io.range, io.purpose);
-            report.events.push(ev);
-        }
+        let background = self.degrade(plan.background, None);
+        let finish = self.devices.issue(now, &foreground, &mut report.events);
+        self.devices.issue(now, &background, &mut report.events);
         report.response = finish.saturating_since(now);
         Ok(report)
     }
@@ -946,25 +906,33 @@ impl StorageArray for CraidArray {
     }
 
     fn repair_disk(&mut self, now: SimTime, disk: usize) -> Result<(), CraidError> {
-        // The rebuild streams the whole device image; its peers are the
-        // archive layout's parity group (the PC rows of the disk are
-        // reconstructed from the same spindles on the paper's shapes).
-        let peers = self.pa.layout().reconstruction_peers(disk);
+        // Installing the spare refuses any disk that is not failed — one
+        // the array does not have included — before anything else reads
+        // the disk's slot.
+        self.devices.start_rebuild(disk)?;
+        // The rebuild streams the disk's *live* region — the PC rows plus
+        // the archive share of the dataset, parity included — rather than
+        // the raw device capacity, in the spirit of CRAID's data-aware
+        // maintenance: stripes that never held data need no
+        // reconstruction. The live region is clamped to the device, and
+        // the plan's segments end within it. The peers are the archive
+        // layout's parity group (the PC rows of the disk are reconstructed
+        // from the same spindles on the paper's shapes).
         let live = self
             .live_blocks_per_hdd()
             .min(self.devices.capacity_blocks(disk))
             .max(1);
         let segments = self.rebuild_plan(disk, live);
-        fault::start_rebuild(
-            &mut self.background,
-            &mut self.devices,
+        let peers = self.pa.layout().reconstruction_peers(disk);
+        self.background.push_rebuild(
             now,
             disk,
             peers,
             segments,
             self.config.rebuild_rate_blocks_per_sec,
-            &mut self.fault_stats,
-        )
+        );
+        self.fault_stats.disk_repairs += 1;
+        Ok(())
     }
 
     fn pump_background_into(&mut self, now: SimTime, events: &mut Vec<DeviceIoEvent>) {
@@ -976,28 +944,41 @@ impl StorageArray for CraidArray {
                     ranges,
                     ..
                 } => {
-                    fault::issue_rebuild_batch(
-                        now,
-                        disk,
-                        &peers,
-                        &ranges,
-                        &mut self.devices,
-                        events,
-                        &mut self.fault_stats,
-                    );
+                    // Every range is read from every surviving peer and
+                    // its reconstruction written onto the spare.
+                    for range in ranges {
+                        for &peer in &peers {
+                            events.push(self.devices.submit(
+                                now,
+                                peer,
+                                IoKind::Read,
+                                range,
+                                IoPurpose::RebuildRead,
+                            ));
+                        }
+                        events.push(self.devices.submit(
+                            now,
+                            disk,
+                            IoKind::Write,
+                            range,
+                            IoPurpose::RebuildWrite,
+                        ));
+                        self.fault_stats.rebuild_read_blocks += range.len() * peers.len() as u64;
+                        self.fault_stats.rebuild_write_blocks += range.len();
+                    }
                 }
                 Batch::Migration { id, blocks } => {
-                    events.extend(self.apply_migration_batch(now, id, &blocks));
+                    self.apply_migration_batch(now, id, &blocks, events);
                 }
-                Batch::Restripe { budget, .. } => {
-                    events.extend(self.apply_archive_batch(now, budget));
-                }
+                Batch::Restripe { budget, .. } => self.apply_archive_batch(now, budget, events),
             }
         }
         for done in self.background.take_completed() {
             match done.kind {
                 TaskKind::Rebuild => {
-                    fault::complete_rebuild(&done, &mut self.devices, &mut self.fault_stats);
+                    self.fault_stats.rebuilds_completed += 1;
+                    self.fault_stats.rebuild_secs += done.window_secs;
+                    self.devices.complete_rebuild(done.disk);
                 }
                 TaskKind::ExpansionMigration => {
                     if let Some(cache) = self.cache.as_mut() {
@@ -1455,9 +1436,8 @@ mod tests {
 
     #[test]
     fn repair_streams_the_rebuild_and_heals_the_array() {
-        use craid_raid::IoPurpose;
         let mut config = ArrayConfig::small_test(StrategyKind::Craid5, 10_000);
-        config.rebuild_rate_blocks_per_sec = 1_000_000.0;
+        config.rebuild_rate_blocks_per_sec = 100.0;
         let mut a = CraidArray::new(config).unwrap();
         a.fail_disk(SimTime::ZERO, 2).unwrap();
         // Expanding a degraded array is refused (instant-migration mode).
@@ -1467,9 +1447,28 @@ mod tests {
         ));
         a.repair_disk(SimTime::from_secs(1.0), 2).unwrap();
         assert!(!a.background_idle());
+        // Nothing is due at the repair instant. 2 s later the pace demands
+        // 200 blocks: one batch reads them from the 3 surviving members of
+        // disk 2's parity group and writes them onto the spare.
+        assert!(a.pump_background(SimTime::from_secs(1.0)).is_empty());
+        let batch = a.pump_background(SimTime::from_secs(3.0));
+        let ios: Vec<_> = batch
+            .iter()
+            .map(|e| (e.device, e.purpose, e.blocks))
+            .collect();
+        let read = IoPurpose::RebuildRead;
+        assert_eq!(
+            ios,
+            [
+                (0, read, 200),
+                (1, read, 200),
+                (3, read, 200),
+                (2, IoPurpose::RebuildWrite, 200)
+            ]
+        );
         // Client traffic interleaves with the rebuild stream until the
         // spare holds the full image.
-        let mut t = 2.0;
+        let mut t = 4.0;
         let mut saw_rebuild_write = false;
         while a.fault_stats().rebuilds_completed == 0 && t < 100.0 {
             let bg = a.pump_background(SimTime::from_secs(t));
@@ -1486,6 +1485,7 @@ mod tests {
         assert!(stats.rebuild_secs > 0.0);
         assert!(stats.mttr_secs() > 0.0);
         assert_eq!(stats.rebuild_write_blocks, a.live_blocks_per_hdd());
+        assert_eq!(stats.rebuild_read_blocks, 3 * stats.rebuild_write_blocks);
         assert!(
             stats.rebuild_write_blocks < 2 * 1024 * 1024 / 10,
             "a data-aware rebuild reconstructs only live stripes, not the \
@@ -1502,6 +1502,43 @@ mod tests {
         .unwrap();
         assert_eq!(a.fault_stats().degraded_reads, degraded_before);
         assert!(a.expand(SimTime::from_secs(t + 2.0), 4).is_ok());
+
+        // A hot-first plan streams the PC rows, then at most the cap of
+        // scattered hot blocks, then the ascending cold remainder. Reading
+        // 40,000 blocks heats far more than the cap on every disk.
+        let config = ArrayConfig::small_test(StrategyKind::Craid5, 60_000)
+            .with_background_priority(BackgroundPriority::HotFirst);
+        let mut a = CraidArray::new(config).unwrap();
+        for start in (0..40_000).step_by(500) {
+            a.submit(SimTime::ZERO, IoKind::Read, BlockRange::new(start, 500))
+                .unwrap();
+        }
+        let live = a.live_blocks_per_hdd();
+        let plan = a.rebuild_plan(2, live);
+        assert_eq!(plan[0], BlockRange::new(0, a.config.pc_blocks_per_hdd()));
+        let cold = 2 + plan[1..]
+            .windows(2)
+            .position(|w| w[1].start() < w[0].start())
+            .expect("the cold remainder restarts below the hot ranges");
+        let hot: u64 = plan[1..cold].iter().map(|r| r.len()).sum();
+        assert_eq!(hot, fault::MAX_HOT_REBUILD_BLOCKS as u64);
+        assert_eq!(plan.iter().map(|r| r.len()).sum::<u64>(), live);
+    }
+
+    #[test]
+    fn repairing_a_disk_the_array_lacks_is_a_fault_error() {
+        let mut a = array(StrategyKind::Craid5);
+        assert!(matches!(
+            a.repair_disk(SimTime::ZERO, 99),
+            Err(CraidError::InvalidFault(_))
+        ));
+        assert!(a.background_idle());
+        let scenario = crate::Scenario::builder()
+            .requests(400)
+            .small_test()
+            .repair_disk_at(SimTime::from_secs(1.0), 99)
+            .build();
+        assert!(matches!(scenario.run(), Err(CraidError::InvalidFault(_))));
     }
 
     #[test]

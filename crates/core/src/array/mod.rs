@@ -24,14 +24,16 @@ pub struct RequestReport {
     /// Every device-level I/O the request caused (foreground and
     /// background), for the metrics trackers.
     pub events: Vec<DeviceIoEvent>,
-    /// Blocks served from an existing cache-partition copy (0 for
-    /// baselines).
+    /// Blocks served from an existing cache-partition copy (0 without a
+    /// cache partition).
     pub cache_hit_blocks: u64,
-    /// Blocks admitted into the cache partition (0 for baselines).
+    /// Blocks admitted into the cache partition (0 without a cache
+    /// partition).
     pub admitted_blocks: u64,
-    /// Evictions triggered (0 for baselines).
+    /// Evictions triggered (0 without a cache partition).
     pub evictions: u64,
-    /// Evictions requiring an archive write-back (0 for baselines).
+    /// Evictions requiring an archive write-back (0 without a cache
+    /// partition).
     pub dirty_writebacks: u64,
 }
 

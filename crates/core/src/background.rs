@@ -264,10 +264,10 @@ enum WorkBatch {
 }
 
 /// The QoS throttle attached to an engine: the controller's current scale
-/// and the maintenance-rate floor it is clamped to. Attaching one switches
-/// every task's pacing clock from absolute (`rate × elapsed`) to
+/// and the maintenance-rate floor it is clamped to. Every task paces by
 /// *accumulated scaled time* (`rate × Σ scale·Δt`), so retargets apply
-/// going forward without rewriting a task's past.
+/// going forward without rewriting a task's past; without a throttle the
+/// scale is 1.0 and the clock never advances, which is `rate × elapsed`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Throttle {
     /// Current throttle in `[floor, 1.0]`.
@@ -292,26 +292,30 @@ struct BackgroundTask {
     /// (every queued task is live under fair share).
     started: SimTime,
     issued: u64,
-    /// Throttle-scaled seconds accumulated so far (`Σ scale·Δt` since
-    /// push); only consulted when a throttle is attached.
+    /// Throttle-scaled seconds accumulated up to `last_advance` (`Σ
+    /// scale·Δt` since push); only a throttle retarget or a throttled poll
+    /// advances it.
     paced_secs: f64,
-    /// The instant `paced_secs` was last advanced to.
+    /// The instant `paced_secs` was last advanced to (`started` until then).
     last_advance: SimTime,
 }
 
 impl BackgroundTask {
-    /// Blocks due by the pacing clock at `now`. Unthrottled tasks use the
-    /// original absolute formula (`rate × elapsed` — the pinned no-QoS
-    /// path); throttled tasks use the accumulated scaled clock, which the
-    /// caller must have advanced to `now` first.
-    fn pace_target(&self, now: SimTime, throttle: Option<&Throttle>) -> u64 {
-        match throttle {
-            None => {
-                let elapsed = now.saturating_since(self.started).as_secs();
-                (self.rate_blocks_per_sec * elapsed) as u64
-            }
-            Some(_) => (self.rate_blocks_per_sec * self.paced_secs) as u64,
-        }
+    /// Scaled seconds of pacing credit at `now`: the accumulated clock plus
+    /// the time since its last advance at the current `scale`.
+    fn paced_secs_at(&self, now: SimTime, scale: f64) -> f64 {
+        self.paced_secs + scale * now.saturating_since(self.last_advance).as_secs()
+    }
+
+    /// Blocks due by the pacing clock at `now`.
+    fn pace_target(&self, now: SimTime, scale: f64) -> u64 {
+        (self.rate_blocks_per_sec * self.paced_secs_at(now, scale)) as u64
+    }
+
+    /// The instant the scaled clock reaches `pace_secs` at `scale`.
+    fn paced_instant(&self, pace_secs: f64, scale: f64) -> SimTime {
+        let deficit_secs = (pace_secs - self.paced_secs).max(0.0);
+        self.last_advance + SimDuration::from_secs(deficit_secs / scale)
     }
 
     /// The instant this task's pacing clock first demands another block
@@ -319,34 +323,19 @@ impl BackgroundTask {
     /// work has drained — an empty task retires on the next poll, and that
     /// completion can unblock deferred expansions, so it must not wait for
     /// a pace tick that will never come.
-    fn next_block_due(&self, throttle: Option<&Throttle>) -> SimTime {
+    fn next_block_due(&self, scale: f64) -> SimTime {
         if self.work.remaining() == 0 {
             return SimTime::ZERO;
         }
-        let pace_secs = (self.issued + 1) as f64 / self.rate_blocks_per_sec;
-        match throttle {
-            None => self.started + SimDuration::from_secs(pace_secs),
-            Some(t) => {
-                let deficit_secs = (pace_secs - self.paced_secs).max(0.0);
-                self.last_advance + SimDuration::from_secs(deficit_secs / t.scale)
-            }
-        }
+        self.paced_instant((self.issued + 1) as f64 / self.rate_blocks_per_sec, scale)
     }
 
-    /// The simulated instant this task's pace alone would complete it:
-    /// `started + total_work / rate`, or — throttled — the instant the
-    /// scaled clock reaches the remaining work at the current effective
-    /// rate. Forfeited stream work shrinks it.
-    fn pace_eta(&self, throttle: Option<&Throttle>) -> SimTime {
+    /// The simulated instant this task's pace alone would complete it: the
+    /// instant the scaled clock reaches the remaining work at the current
+    /// effective rate. Forfeited stream work shrinks it.
+    fn pace_eta(&self, scale: f64) -> SimTime {
         let total = self.issued + self.work.remaining();
-        match throttle {
-            None => self.started + SimDuration::from_secs(total as f64 / self.rate_blocks_per_sec),
-            Some(t) => {
-                let deficit_secs =
-                    (total as f64 / self.rate_blocks_per_sec - self.paced_secs).max(0.0);
-                self.last_advance + SimDuration::from_secs(deficit_secs / t.scale)
-            }
-        }
+        self.paced_instant(total as f64 / self.rate_blocks_per_sec, scale)
     }
 }
 
@@ -407,8 +396,8 @@ pub struct BackgroundEngine {
     shares: FairShares,
     next_id: TaskId,
     completed: Vec<CompletedTask>,
-    /// The QoS throttle, when a controller is attached. `None` keeps the
-    /// original absolute pacing — bit-for-bit the pre-QoS behaviour.
+    /// The QoS throttle, when a controller is attached. `None` paces at
+    /// scale 1.0 — bit-for-bit the pre-QoS behaviour.
     throttle: Option<Throttle>,
     /// Memoized [`BackgroundEngine::next_due`]: outer `None` = stale
     /// (recompute on the next query), inner `None` = idle engine, never
@@ -442,9 +431,7 @@ impl BackgroundEngine {
     /// Attaches a QoS throttle with the given maintenance-rate floor
     /// (fraction of each task's configured rate, in `(0, 1]`). The engine
     /// starts at full scale (1.0); a controller retargets it via
-    /// [`BackgroundEngine::set_throttle`]. Attaching switches pacing to the
-    /// accumulated scaled clock — the unthrottled engine keeps the original
-    /// absolute formula untouched.
+    /// [`BackgroundEngine::set_throttle`].
     ///
     /// # Panics
     ///
@@ -488,27 +475,29 @@ impl BackgroundEngine {
         self.throttle.map(|t| t.scale)
     }
 
+    /// The pacing scale: the attached throttle's, or 1.0 without one.
+    fn scale(&self) -> f64 {
+        self.throttle.map_or(1.0, |t| t.scale)
+    }
+
     /// Advances every task's accumulated scaled clock to `now` at the
-    /// current scale. Only meaningful with a throttle attached.
+    /// current scale. A no-op without a throttle: an unthrottled clock
+    /// never advances, so it keeps reading `rate × elapsed`.
     fn advance_clocks(&mut self, now: SimTime) {
         let Some(throttle) = self.throttle else {
             return;
         };
         for task in &mut self.queue {
-            let dt = now.saturating_since(task.last_advance).as_secs();
-            task.paced_secs += throttle.scale * dt;
+            task.paced_secs = task.paced_secs_at(now, throttle.scale);
             task.last_advance = now;
         }
     }
 
-    /// One poll's combined issue budget: the static cap, scaled down by the
-    /// throttle when one is attached (never below one block — a throttled
-    /// poll still makes progress).
+    /// One poll's combined issue budget: the static cap, scaled by the
+    /// throttle (never below one block — a throttled poll still makes
+    /// progress).
     fn batch_cap(&self) -> u64 {
-        match self.throttle {
-            None => MAX_BATCH_BLOCKS,
-            Some(t) => ((MAX_BATCH_BLOCKS as f64 * t.scale) as u64).max(1),
-        }
+        ((MAX_BATCH_BLOCKS as f64 * self.scale()) as u64).max(1)
     }
 
     /// True when no task is queued or active.
@@ -534,10 +523,7 @@ impl BackgroundEngine {
     /// complete it, or `None` when the engine is idle. The simulation's
     /// end-of-trace drain jumps time here instead of stepping blindly.
     pub fn drain_eta(&self) -> Option<SimTime> {
-        self.queue
-            .iter()
-            .map(|t| t.pace_eta(self.throttle.as_ref()))
-            .min()
+        self.queue.iter().map(|t| t.pace_eta(self.scale())).min()
     }
 
     /// The earliest instant at which a poll could do anything — issue a
@@ -550,7 +536,7 @@ impl BackgroundEngine {
         let due = self
             .queue
             .iter()
-            .map(|t| t.next_block_due(self.throttle.as_ref()))
+            .map(|t| t.next_block_due(self.scale()))
             .min();
         self.next_due_cache = Some(due);
         due
@@ -711,17 +697,17 @@ impl BackgroundEngine {
         // Clocks and issue counters are about to move.
         self.next_due_cache = None;
         // With a throttle attached, bring the scaled pacing clocks up to
-        // `now` first (unthrottled pacing reads absolute time and needs no
-        // advance).
+        // `now` first.
         self.advance_clocks(now);
         let cap = self.batch_cap();
+        let scale = self.scale();
         // Phase 1: how many blocks does each task's pace demand right now?
         let mut due: Vec<u64> = Vec::with_capacity(self.queue.len());
         let mut total_due = 0u64;
         let mut weight_sum = 0.0f64;
         for task in &self.queue {
             let remaining = task.work.remaining();
-            let target = task.pace_target(now, self.throttle.as_ref());
+            let target = task.pace_target(now, scale);
             let want = target.saturating_sub(task.issued).min(remaining);
             due.push(want);
             if want > 0 {

@@ -193,16 +193,6 @@ impl Deserialize for ActivationPolicy {
     }
 }
 
-/// Which device model backs the simulated spindles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeviceTier {
-    /// The Cheetah-15K.5-like mechanical model (the default).
-    Hdd,
-    /// The zero-latency model used for the policy-quality experiments
-    /// (Tables 2 and 3), where only hit/replacement counts matter.
-    Instant,
-}
-
 /// Complete description of one simulated array.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrayConfig {
@@ -227,8 +217,6 @@ pub struct ArrayConfig {
     /// Replacement policy for the I/O monitor (the paper settles on
     /// WLRU(0.5)).
     pub policy: PolicyKind,
-    /// Device model used for the spindles.
-    pub device_tier: DeviceTier,
     /// Disk counts of the aggregation steps used by RAID-5+ archives
     /// (the paper's schedule grows 10 → 50 disks in ≈30 % steps).
     pub expansion_sets: Vec<usize>,
@@ -303,7 +291,6 @@ impl ArrayConfig {
             pc_capacity_blocks,
             dataset_blocks,
             policy: PolicyKind::Wlru(0.5),
-            device_tier: DeviceTier::Hdd,
             expansion_sets: vec![10, 3, 4, 5, 7, 9, 12],
             hdd_capacity_blocks: hdd.capacity_blocks,
             hdd,
@@ -332,7 +319,6 @@ impl ArrayConfig {
             pc_capacity_blocks: (dataset_blocks / 5).max(64),
             dataset_blocks,
             policy: PolicyKind::Wlru(0.5),
-            device_tier: DeviceTier::Hdd,
             expansion_sets: vec![4, 4],
             hdd_capacity_blocks: hdd.capacity_blocks,
             hdd,
@@ -459,9 +445,10 @@ impl ArrayConfig {
     }
 
     /// Validates the configuration by running the static analyser's
-    /// storage-graph rules ([`crate::analyze::graph`]) and returning the
-    /// first error-severity finding — so this legacy `Result` surface
-    /// and [`crate::analyze`] render identical diagnostics.
+    /// configuration rules ([`crate::analyze::graph::check_config`]) and
+    /// returning the first error-severity finding — so this legacy
+    /// `Result` surface and [`crate::analyze`] render identical
+    /// diagnostics.
     ///
     /// # Errors
     ///

@@ -9,13 +9,13 @@
 use serde::{Deserialize, Serialize};
 
 use craid_diskmodel::{
-    BlockRange, DeviceLoadStats, HddModel, HddParameters, InstantModel, IoKind, SsdModel,
-    SsdParameters, StorageDevice,
+    BlockRange, DeviceLoadStats, HddModel, HddParameters, IoKind, SsdModel, SsdParameters,
+    StorageDevice,
 };
-use craid_raid::IoPurpose;
+use craid_raid::{IoPurpose, PlannedIo};
 use craid_simkit::SimTime;
 
-use crate::config::{ArrayConfig, DeviceTier};
+use crate::config::ArrayConfig;
 use crate::error::CraidError;
 
 /// Health of one device in the array.
@@ -74,7 +74,6 @@ impl DeviceIoEvent {
 enum DeviceUnit {
     Hdd(StorageDevice<HddModel>),
     Ssd(StorageDevice<SsdModel>),
-    Instant(StorageDevice<InstantModel>),
 }
 
 impl DeviceUnit {
@@ -88,10 +87,6 @@ impl DeviceUnit {
                 let c = d.submit_detailed(now, kind, range);
                 (c.finished, c.queue_depth, c.breakdown.cache_hit)
             }
-            DeviceUnit::Instant(d) => {
-                let c = d.submit_detailed(now, kind, range);
-                (c.finished, c.queue_depth, c.breakdown.cache_hit)
-            }
         }
     }
 
@@ -99,7 +94,6 @@ impl DeviceUnit {
         match self {
             DeviceUnit::Hdd(d) => d.stats().clone(),
             DeviceUnit::Ssd(d) => d.stats().clone(),
-            DeviceUnit::Instant(d) => d.stats().clone(),
         }
     }
 
@@ -107,7 +101,6 @@ impl DeviceUnit {
         match self {
             DeviceUnit::Hdd(d) => d.capacity_blocks(),
             DeviceUnit::Ssd(d) => d.capacity_blocks(),
-            DeviceUnit::Instant(d) => d.capacity_blocks(),
         }
     }
 }
@@ -119,18 +112,24 @@ pub struct DeviceSet {
     devices: Vec<DeviceUnit>,
     states: Vec<DiskState>,
     hdd_count: usize,
-    tier: DeviceTier,
+    /// The mechanical disks' parameters, capacity included: upgrades add
+    /// disks of the same model.
     hdd_params: HddParameters,
-    hdd_capacity_blocks: u64,
 }
 
 impl DeviceSet {
     /// Builds the device population described by `config`.
     pub fn from_config(config: &ArrayConfig) -> Self {
-        let mut devices = Vec::with_capacity(config.disks + config.ssd_cache_devices);
-        for id in 0..config.disks {
-            devices.push(Self::build_hdd(config, id));
-        }
+        let mut set = DeviceSet {
+            devices: Vec::with_capacity(config.disks + config.ssd_cache_devices),
+            states: Vec::new(),
+            hdd_count: 0,
+            hdd_params: HddParameters {
+                capacity_blocks: config.hdd_capacity_blocks,
+                ..config.hdd.clone()
+            },
+        };
+        set.add_hdds(config.disks);
         let ssd_count = if config.strategy.uses_ssd_cache() {
             config.ssd_cache_devices
         } else {
@@ -141,35 +140,13 @@ impl DeviceSet {
                 capacity_blocks: config.ssd.capacity_blocks,
                 ..config.ssd.clone()
             };
-            devices.push(DeviceUnit::Ssd(StorageDevice::new(
+            set.devices.push(DeviceUnit::Ssd(StorageDevice::new(
                 config.disks + id,
                 SsdModel::new(params),
             )));
+            set.states.push(DiskState::Healthy);
         }
-        DeviceSet {
-            states: vec![DiskState::Healthy; devices.len()],
-            devices,
-            hdd_count: config.disks,
-            tier: config.device_tier,
-            hdd_params: config.hdd.clone(),
-            hdd_capacity_blocks: config.hdd_capacity_blocks,
-        }
-    }
-
-    fn build_hdd(config: &ArrayConfig, id: usize) -> DeviceUnit {
-        match config.device_tier {
-            DeviceTier::Hdd => {
-                let params = HddParameters {
-                    capacity_blocks: config.hdd_capacity_blocks,
-                    ..config.hdd.clone()
-                };
-                DeviceUnit::Hdd(StorageDevice::new(id, HddModel::new(params)))
-            }
-            DeviceTier::Instant => DeviceUnit::Instant(StorageDevice::new(
-                id,
-                InstantModel::new(config.hdd_capacity_blocks),
-            )),
-        }
+        set
     }
 
     /// Total number of devices.
@@ -195,19 +172,10 @@ impl DeviceSet {
     pub fn add_hdds(&mut self, count: usize) {
         for i in 0..count {
             let id = self.hdd_count + i;
-            let unit = match self.tier {
-                DeviceTier::Hdd => {
-                    let params = HddParameters {
-                        capacity_blocks: self.hdd_capacity_blocks,
-                        ..self.hdd_params.clone()
-                    };
-                    DeviceUnit::Hdd(StorageDevice::new(id, HddModel::new(params)))
-                }
-                DeviceTier::Instant => DeviceUnit::Instant(StorageDevice::new(
-                    id,
-                    InstantModel::new(self.hdd_capacity_blocks),
-                )),
-            };
+            let unit = DeviceUnit::Hdd(StorageDevice::new(
+                id,
+                HddModel::new(self.hdd_params.clone()),
+            ));
             // New disks are spliced in just after the existing HDDs so that
             // HDD indices stay contiguous and SSDs keep trailing.
             self.devices.insert(self.hdd_count + i, unit);
@@ -314,6 +282,29 @@ impl DeviceSet {
         }
     }
 
+    /// Submits every I/O of `plan` in order, appending one event per I/O
+    /// to `events`, and returns the latest completion (`now` for an empty
+    /// plan). Every device I/O the array issues passes through here, the
+    /// rebuild stream aside.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`DeviceSet::submit`] does.
+    pub fn issue(
+        &mut self,
+        now: SimTime,
+        plan: &[PlannedIo],
+        events: &mut Vec<DeviceIoEvent>,
+    ) -> SimTime {
+        let mut finish = now;
+        for io in plan {
+            let event = self.submit(now, io.disk, io.kind, io.range, io.purpose);
+            finish = finish.max(event.finished);
+            events.push(event);
+        }
+        finish
+    }
+
     /// Per-device load statistics, indexed by device number.
     pub fn load_stats(&self) -> Vec<DeviceLoadStats> {
         self.devices.iter().map(DeviceUnit::stats).collect()
@@ -358,21 +349,6 @@ mod tests {
         assert!(ev.finished > ev.submitted);
         assert_eq!(set.load_stats()[2].requests, 1);
         assert_eq!(set.load_stats()[3].requests, 0);
-    }
-
-    #[test]
-    fn instant_tier_has_zero_latency() {
-        let mut config = cfg(StrategyKind::Raid5);
-        config.device_tier = DeviceTier::Instant;
-        let mut set = DeviceSet::from_config(&config);
-        let ev = set.submit(
-            SimTime::from_millis(3.0),
-            0,
-            IoKind::Write,
-            BlockRange::new(0, 4),
-            IoPurpose::Data,
-        );
-        assert_eq!(ev.finished, SimTime::from_millis(3.0));
     }
 
     #[test]

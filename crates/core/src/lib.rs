@@ -44,7 +44,7 @@
 //!   throttles the background engine between the floor and the configured
 //!   rates, with [`QosStats`] (throttle timeline, SLO-violation seconds,
 //!   effective maintenance rate) in every report;
-//! * a pre-run static analyser ([`analyze`]): storage-graph rules over
+//! * a pre-run static analyser ([`analyze`]): configuration rules over
 //!   the resolved configuration and a symbolic interpreter for event
 //!   timelines, reporting every finding as a [`Diagnostic`] with a
 //!   stable `CRAID-Exxx`/`CRAID-Wxxx` code — before any simulated I/O
@@ -123,7 +123,7 @@ pub use analyze::oracle::{InvariantOracle, RunEvidence};
 pub use analyze::{Analysis, Diagnostic, Severity};
 pub use array::{ActivatedExpansion, CraidArray, ExpansionReport, RequestReport, StorageArray};
 pub use background::{BackgroundEngine, BackgroundPriority, MigrationMap};
-pub use config::{ActivationPolicy, ArrayConfig, DeviceTier, StrategyKind};
+pub use config::{ActivationPolicy, ArrayConfig, StrategyKind};
 pub use devices::DiskState;
 pub use error::CraidError;
 pub use mapping::MappingCache;

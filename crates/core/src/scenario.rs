@@ -544,7 +544,7 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Runs the full static analysis — storage-graph rules over the
+    /// Runs the full static analysis — configuration rules over the
     /// resolved config, symbolic timeline interpretation of the event
     /// schedule, and the scenario-surface checks — without generating a
     /// trace or simulating any I/O. See [`crate::analyze`].
@@ -646,42 +646,22 @@ impl Scenario {
         config
     }
 
-    /// Validates the scenario's own knobs (the resolved [`ArrayConfig`] is
-    /// additionally validated when the run builds the array). For the
-    /// full pre-run static analysis — every configuration finding plus
-    /// the symbolic timeline checks — use [`Scenario::analyze`].
+    /// Validates the scenario's own knobs — the surface checks
+    /// ([`crate::analyze::check_surface`]) that guard trace generation (the
+    /// resolved [`ArrayConfig`] is additionally validated when the run
+    /// builds the array). For the full pre-run static analysis — every
+    /// configuration finding plus the symbolic timeline checks — use
+    /// [`Scenario::analyze`].
     ///
     /// # Errors
     ///
-    /// Returns [`CraidError::InvalidConfig`] carrying the first violated
-    /// constraint's [`crate::analyze::Diagnostic`].
+    /// Returns [`CraidError::InvalidConfig`] carrying the first surface
+    /// finding.
     pub fn validate(&self) -> Result<(), CraidError> {
-        let fraction = self.array.pc_fraction;
-        if !fraction.is_finite() || fraction <= 0.0 {
-            return Err(CraidError::InvalidConfig(
-                crate::analyze::Diagnostic::error(
-                    crate::analyze::codes::PC_FRACTION,
-                    "array.pc_fraction",
-                    format!(
-                        "scenario '{}': pc_fraction must be finite and positive, got {fraction}",
-                        self.name
-                    ),
-                ),
-            ));
+        crate::analyze::Analysis {
+            diagnostics: crate::analyze::check_surface(self),
         }
-        if self.workload.requests == 0 {
-            return Err(CraidError::InvalidConfig(
-                crate::analyze::Diagnostic::error(
-                    crate::analyze::codes::EMPTY_WORKLOAD,
-                    "workload.requests",
-                    format!(
-                        "scenario '{}': workload needs at least one request",
-                        self.name
-                    ),
-                ),
-            ));
-        }
-        Ok(())
+        .into_result()
     }
 
     /// Runs the scenario with its declared observers.
@@ -1598,6 +1578,33 @@ mod tests {
         bad.array.disks = Some(7); // parity group 4 does not divide 7
         let outcome = Campaign::new(vec![bad]).run();
         assert!(matches!(outcome, Err(CraidError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn an_empty_phase_swap_is_refused_before_any_trace_is_built() {
+        // The swapped-in segment is generated mid-run, and generation
+        // asserts on a zero request count: validation must refuse it with
+        // the analyser's own finding first, on every entry point.
+        let empty = WorkloadSource {
+            requests: 0,
+            ..tiny().workload
+        };
+        let bad = tiny()
+            .builder_like()
+            .phase_swap_at(SimTime::from_secs(1.0), "empty", empty)
+            .build();
+        let code = |result: Result<(), CraidError>| match result {
+            Err(CraidError::InvalidConfig(d)) => d.code,
+            other => panic!("expected an InvalidConfig error, got {other:?}"),
+        };
+        assert_eq!(
+            code(bad.run().map(drop)),
+            crate::analyze::codes::EMPTY_WORKLOAD
+        );
+        assert_eq!(
+            code(Campaign::new(vec![bad]).run().map(drop)),
+            crate::analyze::codes::EMPTY_WORKLOAD
+        );
     }
 
     #[test]

@@ -46,43 +46,6 @@ pub trait DeviceModel {
     fn service(&mut self, kind: IoKind, range: BlockRange) -> ServiceBreakdown;
 }
 
-/// A zero-latency model used for the policy-quality experiments.
-///
-/// The paper's Tables 2 and 3 measure hit and replacement ratios "with a
-/// simplified disk model that resolves each I/O instantly" so that policy
-/// quality can be observed without queueing interference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InstantModel {
-    capacity_blocks: u64,
-}
-
-impl InstantModel {
-    /// Creates an instant device with the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_blocks` is zero.
-    pub fn new(capacity_blocks: u64) -> Self {
-        assert!(capacity_blocks > 0, "capacity must be positive");
-        InstantModel { capacity_blocks }
-    }
-}
-
-impl DeviceModel for InstantModel {
-    fn capacity_blocks(&self) -> u64 {
-        self.capacity_blocks
-    }
-
-    fn service(&mut self, _kind: IoKind, range: BlockRange) -> ServiceBreakdown {
-        assert!(
-            range.end() <= self.capacity_blocks,
-            "request {range} beyond device capacity {}",
-            self.capacity_blocks
-        );
-        ServiceBreakdown::default()
-    }
-}
-
 /// Aggregate load statistics of one device.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeviceLoadStats {
@@ -219,18 +182,6 @@ mod tests {
             3,
             HddModel::new(HddParameters::cheetah_15k5_scaled(262_144)),
         )
-    }
-
-    #[test]
-    fn instant_model_has_zero_latency() {
-        let mut dev = StorageDevice::new(0, InstantModel::new(1_000));
-        let c = dev.submit_detailed(
-            SimTime::from_millis(5.0),
-            IoKind::Read,
-            BlockRange::new(0, 4),
-        );
-        assert_eq!(c.finished, SimTime::from_millis(5.0));
-        assert_eq!(c.breakdown.total(), SimDuration::ZERO);
     }
 
     #[test]

@@ -42,9 +42,7 @@ pub mod request;
 pub mod ssd;
 
 pub use cache::{CacheOutcome, SegmentedCache};
-pub use device::{
-    Completion, DeviceLoadStats, DeviceModel, InstantModel, ServiceBreakdown, StorageDevice,
-};
+pub use device::{Completion, DeviceLoadStats, DeviceModel, ServiceBreakdown, StorageDevice};
 pub use hdd::{HddModel, HddParameters};
 pub use request::{BlockRange, IoKind, BLOCK_SIZE_BYTES};
 pub use ssd::{SsdModel, SsdParameters};
