@@ -544,10 +544,10 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Runs the full static analysis — configuration rules over the
-    /// resolved config, symbolic timeline interpretation of the event
-    /// schedule, and the scenario-surface checks — without generating a
-    /// trace or simulating any I/O. See [`crate::analyze`].
+    /// Runs the full static analysis — the scenario-surface checks,
+    /// configuration rules over the resolved config and symbolic timeline
+    /// interpretation of the event schedule — without generating a trace
+    /// or simulating any I/O. See [`crate::analyze`].
     pub fn analyze(&self) -> crate::analyze::Analysis {
         crate::analyze::analyze_scenario(self)
     }
