@@ -216,9 +216,9 @@ impl fmt::Display for Analysis {
 
 /// The stable diagnostic codes, grouped by pass.
 ///
-/// `CRAID-E1xx` are configuration errors, `CRAID-E2xx`
-/// timeline errors, `CRAID-W3xx` timeline warnings. Codes never change
-/// meaning; retired codes are not reused.
+/// `CRAID-E1xx` are configuration errors, `CRAID-E2xx` timeline errors,
+/// `CRAID-W3xx` timeline warnings. Codes never change meaning; retired
+/// codes are not reused.
 ///
 /// Retired: `CRAID-E100` (a strategy given to the wrong array type; one
 /// array type now serves every strategy).
