@@ -315,6 +315,37 @@ mod tests {
     }
 
     #[test]
+    fn findings_come_in_rule_order_and_validate_reports_the_first() {
+        // Every rule after the shape checks trips at once; shape is left
+        // sound so the dataset-fit arithmetic still runs.
+        let mut config = ArrayConfig::small_test(StrategyKind::Craid5Plus, 10_000);
+        config.pc_capacity_blocks = 0;
+        config.expansion_sets.clear();
+        config.hdd_capacity_blocks = config.stripe_unit - 1;
+        config.rebuild_rate_blocks_per_sec = 0.0;
+        config.migration_share = -1.0;
+        config.qos = Some(SloSpec::latency_target(25.0).with_floor(1.5));
+        config.migration_rate_blocks_per_sec = Some(f64::NAN);
+        let findings = check_config(&config);
+        let order: Vec<_> = findings.iter().map(|d| d.code).collect();
+        assert_eq!(
+            order,
+            [
+                codes::EMPTY_CACHE_PARTITION,
+                codes::NO_EXPANSION_SETS,
+                codes::DISK_TOO_SMALL,
+                codes::REBUILD_RATE,
+                codes::SHARE_WEIGHT,
+                codes::QOS_FLOOR,
+                codes::MIGRATION_RATE,
+                codes::DATASET_DOES_NOT_FIT,
+            ]
+        );
+        let err = config.validate().unwrap_err();
+        assert_eq!(err.diagnostic(), Some(&findings[0]));
+    }
+
+    #[test]
     fn slo_paths_are_prefixed() {
         let spec = SloSpec::latency_target(25.0).with_floor(1.5);
         let findings = check_slo(&spec, "array.qos");

@@ -474,4 +474,18 @@ mod tests {
             vec![codes::PC_FRACTION, codes::EMPTY_WORKLOAD]
         );
     }
+
+    #[test]
+    fn validate_refuses_with_the_first_surface_finding() {
+        let mut s = Scenario::builder().build();
+        assert!(s.validate().is_ok());
+        s.workload.requests = 0;
+        s.array.pc_fraction = f64::NAN;
+        let first = check_surface(&s).remove(0);
+        assert_eq!(first.code, codes::PC_FRACTION);
+        match s.validate() {
+            Err(CraidError::InvalidConfig(d)) => assert_eq!(d, first, "help included"),
+            other => panic!("expected the pc_fraction finding, got {other:?}"),
+        }
+    }
 }

@@ -1741,6 +1741,33 @@ mod tests {
     }
 
     #[test]
+    fn degraded_reads_of_pending_dirty_blocks_reconstruct_the_old_slot() {
+        use craid_raid::IoPurpose;
+        let mut a = paced(StrategyKind::Craid5, 1.0, BackgroundPriority::Sequential);
+        let block = BlockRange::new(123, 1);
+        a.submit(SimTime::ZERO, IoKind::Write, block).unwrap();
+        a.expand(SimTime::from_secs(1.0), 4).unwrap();
+        let healthy = a
+            .submit(SimTime::from_secs(1.5), IoKind::Read, block)
+            .unwrap();
+        assert_eq!(healthy.events.len(), 1, "one read of the old slot");
+        let lost = healthy.events[0].device;
+        a.fail_disk(SimTime::from_secs(1.6), lost).unwrap();
+        // The old slot's copy is rebuilt from its old parity-group peers,
+        // still inside the (old) PC region.
+        let r = a
+            .submit(SimTime::from_secs(1.7), IoKind::Read, block)
+            .unwrap();
+        assert_eq!(r.cache_hit_blocks, 1, "still served from the old slot");
+        let pc_limit = a.config.pc_blocks_per_hdd();
+        assert!(r.events.iter().all(|e| e.device != lost
+            && e.purpose == IoPurpose::ReconstructRead
+            && e.start_block < pc_limit));
+        assert_eq!(r.events.len(), a.config.parity_group - 1);
+        assert_eq!(a.fault_stats().degraded_reads, 1);
+    }
+
+    #[test]
     fn clean_pending_reads_supersede_and_refill_the_new_pc() {
         let mut a = paced(StrategyKind::Craid5, 1.0, BackgroundPriority::Sequential);
         a.submit(SimTime::ZERO, IoKind::Read, BlockRange::new(77, 1))

@@ -1419,6 +1419,35 @@ mod tests {
     }
 
     #[test]
+    fn a_full_scale_throttle_paces_exactly_like_none() {
+        // One pacing formula: an unthrottled engine paces at scale 1.0 on a
+        // clock that never advances, so it must match an engine throttled
+        // at full scale whose clock advances at every retarget and poll.
+        // Dyadic rates and instants keep the f64 clocks exact.
+        let [mut plain, mut throttled] = [false, true].map(|throttle| {
+            let mut engine = BackgroundEngine::new();
+            if throttle {
+                engine.attach_throttle(0.5);
+            }
+            let start = SimTime::from_secs(1.0);
+            engine.push_rebuild(start, 0, vec![1], vec![BlockRange::new(0, 1_000)], 32.0);
+            engine.push_migration(start, (0..160).collect(), 64.0);
+            engine
+        });
+        for secs in [1.0, 1.5, 2.25, 3.5, 4.0, 10.5, 32.25] {
+            let now = SimTime::from_secs(secs);
+            throttled.set_throttle(now, 1.0);
+            assert_eq!(plain.work_due(now), throttled.work_due(now), "t = {secs}");
+            let batches = format!("{:?}", plain.poll(now));
+            assert_eq!(batches, format!("{:?}", throttled.poll(now)), "t = {secs}");
+            let completed = format!("{:?}", plain.take_completed());
+            assert_eq!(completed, format!("{:?}", throttled.take_completed()));
+            assert_eq!(plain.drain_eta(), throttled.drain_eta(), "t = {secs}");
+        }
+        assert!(plain.is_idle() && throttled.is_idle());
+    }
+
+    #[test]
     #[should_panic(expected = "floor must be in (0, 1]")]
     fn invalid_throttle_floor_is_rejected() {
         BackgroundEngine::new().attach_throttle(0.0);

@@ -352,6 +352,36 @@ mod tests {
     }
 
     #[test]
+    fn issue_submits_the_plan_in_order_and_returns_the_latest_finish() {
+        let mut set = DeviceSet::from_config(&cfg(StrategyKind::Raid5));
+        let mut reference = DeviceSet::from_config(&cfg(StrategyKind::Raid5));
+        let now = SimTime::from_millis(1.0);
+        let mut events = Vec::new();
+        assert_eq!(set.issue(now, &[], &mut events), now, "an empty plan");
+        assert!(events.is_empty());
+        // Two I/Os queue on disk 2 behind each other; disk 5 runs alone.
+        let plan = [
+            (2, IoKind::Read, 100),
+            (5, IoKind::Write, 0),
+            (2, IoKind::Read, 900),
+        ]
+        .map(|(disk, kind, start)| PlannedIo {
+            disk,
+            range: BlockRange::new(start, 8),
+            kind,
+            purpose: IoPurpose::Data,
+        });
+        let finish = set.issue(now, &plan, &mut events);
+        let expected: Vec<DeviceIoEvent> = plan
+            .iter()
+            .map(|io| reference.submit(now, io.disk, io.kind, io.range, io.purpose))
+            .collect();
+        assert_eq!(events, expected, "one event per I/O, in plan order");
+        assert_eq!(finish, expected.iter().map(|e| e.finished).max().unwrap());
+        assert!(events[2].finished > events[0].finished, "disk 2 queued");
+    }
+
+    #[test]
     fn adding_hdds_extends_the_population() {
         let mut set = DeviceSet::from_config(&cfg(StrategyKind::Craid5Ssd));
         let before = set.len();
