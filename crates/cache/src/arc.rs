@@ -7,10 +7,8 @@
 //! blocks seen at least twice — and adapts the split `p` between them by
 //! watching hits in two ghost lists (`B1`, `B2`) of recently evicted blocks.
 
-use std::collections::HashMap;
-
 use crate::lru::LruList;
-use crate::policy::{AccessMeta, AccessOutcome, Evicted, ReplacementPolicy};
+use crate::policy::{AccessMeta, AccessOutcome, ReplacementPolicy};
 
 /// The ARC replacement policy.
 #[derive(Debug, Clone)]
@@ -22,7 +20,6 @@ pub struct ArcPolicy {
     t2: LruList,
     b1: LruList,
     b2: LruList,
-    dirty: HashMap<u64, bool>,
 }
 
 impl ArcPolicy {
@@ -40,13 +37,17 @@ impl ArcPolicy {
             t2: LruList::new(),
             b1: LruList::new(),
             b2: LruList::new(),
-            dirty: HashMap::new(),
         }
+    }
+
+    /// Number of resident blocks (`|T1| + |T2|`).
+    fn len(&self) -> usize {
+        self.t1.len() + self.t2.len()
     }
 
     /// Evicts the appropriate resident block into its ghost list and returns
     /// it. `from_b2` is true when the current miss hit ghost list B2.
-    fn replace(&mut self, from_b2: bool) -> Option<Evicted> {
+    fn replace(&mut self, from_b2: bool) -> Option<u64> {
         let take_from_t1 =
             self.t1.len() >= 1 && ((from_b2 && self.t1.len() == self.p) || self.t1.len() > self.p);
         let (block, ghost) = if take_from_t1 {
@@ -58,42 +59,15 @@ impl ArcPolicy {
             }
         };
         ghost.touch(block);
-        let dirty = self.dirty.remove(&block).unwrap_or(false);
-        Some(Evicted { block, dirty })
-    }
-
-    fn record_dirty(&mut self, block: u64, is_write: bool) {
-        let entry = self.dirty.entry(block).or_insert(false);
-        if is_write {
-            *entry = true;
-        }
+        Some(block)
     }
 }
 
 impl ReplacementPolicy for ArcPolicy {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.t1.len() + self.t2.len()
-    }
-
-    fn contains(&self, block: u64) -> bool {
-        self.t1.contains(block) || self.t2.contains(block)
-    }
-
-    fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
+    fn access(&mut self, block: u64, _meta: AccessMeta) -> AccessOutcome {
         // Case I: hit in T1 or T2 → promote to MRU of T2.
-        if self.t1.contains(block) {
-            self.t1.remove(block);
+        if self.t1.remove(block) || self.t2.contains(block) {
             self.t2.touch(block);
-            self.record_dirty(block, meta.is_write);
-            return AccessOutcome::Hit;
-        }
-        if self.t2.contains(block) {
-            self.t2.touch(block);
-            self.record_dirty(block, meta.is_write);
             return AccessOutcome::Hit;
         }
 
@@ -104,11 +78,7 @@ impl ReplacementPolicy for ArcPolicy {
             let evicted = self.replace(false);
             self.b1.remove(block);
             self.t2.touch(block);
-            self.dirty.insert(block, meta.is_write);
-            return match evicted {
-                Some(e) => AccessOutcome::InsertedWithEviction(e),
-                None => AccessOutcome::Inserted,
-            };
+            return AccessOutcome::inserted(evicted);
         }
 
         // Case III: ghost hit in B2 → grow the frequency side.
@@ -118,11 +88,7 @@ impl ReplacementPolicy for ArcPolicy {
             let evicted = self.replace(true);
             self.b2.remove(block);
             self.t2.touch(block);
-            self.dirty.insert(block, meta.is_write);
-            return match evicted {
-                Some(e) => AccessOutcome::InsertedWithEviction(e),
-                None => AccessOutcome::Inserted,
-            };
+            return AccessOutcome::inserted(evicted);
         }
 
         // Case IV: a completely new block.
@@ -134,13 +100,7 @@ impl ReplacementPolicy for ArcPolicy {
                 evicted = self.replace(false);
             } else {
                 // B1 is empty and T1 is full: evict the LRU of T1 outright.
-                if let Some(victim) = self.t1.pop_lru() {
-                    let dirty = self.dirty.remove(&victim).unwrap_or(false);
-                    evicted = Some(Evicted {
-                        block: victim,
-                        dirty,
-                    });
-                }
+                evicted = self.t1.pop_lru();
             }
         } else {
             let total = l1 + self.t2.len() + self.b2.len();
@@ -154,69 +114,7 @@ impl ReplacementPolicy for ArcPolicy {
             }
         }
         self.t1.touch(block);
-        self.dirty.insert(block, meta.is_write);
-        match evicted {
-            Some(e) => AccessOutcome::InsertedWithEviction(e),
-            None => AccessOutcome::Inserted,
-        }
-    }
-
-    fn mark_clean(&mut self, block: u64) {
-        if let Some(d) = self.dirty.get_mut(&block) {
-            *d = false;
-        }
-    }
-
-    fn is_dirty(&self, block: u64) -> bool {
-        self.contains(block) && self.dirty.get(&block).copied().unwrap_or(false)
-    }
-
-    fn remove(&mut self, block: u64) -> Option<Evicted> {
-        if self.t1.remove(block) || self.t2.remove(block) {
-            let dirty = self.dirty.remove(&block).unwrap_or(false);
-            Some(Evicted { block, dirty })
-        } else {
-            self.b1.remove(block);
-            self.b2.remove(block);
-            None
-        }
-    }
-
-    fn clear(&mut self) -> Vec<Evicted> {
-        let mut out = Vec::new();
-        for block in self.t1.clear().into_iter().chain(self.t2.clear()) {
-            out.push(Evicted {
-                block,
-                dirty: self.dirty.remove(&block).unwrap_or(false),
-            });
-        }
-        self.b1.clear();
-        self.b2.clear();
-        self.dirty.clear();
-        self.p = 0;
-        out
-    }
-
-    fn resize(&mut self, capacity: usize) -> Vec<Evicted> {
-        assert!(capacity > 0, "cache capacity must be positive");
-        self.capacity = capacity;
-        self.p = self.p.min(capacity);
-        let mut out = Vec::new();
-        while self.len() > capacity {
-            if let Some(e) = self.replace(false) {
-                out.push(e);
-            } else {
-                break;
-            }
-        }
-        out
-    }
-
-    fn resident_blocks(&self) -> Vec<u64> {
-        self.t1
-            .iter_lru_first()
-            .chain(self.t2.iter_lru_first())
-            .collect()
+        AccessOutcome::inserted(evicted)
     }
 }
 
@@ -226,14 +124,17 @@ mod tests {
     use proptest::prelude::*;
 
     const R: AccessMeta = AccessMeta::read(1);
-    const W: AccessMeta = AccessMeta::write(1);
+
+    fn is_resident(p: &ArcPolicy, block: u64) -> bool {
+        p.t1.contains(block) || p.t2.contains(block)
+    }
 
     #[test]
     fn hit_promotes_to_frequency_list() {
         let mut p = ArcPolicy::new(4);
         assert!(!p.access(1, R).is_hit());
         assert!(p.access(1, R).is_hit());
-        assert!(p.contains(1));
+        assert!(p.t2.contains(1) && !p.t1.contains(1));
         // Still a hit on the third access (now in T2).
         assert!(p.access(1, R).is_hit());
     }
@@ -254,19 +155,13 @@ mod tests {
         p.access(2, R);
         p.access(1, R); // promote 1 to the frequency list
         let out = p.access(3, R); // evicts the T1 LRU (block 2) into ghost list B1
-        assert_eq!(
-            out.evicted(),
-            Some(Evicted {
-                block: 2,
-                dirty: false
-            })
-        );
+        assert_eq!(out.evicted(), Some(2));
         assert_eq!(p.len(), 2);
         assert!(p.b1.len() + p.b2.len() >= 1);
         // Access the evicted block again: a ghost hit brings it back resident.
         let out = p.access(2, R);
         assert!(!out.is_hit());
-        assert!(p.contains(2));
+        assert!(p.t2.contains(2));
     }
 
     #[test]
@@ -287,72 +182,9 @@ mod tests {
             }
         }
         assert!(
-            p.contains(1) && p.contains(2),
+            is_resident(&p, 1) && is_resident(&p, 2),
             "hot blocks evicted by a scan"
         );
-    }
-
-    #[test]
-    fn dirty_eviction_reported() {
-        let mut p = ArcPolicy::new(2);
-        p.access(1, W);
-        p.access(2, R);
-        let out = p.access(3, R);
-        let e = out.evicted().expect("cache was full");
-        if e.block == 1 {
-            assert!(e.dirty);
-        } else {
-            assert!(!e.dirty);
-        }
-    }
-
-    #[test]
-    fn mark_clean_and_is_dirty() {
-        let mut p = ArcPolicy::new(4);
-        p.access(9, W);
-        assert!(p.is_dirty(9));
-        p.mark_clean(9);
-        assert!(!p.is_dirty(9));
-        assert!(!p.is_dirty(12345), "non-resident blocks are never dirty");
-    }
-
-    #[test]
-    fn clear_returns_residents_and_resets_adaptation() {
-        let mut p = ArcPolicy::new(3);
-        p.access(1, W);
-        p.access(2, R);
-        p.access(2, R);
-        let drained = p.clear();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(p.len(), 0);
-        assert_eq!(p.b1.len() + p.b2.len(), 0);
-        assert_eq!(p.p, 0);
-    }
-
-    #[test]
-    fn resize_shrinks_residency() {
-        let mut p = ArcPolicy::new(6);
-        for b in 0..6u64 {
-            p.access(b, R);
-        }
-        let evicted = p.resize(2);
-        assert_eq!(p.capacity(), 2);
-        assert!(p.len() <= 2);
-        assert_eq!(evicted.len(), 4);
-    }
-
-    #[test]
-    fn remove_specific_block() {
-        let mut p = ArcPolicy::new(4);
-        p.access(5, W);
-        assert_eq!(
-            p.remove(5),
-            Some(Evicted {
-                block: 5,
-                dirty: true
-            })
-        );
-        assert_eq!(p.remove(5), None);
     }
 
     #[test]
@@ -390,13 +222,13 @@ mod tests {
                     AccessOutcome::Inserted => {
                         resident.insert(b);
                     }
-                    AccessOutcome::InsertedWithEviction(e) => {
-                        prop_assert!(resident.remove(&e.block), "evicted a non-resident block");
+                    AccessOutcome::InsertedWithEviction(victim) => {
+                        prop_assert!(resident.remove(&victim), "evicted a non-resident block");
                         resident.insert(b);
                     }
                 }
                 prop_assert!(p.len() <= cap);
-                prop_assert!(p.contains(b));
+                prop_assert!(is_resident(&p, b));
                 prop_assert_eq!(p.len(), resident.len());
             }
         }

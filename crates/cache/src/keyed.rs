@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::policy::{AccessMeta, AccessOutcome, Evicted, ReplacementPolicy};
+use crate::policy::{AccessMeta, AccessOutcome, ReplacementPolicy};
 
 /// Key formula selector for the shared implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,6 @@ struct Entry {
     /// Size (blocks) of the request that brought the block in.
     size: u64,
     key: f64,
-    dirty: bool,
 }
 
 /// Shared implementation of the two key-ordered policies.
@@ -58,8 +57,7 @@ struct Entry {
 struct KeyedPolicy {
     formula: KeyFormula,
     capacity: usize,
-    /// Resident entries in block order — a BTree map so `clear` and
-    /// `resident_blocks` walk blocks deterministically.
+    /// Resident entries by block.
     entries: BTreeMap<u64, Entry>,
     /// (key, block) ordered ascending; the smallest key is the next victim.
     order: BTreeSet<(OrdF64, u64)>,
@@ -95,27 +93,20 @@ impl KeyedPolicy {
         self.order.insert((OrdF64(new_key), block));
     }
 
-    fn evict_smallest(&mut self) -> Option<Evicted> {
+    fn evict_smallest(&mut self) -> Option<u64> {
         let &(OrdF64(key), block) = self.order.iter().next()?;
         self.order.remove(&(OrdF64(key), block));
-        let entry = self
-            .entries
+        self.entries
             .remove(&block)
             .expect("order and entries are in sync");
         // Dynamic aging: L becomes the evicted key.
         self.age = key;
-        Some(Evicted {
-            block,
-            dirty: entry.dirty,
-        })
+        Some(block)
     }
 
     fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
         if let Some(entry) = self.entries.get_mut(&block) {
             entry.frequency += 1;
-            if meta.is_write {
-                entry.dirty = true;
-            }
             let old_key = entry.key;
             let (frequency, size) = (entry.frequency, entry.size);
             let new_key = self.key_for(frequency, size);
@@ -136,50 +127,10 @@ impl KeyedPolicy {
                 frequency: 1,
                 size: meta.request_blocks,
                 key,
-                dirty: meta.is_write,
             },
         );
         self.order.insert((OrdF64(key), block));
-        match evicted {
-            Some(e) => AccessOutcome::InsertedWithEviction(e),
-            None => AccessOutcome::Inserted,
-        }
-    }
-
-    fn remove(&mut self, block: u64) -> Option<Evicted> {
-        let entry = self.entries.remove(&block)?;
-        self.order.remove(&(OrdF64(entry.key), block));
-        Some(Evicted {
-            block,
-            dirty: entry.dirty,
-        })
-    }
-
-    fn clear(&mut self) -> Vec<Evicted> {
-        let out: Vec<Evicted> = self
-            .entries
-            .iter()
-            .map(|(&block, e)| Evicted {
-                block,
-                dirty: e.dirty,
-            })
-            .collect();
-        self.entries.clear();
-        self.order.clear();
-        self.age = 0.0;
-        out
-    }
-
-    fn resize(&mut self, capacity: usize) -> Vec<Evicted> {
-        assert!(capacity > 0, "cache capacity must be positive");
-        self.capacity = capacity;
-        let mut out = Vec::new();
-        while self.entries.len() > self.capacity {
-            if let Some(e) = self.evict_smallest() {
-                out.push(e);
-            }
-        }
-        out
+        AccessOutcome::inserted(evicted)
     }
 }
 
@@ -205,46 +156,8 @@ macro_rules! keyed_policy_type {
         }
 
         impl ReplacementPolicy for $name {
-            fn capacity(&self) -> usize {
-                self.inner.capacity
-            }
-
-            fn len(&self) -> usize {
-                self.inner.entries.len()
-            }
-
-            fn contains(&self, block: u64) -> bool {
-                self.inner.entries.contains_key(&block)
-            }
-
             fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
                 self.inner.access(block, meta)
-            }
-
-            fn mark_clean(&mut self, block: u64) {
-                if let Some(e) = self.inner.entries.get_mut(&block) {
-                    e.dirty = false;
-                }
-            }
-
-            fn is_dirty(&self, block: u64) -> bool {
-                self.inner.entries.get(&block).map(|e| e.dirty).unwrap_or(false)
-            }
-
-            fn remove(&mut self, block: u64) -> Option<Evicted> {
-                self.inner.remove(block)
-            }
-
-            fn clear(&mut self) -> Vec<Evicted> {
-                self.inner.clear()
-            }
-
-            fn resize(&mut self, capacity: usize) -> Vec<Evicted> {
-                self.inner.resize(capacity)
-            }
-
-            fn resident_blocks(&self) -> Vec<u64> {
-                self.inner.entries.keys().copied().collect()
             }
         }
     };
@@ -270,7 +183,6 @@ mod tests {
     use super::*;
 
     const R: AccessMeta = AccessMeta::read(1);
-    const W: AccessMeta = AccessMeta::write(1);
 
     #[test]
     fn lfuda_keeps_frequent_blocks() {
@@ -282,8 +194,8 @@ mod tests {
         p.access(3, R);
         // Block 2 and 3 have frequency 1; inserting 4 evicts one of them, not 1.
         let e = p.access(4, R).evicted().unwrap();
-        assert_ne!(e.block, 1);
-        assert!(p.contains(1));
+        assert_ne!(e, 1);
+        assert!(p.inner.entries.contains_key(&1));
     }
 
     #[test]
@@ -297,15 +209,7 @@ mod tests {
         assert!(p.inner.age == 0.0);
         // A stream of new blocks keeps evicting; each eviction raises L, so
         // eventually a newcomer's key (1 + L) exceeds block 1's stale key (50).
-        let mut evicted_one = false;
-        for b in 3..200 {
-            if let Some(e) = p.access(b, R).evicted() {
-                if e.block == 1 {
-                    evicted_one = true;
-                    break;
-                }
-            }
-        }
+        let evicted_one = (3..200).any(|b| p.access(b, R).evicted() == Some(1));
         assert!(
             evicted_one,
             "dynamic aging must eventually evict the stale popular block"
@@ -319,7 +223,7 @@ mod tests {
         p.access(1, AccessMeta::read(64)); // key = 1/64
         p.access(2, AccessMeta::read(1)); // key = 1
         let e = p.access(3, AccessMeta::read(1)).evicted().unwrap();
-        assert_eq!(e.block, 1, "the large-request block has the smallest key");
+        assert_eq!(e, 1, "the large-request block has the smallest key");
     }
 
     #[test]
@@ -334,29 +238,9 @@ mod tests {
             let c = gdsf.access(b, R);
             assert_eq!(a.is_hit(), c.is_hit());
         }
-        let mut l: Vec<u64> = lfuda.resident_blocks();
-        let mut g: Vec<u64> = gdsf.resident_blocks();
-        l.sort_unstable();
-        g.sort_unstable();
+        let l: Vec<&u64> = lfuda.inner.entries.keys().collect();
+        let g: Vec<&u64> = gdsf.inner.entries.keys().collect();
         assert_eq!(l, g);
-    }
-
-    #[test]
-    fn dirty_tracking_round_trip() {
-        let mut p = LfudaPolicy::new(2);
-        p.access(1, W);
-        assert!(p.is_dirty(1));
-        p.mark_clean(1);
-        assert!(!p.is_dirty(1));
-        p.access(1, W);
-        assert!(p.is_dirty(1));
-        assert_eq!(
-            p.remove(1),
-            Some(Evicted {
-                block: 1,
-                dirty: true
-            })
-        );
     }
 
     #[test]
@@ -364,32 +248,7 @@ mod tests {
         let mut p = GdsfPolicy::new(4);
         for b in 0..200u64 {
             p.access(b, AccessMeta::read(1 + b % 8));
-            assert!(p.len() <= 4);
+            assert!(p.inner.entries.len() <= 4);
         }
-    }
-
-    #[test]
-    fn clear_resets_age() {
-        let mut p = LfudaPolicy::new(1);
-        p.access(1, R);
-        p.access(2, R); // eviction bumps L
-        assert!(p.inner.age > 0.0);
-        let drained = p.clear();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(p.inner.age, 0.0);
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn resize_evicts_lowest_keys_first() {
-        let mut p = LfudaPolicy::new(4);
-        p.access(1, R);
-        p.access(1, R); // freq 2
-        p.access(2, R);
-        p.access(3, R);
-        p.access(4, R);
-        let evicted = p.resize(1);
-        assert_eq!(evicted.len(), 3);
-        assert!(p.contains(1), "the most frequent block survives the shrink");
     }
 }

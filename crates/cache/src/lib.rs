@@ -19,8 +19,12 @@
 //!   the paper (with `w = 0.5`) because clean evictions avoid the 4-I/O
 //!   parity write-back.
 //!
-//! All policies implement [`ReplacementPolicy`] and are exercised identically
-//! by the Table 2 / Table 3 experiments.
+//! All policies implement [`ReplacementPolicy`], whose one method records an
+//! access and reports the eviction it caused, and are exercised identically
+//! by the Table 2 / Table 3 experiments. Policies decide residency only: the
+//! array's mapping cache keeps each cached copy's dirty bit and charges the
+//! write-back of a dirty victim. [`AccessMeta::is_write`] feeds WLRU's
+//! clean-first choice, so WLRU is the one policy that tracks dirtiness.
 //!
 //! # Example
 //!
@@ -47,4 +51,4 @@ pub mod policy;
 pub use arc::ArcPolicy;
 pub use keyed::{GdsfPolicy, LfudaPolicy};
 pub use lru::{LruPolicy, WlruPolicy};
-pub use policy::{AccessMeta, AccessOutcome, Evicted, PolicyKind, ReplacementPolicy};
+pub use policy::{AccessMeta, AccessOutcome, PolicyKind, ReplacementPolicy};

@@ -2,10 +2,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::policy::{AccessMeta, AccessOutcome, Evicted, ReplacementPolicy};
+use crate::policy::{AccessMeta, AccessOutcome, ReplacementPolicy};
 
 /// An ordered recency list: O(log n) touch/insert/evict with strict LRU
-/// ordering. Shared by [`LruPolicy`], [`WlruPolicy`] and the ARC lists.
+/// ordering. Shared by [`LruPolicy`] and the ARC lists.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LruList {
     /// block -> recency stamp
@@ -56,18 +56,6 @@ impl LruList {
             false
         }
     }
-
-    /// Blocks in least-recently-used-first order.
-    pub(crate) fn iter_lru_first(&self) -> impl Iterator<Item = u64> + '_ {
-        self.order.values().copied()
-    }
-
-    pub(crate) fn clear(&mut self) -> Vec<u64> {
-        let blocks: Vec<u64> = self.order.values().copied().collect();
-        self.order.clear();
-        self.stamps.clear();
-        blocks
-    }
 }
 
 /// Plain Least Recently Used replacement.
@@ -75,7 +63,6 @@ impl LruList {
 pub struct LruPolicy {
     capacity: usize,
     list: LruList,
-    dirty: HashMap<u64, bool>,
 }
 
 impl LruPolicy {
@@ -89,98 +76,23 @@ impl LruPolicy {
         LruPolicy {
             capacity,
             list: LruList::new(),
-            dirty: HashMap::new(),
         }
-    }
-
-    fn evict_one(&mut self) -> Option<Evicted> {
-        let victim = self.list.pop_lru()?;
-        let dirty = self.dirty.remove(&victim).unwrap_or(false);
-        Some(Evicted {
-            block: victim,
-            dirty,
-        })
     }
 }
 
 impl ReplacementPolicy for LruPolicy {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    fn contains(&self, block: u64) -> bool {
-        self.list.contains(block)
-    }
-
-    fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
+    fn access(&mut self, block: u64, _meta: AccessMeta) -> AccessOutcome {
         if self.list.contains(block) {
             self.list.touch(block);
-            if meta.is_write {
-                self.dirty.insert(block, true);
-            }
             return AccessOutcome::Hit;
         }
         let evicted = if self.list.len() >= self.capacity {
-            self.evict_one()
+            self.list.pop_lru()
         } else {
             None
         };
         self.list.touch(block);
-        self.dirty.insert(block, meta.is_write);
-        match evicted {
-            Some(e) => AccessOutcome::InsertedWithEviction(e),
-            None => AccessOutcome::Inserted,
-        }
-    }
-
-    fn mark_clean(&mut self, block: u64) {
-        if let Some(d) = self.dirty.get_mut(&block) {
-            *d = false;
-        }
-    }
-
-    fn is_dirty(&self, block: u64) -> bool {
-        self.dirty.get(&block).copied().unwrap_or(false)
-    }
-
-    fn remove(&mut self, block: u64) -> Option<Evicted> {
-        if self.list.remove(block) {
-            let dirty = self.dirty.remove(&block).unwrap_or(false);
-            Some(Evicted { block, dirty })
-        } else {
-            None
-        }
-    }
-
-    fn clear(&mut self) -> Vec<Evicted> {
-        let blocks = self.list.clear();
-        blocks
-            .into_iter()
-            .map(|block| Evicted {
-                block,
-                dirty: self.dirty.remove(&block).unwrap_or(false),
-            })
-            .collect()
-    }
-
-    fn resize(&mut self, capacity: usize) -> Vec<Evicted> {
-        assert!(capacity > 0, "cache capacity must be positive");
-        self.capacity = capacity;
-        let mut out = Vec::new();
-        while self.list.len() > self.capacity {
-            if let Some(e) = self.evict_one() {
-                out.push(e);
-            }
-        }
-        out
-    }
-
-    fn resident_blocks(&self) -> Vec<u64> {
-        self.list.iter_lru_first().collect()
+        AccessOutcome::inserted(evicted)
     }
 }
 
@@ -374,99 +286,22 @@ impl WlruPolicy {
 }
 
 impl ReplacementPolicy for WlruPolicy {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn contains(&self, block: u64) -> bool {
-        self.entries.contains_key(&block)
-    }
-
     fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
-        if let Some(&(_, dirty)) = self.entries.get(&block) {
-            let dirty = dirty || meta.is_write;
-            self.detach(block);
-            self.insert_mru(block, dirty);
+        if let Some(dirty) = self.detach(block) {
+            self.insert_mru(block, dirty || meta.is_write);
             return AccessOutcome::Hit;
         }
         let evicted = if self.entries.len() >= self.capacity {
             let victim = self
                 .pick_victim()
                 .expect("cache is full, a victim must exist");
-            let dirty = self.detach(victim).expect("the victim is resident");
-            Some(Evicted {
-                block: victim,
-                dirty,
-            })
+            self.detach(victim).expect("the victim is resident");
+            Some(victim)
         } else {
             None
         };
         self.insert_mru(block, meta.is_write);
-        match evicted {
-            Some(e) => AccessOutcome::InsertedWithEviction(e),
-            None => AccessOutcome::Inserted,
-        }
-    }
-
-    fn mark_clean(&mut self, block: u64) {
-        if let Some((stamp, dirty)) = self.entries.get_mut(&block) {
-            if *dirty {
-                *dirty = false;
-                self.clean.insert(*stamp);
-            }
-        }
-    }
-
-    fn is_dirty(&self, block: u64) -> bool {
-        self.entries
-            .get(&block)
-            .map(|&(_, dirty)| dirty)
-            .unwrap_or(false)
-    }
-
-    fn remove(&mut self, block: u64) -> Option<Evicted> {
-        let dirty = self.detach(block)?;
-        Some(Evicted { block, dirty })
-    }
-
-    fn clear(&mut self) -> Vec<Evicted> {
-        let blocks: Vec<u64> = self.order.values().copied().collect();
-        blocks
-            .into_iter()
-            .map(|block| {
-                let dirty = self.detach(block).expect("ordered blocks are resident");
-                Evicted { block, dirty }
-            })
-            .collect()
-    }
-
-    fn resize(&mut self, capacity: usize) -> Vec<Evicted> {
-        assert!(capacity > 0, "cache capacity must be positive");
-        self.capacity = capacity;
-        // Like the plain LRU resize: surplus entries leave in strict LRU
-        // order (no clean-first preference when the shrink itself evicts).
-        let mut out = Vec::new();
-        while self.entries.len() > self.capacity {
-            let victim = *self
-                .order
-                .values()
-                .next()
-                .expect("non-empty: len exceeds a positive capacity");
-            let dirty = self.detach(victim).expect("the LRU head is resident");
-            out.push(Evicted {
-                block: victim,
-                dirty,
-            });
-        }
-        out
-    }
-
-    fn resident_blocks(&self) -> Vec<u64> {
-        self.order.values().copied().collect()
+        AccessOutcome::inserted(evicted)
     }
 }
 
@@ -476,6 +311,11 @@ mod tests {
 
     const R: AccessMeta = AccessMeta::read(1);
     const W: AccessMeta = AccessMeta::write(1);
+
+    /// WLRU's residents with their dirty flags, least recently used first.
+    fn residents(p: &WlruPolicy) -> Vec<(u64, bool)> {
+        p.order.values().map(|b| (*b, p.entries[b].1)).collect()
+    }
 
     #[test]
     fn recency_list_pops_least_recent_first() {
@@ -496,99 +336,8 @@ mod tests {
         p.access(2, R);
         p.access(3, R);
         p.access(1, R); // refresh 1; 2 is now LRU
-        let out = p.access(4, R);
-        assert_eq!(
-            out.evicted(),
-            Some(Evicted {
-                block: 2,
-                dirty: false
-            })
-        );
-        assert!(p.contains(1) && p.contains(3) && p.contains(4));
-    }
-
-    #[test]
-    fn lru_tracks_dirtiness() {
-        let mut p = LruPolicy::new(2);
-        p.access(1, W);
-        p.access(2, R);
-        assert!(p.is_dirty(1));
-        assert!(!p.is_dirty(2));
-        let out = p.access(3, R);
-        assert_eq!(
-            out.evicted(),
-            Some(Evicted {
-                block: 1,
-                dirty: true
-            })
-        );
-    }
-
-    #[test]
-    fn lru_mark_clean_clears_dirty_bit() {
-        let mut p = LruPolicy::new(2);
-        p.access(1, W);
-        p.mark_clean(1);
-        assert!(!p.is_dirty(1));
-        p.access(2, R);
-        let out = p.access(3, R);
-        assert_eq!(
-            out.evicted(),
-            Some(Evicted {
-                block: 1,
-                dirty: false
-            })
-        );
-    }
-
-    #[test]
-    fn lru_hit_on_write_marks_dirty() {
-        let mut p = LruPolicy::new(2);
-        p.access(1, R);
-        assert!(!p.is_dirty(1));
-        assert!(p.access(1, W).is_hit());
-        assert!(p.is_dirty(1));
-    }
-
-    #[test]
-    fn lru_resize_evicts_surplus() {
-        let mut p = LruPolicy::new(4);
-        for b in 1..=4 {
-            p.access(b, R);
-        }
-        let evicted = p.resize(2);
-        assert_eq!(evicted.len(), 2);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.capacity(), 2);
-        // The survivors are the most recently used (3 and 4).
-        assert!(p.contains(3) && p.contains(4));
-    }
-
-    #[test]
-    fn lru_clear_returns_all_entries() {
-        let mut p = LruPolicy::new(3);
-        p.access(1, W);
-        p.access(2, R);
-        let drained = p.clear();
-        assert_eq!(drained.len(), 2);
-        assert!(p.is_empty());
-        assert!(drained.iter().any(|e| e.block == 1 && e.dirty));
-        assert!(drained.iter().any(|e| e.block == 2 && !e.dirty));
-    }
-
-    #[test]
-    fn lru_remove_specific_block() {
-        let mut p = LruPolicy::new(3);
-        p.access(1, W);
-        assert_eq!(
-            p.remove(1),
-            Some(Evicted {
-                block: 1,
-                dirty: true
-            })
-        );
-        assert_eq!(p.remove(1), None);
-        assert!(!p.contains(1));
+        assert_eq!(p.access(4, R).evicted(), Some(2));
+        assert!(p.list.contains(1) && p.list.contains(3) && p.list.contains(4));
     }
 
     #[test]
@@ -596,7 +345,7 @@ mod tests {
         let mut p = LruPolicy::new(5);
         for b in 0..100 {
             p.access(b, R);
-            assert!(p.len() <= 5);
+            assert!(p.list.len() <= 5);
         }
     }
 
@@ -606,16 +355,9 @@ mod tests {
         p.access(1, W); // dirty, LRU position
         p.access(2, R); // clean
         p.access(3, W); // dirty
-        let out = p.access(4, R);
-        // Plain LRU would evict 1 (dirty); WLRU skips it and evicts clean 2.
-        assert_eq!(
-            out.evicted(),
-            Some(Evicted {
-                block: 2,
-                dirty: false
-            })
-        );
-        assert!(p.contains(1) && p.contains(3) && p.contains(4));
+                        // Plain LRU would evict 1 (dirty); WLRU skips it and evicts clean 2.
+        assert_eq!(p.access(4, R).evicted(), Some(2));
+        assert_eq!(residents(&p), [(1, true), (3, true), (4, false)]);
     }
 
     #[test]
@@ -624,14 +366,7 @@ mod tests {
         p.access(1, W);
         p.access(2, W);
         p.access(3, W);
-        let out = p.access(4, R);
-        assert_eq!(
-            out.evicted(),
-            Some(Evicted {
-                block: 1,
-                dirty: true
-            })
-        );
+        assert_eq!(p.access(4, R).evicted(), Some(1));
     }
 
     #[test]
@@ -643,14 +378,7 @@ mod tests {
         p.access(2, R); // clean but outside the scan window
         p.access(3, R);
         p.access(4, R);
-        let out = p.access(5, R);
-        assert_eq!(
-            out.evicted(),
-            Some(Evicted {
-                block: 1,
-                dirty: true
-            })
-        );
+        assert_eq!(p.access(5, R).evicted(), Some(1));
     }
 
     #[test]
@@ -667,11 +395,9 @@ mod tests {
     #[test]
     fn wlru_behaves_like_set_for_membership() {
         let mut p = WlruPolicy::new(2, 0.5);
-        assert_eq!(p.capacity(), 2);
+        assert_eq!(p.capacity, 2);
         p.access(10, R);
-        assert!(p.contains(10));
-        assert!(!p.contains(11));
-        assert_eq!(p.resident_blocks().len(), 1);
+        assert_eq!(residents(&p), [(10, false)]);
         assert_eq!(p.weight(), 0.5);
     }
 
@@ -701,7 +427,7 @@ mod tests {
         for i in 0..10_000u64 {
             reference.access(i % 7, if i % 3 == 0 { W } else { R });
         }
-        assert_eq!(p.resident_blocks(), reference.resident_blocks());
+        assert_eq!(residents(&p), residents(&reference));
     }
 
     /// The reference WLRU victim selection from the paper: scan the recency
@@ -711,96 +437,67 @@ mod tests {
     /// same question with an order-statistic index instead of a scan.
     #[derive(Debug, Clone)]
     struct ScanWlru {
-        inner: LruPolicy,
+        capacity: usize,
         w: f64,
+        /// Resident blocks with their dirty flags, least recently used first.
+        list: Vec<(u64, bool)>,
     }
 
     impl ScanWlru {
         fn new(capacity: usize, w: f64) -> Self {
             ScanWlru {
-                inner: LruPolicy::new(capacity),
+                capacity,
                 w,
+                list: Vec::new(),
             }
         }
 
-        fn pick_victim(&self) -> Option<u64> {
-            let scan_limit = ((self.inner.capacity() as f64) * self.w).ceil() as usize;
-            let mut fallback = None;
-            for (i, block) in self.inner.list.iter_lru_first().enumerate() {
-                if fallback.is_none() {
-                    fallback = Some(block);
-                }
-                if i >= scan_limit {
-                    break;
-                }
-                if !self.inner.is_dirty(block) {
-                    return Some(block);
-                }
-            }
-            fallback
+        /// Position of the victim in `list`.
+        fn pick_victim(&self) -> usize {
+            let scan_limit = ((self.capacity as f64) * self.w).ceil() as usize;
+            self.list
+                .iter()
+                .take(scan_limit)
+                .position(|&(_, dirty)| !dirty)
+                .unwrap_or(0)
         }
 
         fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
-            if self.inner.contains(block) {
-                return self.inner.access(block, meta);
+            if let Some(at) = self.list.iter().position(|&(b, _)| b == block) {
+                let (_, dirty) = self.list.remove(at);
+                self.list.push((block, dirty || meta.is_write));
+                return AccessOutcome::Hit;
             }
-            let evicted = if self.inner.len() >= self.inner.capacity() {
-                let victim = self.pick_victim().expect("full cache has a victim");
-                self.inner.remove(victim)
+            let evicted = if self.list.len() >= self.capacity {
+                Some(self.list.remove(self.pick_victim()).0)
             } else {
                 None
             };
-            let inserted = self.inner.access(block, meta);
-            assert!(!inserted.is_replacement());
-            match evicted {
-                Some(e) => AccessOutcome::InsertedWithEviction(e),
-                None => AccessOutcome::Inserted,
-            }
+            self.list.push((block, meta.is_write));
+            AccessOutcome::inserted(evicted)
         }
     }
 
     use proptest::prelude::*;
 
     proptest! {
-        /// The indexed WLRU is operation-for-operation identical to the
-        /// reference scan: same outcomes (same victims, same dirty flags)
-        /// and the same resident set in the same recency order, across
-        /// mixed accesses, writeback completions, removals, and resizes.
-        /// Each raw tuple decodes to one operation: `kind` selects access
-        /// (weighted heaviest), mark-clean, remove, or resize.
+        /// The indexed WLRU is access-for-access identical to the reference
+        /// scan: same outcomes (same victims) and the same resident set, in
+        /// the same recency order with the same dirty flags, after every
+        /// access of a mixed read/write stream.
         #[test]
         fn prop_wlru_index_matches_reference_scan(
             cap in 1usize..12,
             wsel in 0usize..5,
-            ops in proptest::collection::vec(
-                (0u8..12, 0u64..48, any::<bool>(), 1usize..12),
-                1..300,
-            ),
+            ops in proptest::collection::vec((0u64..48, any::<bool>()), 1..300),
         ) {
             let w = [0.0, 0.25, 0.5, 0.75, 1.0][wsel];
             let mut fast = WlruPolicy::new(cap, w);
             let mut oracle = ScanWlru::new(cap, w);
-            for (kind, block, write, new_cap) in ops {
-                match kind {
-                    0..=7 => {
-                        let meta = if write { W } else { R };
-                        prop_assert_eq!(fast.access(block, meta), oracle.access(block, meta));
-                    }
-                    8 | 9 => {
-                        fast.mark_clean(block);
-                        oracle.inner.mark_clean(block);
-                    }
-                    10 => {
-                        prop_assert_eq!(fast.remove(block), oracle.inner.remove(block));
-                    }
-                    _ => {
-                        prop_assert_eq!(fast.resize(new_cap), oracle.inner.resize(new_cap));
-                    }
-                }
-                prop_assert_eq!(fast.resident_blocks(), oracle.inner.resident_blocks());
-                for b in fast.resident_blocks() {
-                    prop_assert_eq!(fast.is_dirty(b), oracle.inner.is_dirty(b));
-                }
+            for (block, write) in ops {
+                let meta = if write { W } else { R };
+                prop_assert_eq!(fast.access(block, meta), oracle.access(block, meta));
+                prop_assert_eq!(residents(&fast), oracle.list.clone());
             }
         }
     }

@@ -7,10 +7,9 @@ use std::str::FromStr;
 /// Per-access metadata a policy may use for its replacement decision.
 ///
 /// `request_blocks` is the size of the *original* client request the block
-/// belonged to — the `S_i` term of GDSF. `is_write` lets the policy keep a
-/// dirty bit so that clean-preferring policies (WLRU) and the eviction
-/// write-back accounting work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// belonged to — the `S_i` term of GDSF. `is_write` feeds WLRU's clean-first
+/// victim choice; the other policies ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessMeta {
     /// True if the access modifies the block.
     pub is_write: bool,
@@ -36,25 +35,16 @@ impl AccessMeta {
     }
 }
 
-/// An entry pushed out of the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Evicted {
-    /// The block that was evicted.
-    pub block: u64,
-    /// True if the cached copy had been modified and must be written back to
-    /// the archive partition (costing the RAID-5 read-modify-write).
-    pub dirty: bool,
-}
-
 /// Result of recording one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The block was already resident.
     Hit,
     /// The block was inserted; the cache still had room.
     Inserted,
-    /// The block was inserted and `Evicted` was pushed out to make room.
-    InsertedWithEviction(Evicted),
+    /// The block was inserted and the carried block was pushed out to make
+    /// room.
+    InsertedWithEviction(u64),
 }
 
 impl AccessOutcome {
@@ -68,61 +58,35 @@ impl AccessOutcome {
         matches!(self, AccessOutcome::InsertedWithEviction(_))
     }
 
-    /// The eviction carried by this outcome, if any.
-    pub const fn evicted(self) -> Option<Evicted> {
+    /// The block this access evicted, if any.
+    pub const fn evicted(self) -> Option<u64> {
         match self {
-            AccessOutcome::InsertedWithEviction(e) => Some(e),
+            AccessOutcome::InsertedWithEviction(block) => Some(block),
             _ => None,
+        }
+    }
+
+    /// The outcome of an insertion that pushed out `evicted`, if anything.
+    pub(crate) const fn inserted(evicted: Option<u64>) -> Self {
+        match evicted {
+            Some(block) => AccessOutcome::InsertedWithEviction(block),
+            None => AccessOutcome::Inserted,
         }
     }
 }
 
 /// A block-granular cache replacement policy.
 ///
-/// Policies track *which* blocks should be resident in the cache partition
-/// and which block to push out when it is full; they do not perform I/O.
-/// Capacities are expressed in blocks.
+/// A policy decides residency only: *which* blocks should be resident in
+/// the cache partition, and which block to push out when it is full. It
+/// performs no I/O and keeps no record the array reads; the array's
+/// mapping cache holds each cached copy's slot and dirty bit. Capacities are
+/// expressed in blocks and fixed at construction: emptying or resizing a
+/// policy means building a fresh one with [`PolicyKind::build`].
 pub trait ReplacementPolicy: fmt::Debug {
-    /// Maximum number of resident blocks.
-    fn capacity(&self) -> usize;
-
-    /// Number of currently resident blocks.
-    fn len(&self) -> usize;
-
-    /// True if no blocks are resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if `block` is resident.
-    fn contains(&self, block: u64) -> bool;
-
     /// Records an access to `block`, inserting it (and possibly evicting a
     /// victim) if it is not resident.
     fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome;
-
-    /// Marks a resident block clean (after its content has been written back
-    /// to the archive partition). Unknown blocks are ignored.
-    fn mark_clean(&mut self, block: u64);
-
-    /// True if `block` is resident and dirty.
-    fn is_dirty(&self, block: u64) -> bool;
-
-    /// Removes a specific block, returning its eviction record if it was
-    /// resident.
-    fn remove(&mut self, block: u64) -> Option<Evicted>;
-
-    /// Removes every resident block, returning their eviction records (the
-    /// paper's "invalidate PC on expansion" step — dirty entries must be
-    /// written back by the caller).
-    fn clear(&mut self) -> Vec<Evicted>;
-
-    /// Changes the capacity. If the new capacity is smaller, surplus victims
-    /// are evicted and returned.
-    fn resize(&mut self, capacity: usize) -> Vec<Evicted>;
-
-    /// Blocks currently resident, in no particular order.
-    fn resident_blocks(&self) -> Vec<u64>;
 }
 
 /// Selector for the five policies of the paper, used by experiment configs
@@ -241,13 +205,9 @@ mod tests {
         assert!(AccessOutcome::Hit.is_hit());
         assert!(!AccessOutcome::Hit.is_replacement());
         assert_eq!(AccessOutcome::Hit.evicted(), None);
-        let e = Evicted {
-            block: 7,
-            dirty: true,
-        };
-        let o = AccessOutcome::InsertedWithEviction(e);
+        let o = AccessOutcome::InsertedWithEviction(7);
         assert!(o.is_replacement());
-        assert_eq!(o.evicted(), Some(e));
+        assert_eq!(o.evicted(), Some(7));
         assert!(!AccessOutcome::Inserted.is_hit());
     }
 
@@ -291,12 +251,19 @@ mod tests {
 
     #[test]
     fn build_produces_working_policies() {
+        // A fresh policy holds exactly `capacity` blocks: four distinct
+        // blocks fit, each is then a hit, and a fifth evicts one of them.
+        let meta = AccessMeta::read(1);
         for kind in PolicyKind::paper_set() {
             let mut p = kind.build(4);
-            assert_eq!(p.capacity(), 4);
-            assert!(p.is_empty());
-            p.access(1, AccessMeta::read(1));
-            assert!(p.contains(1), "{kind} should contain the inserted block");
+            for b in 1..=4 {
+                assert_eq!(p.access(b, meta), AccessOutcome::Inserted, "{kind}");
+            }
+            for b in 1..=4 {
+                assert!(p.access(b, meta).is_hit(), "{kind} should hit block {b}");
+            }
+            let victim = p.access(5, meta).evicted();
+            assert!(matches!(victim, Some(1..=4)), "{kind} evicted {victim:?}");
         }
     }
 

@@ -5,6 +5,10 @@
 //! `O(log k)`; memory is a few bytes per cached block (the paper budgets
 //! ≈0.58 % of the cache-partition size, ≈5.9 MB per cached GB).
 //!
+//! The mapping cache is the one home of dirty bits that the array reads:
+//! the monitor charges an evicted copy's write-back from the flag it removes
+//! here, and the replacement policy only decides residency.
+//!
 //! The paper notes that losing the mapping cache can lose data because dirty
 //! blocks are updated in place in `PC`; it therefore keeps a persistent log
 //! of dirty translations. [`MappingCache::dirty_log`] and

@@ -126,6 +126,10 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// The I/O monitor: replacement policy + mapping cache + statistics.
 #[derive(Debug)]
 pub struct IoMonitor {
+    /// The policy's kind and capacity, so emptying or resizing the cache
+    /// can build a fresh policy.
+    kind: PolicyKind,
+    capacity: usize,
     policy: Box<dyn ReplacementPolicy>,
     mapping: MappingCache,
     stats: MonitorStats,
@@ -146,8 +150,11 @@ impl IoMonitor {
     /// Panics if `capacity_blocks` is zero.
     pub fn new(policy_kind: PolicyKind, capacity_blocks: u64) -> Self {
         assert!(capacity_blocks > 0, "cache capacity must be positive");
+        let capacity = capacity_blocks as usize;
         IoMonitor {
-            policy: policy_kind.build(capacity_blocks as usize),
+            kind: policy_kind,
+            capacity,
+            policy: policy_kind.build(capacity),
             mapping: MappingCache::new(),
             stats: MonitorStats::default(),
             heat: std::collections::BTreeMap::new(),
@@ -237,7 +244,7 @@ impl IoMonitor {
                 }
                 let victim = self
                     .mapping
-                    .remove(evicted.block)
+                    .remove(evicted)
                     .expect("evicted block must have a mapping");
                 pc.release(victim.pc_block);
                 let dirty = victim.dirty;
@@ -253,7 +260,7 @@ impl IoMonitor {
                 });
                 craid_obs::emit(|now| {
                     craid_obs::TraceEvent::instant(craid_obs::SpanCategory::Cache, "evict", now)
-                        .arg("block", evicted.block)
+                        .arg("block", evicted)
                         .arg("dirty", dirty)
                 });
                 craid_obs::counter_add("cache.admissions", 1);
@@ -261,7 +268,7 @@ impl IoMonitor {
                 (
                     BlockDecision::Admitted { slot },
                     vec![EvictionTask {
-                        pa_block: evicted.block,
+                        pa_block: evicted,
                         pc_slot: victim.pc_block,
                         dirty,
                     }],
@@ -276,7 +283,7 @@ impl IoMonitor {
     /// cache partition over the new device set afterwards and calls
     /// [`IoMonitor::resize`].
     pub fn invalidate_all(&mut self, pc: &mut CachePartition) -> Vec<EvictionTask> {
-        self.policy.clear();
+        self.policy = self.kind.build(self.capacity);
         let mut tasks = Vec::new();
         for (pa_block, mapping) in self.mapping.drain() {
             pc.release(mapping.pc_block);
@@ -294,7 +301,7 @@ impl IoMonitor {
 
     /// Starts a paced cache-partition redistribution (the background-engine
     /// variant of the upgrade step): every translation is drained and its
-    /// slot released, the policy is cleared, and the former contents —
+    /// slot released, the policy is rebuilt empty, and the former contents —
     /// clean *and* dirty — are returned so the caller can enqueue them as a
     /// migration task. Unlike [`IoMonitor::invalidate_all`], nothing is
     /// counted as an eviction: the blocks are being *moved*, not dropped.
@@ -302,7 +309,7 @@ impl IoMonitor {
         &mut self,
         pc: &mut CachePartition,
     ) -> Vec<(u64, crate::mapping::Mapping)> {
-        self.policy.clear();
+        self.policy = self.kind.build(self.capacity);
         let drained = self.mapping.drain();
         for (_, mapping) in &drained {
             pc.release(mapping.pc_block);
@@ -343,7 +350,7 @@ impl IoMonitor {
             AccessOutcome::InsertedWithEviction(evicted) => {
                 let victim = self
                     .mapping
-                    .remove(evicted.block)
+                    .remove(evicted)
                     .expect("evicted block must have a mapping");
                 pc.release(victim.pc_block);
                 let slot = pc.allocate().expect("the eviction just freed a slot");
@@ -351,7 +358,7 @@ impl IoMonitor {
                 Some((
                     slot,
                     vec![EvictionTask {
-                        pa_block: evicted.block,
+                        pa_block: evicted,
                         pc_slot: victim.pc_block,
                         dirty: victim.dirty,
                     }],
@@ -392,7 +399,7 @@ impl IoMonitor {
         let mut resident: Vec<(u64, bool)> =
             self.mapping.iter().map(|(pa, m)| (pa, m.dirty)).collect();
         resident.sort_unstable();
-        let mut fresh = kind.build(self.policy.capacity());
+        let mut fresh = kind.build(self.capacity);
         for (pa_block, dirty) in resident {
             let meta = if dirty {
                 AccessMeta::write(1)
@@ -405,22 +412,25 @@ impl IoMonitor {
                 "rebuilding at equal capacity cannot evict"
             );
         }
+        self.kind = kind;
         self.policy = fresh;
     }
 
     /// Adjusts the policy's capacity after the cache partition was rebuilt
-    /// over a different device count.
+    /// over a different device count, by building a fresh policy of the new
+    /// capacity.
     ///
     /// # Panics
     ///
     /// Panics if `capacity_blocks` is zero.
     pub fn resize(&mut self, capacity_blocks: u64) {
         assert!(capacity_blocks > 0, "cache capacity must be positive");
-        let evicted = self.policy.resize(capacity_blocks as usize);
         debug_assert!(
-            evicted.is_empty(),
-            "resize is only called right after invalidation, when the policy is empty"
+            self.mapping.is_empty(),
+            "resize is only called right after invalidation, when the cache is empty"
         );
+        self.capacity = capacity_blocks as usize;
+        self.policy = self.kind.build(self.capacity);
     }
 }
 
@@ -612,11 +622,112 @@ mod tests {
         assert!(m.mapping().lookup(1).unwrap().dirty);
         let (_, ev) = m.access(4, IoKind::Read, 1, &mut pc);
         assert_eq!((ev.len(), ev[0].pa_block, ev[0].dirty), (1, 1, true));
+        // The switch outlives an invalidation: the emptied cache is still
+        // LRU, so the same stream evicts dirty block 1 again.
+        m.invalidate_all(&mut pc);
+        let mut ev = Vec::new();
+        for (block, kind) in [
+            (1, IoKind::Write),
+            (2, IoKind::Read),
+            (3, IoKind::Read),
+            (4, IoKind::Read),
+        ] {
+            ev.extend(m.access(block, kind, 1, &mut pc).1);
+        }
+        assert_eq!((ev.len(), ev[0].pa_block, ev[0].dirty), (1, 1, true));
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         monitor(0);
+    }
+
+    /// Drives `stream` through `m`, returning each access's decision and
+    /// evictions.
+    fn replay(
+        m: &mut IoMonitor,
+        pc: &mut CachePartition,
+        stream: impl Iterator<Item = (u64, bool)>,
+    ) -> Vec<(BlockDecision, Vec<EvictionTask>)> {
+        stream
+            .map(|(block, write)| {
+                let kind = if write { IoKind::Write } else { IoKind::Read };
+                m.access(block, kind, 1 + block % 4, pc)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_invalidated_monitor_decides_like_a_new_one() {
+        // The warm-up re-references blocks around evictions, which moves
+        // ARC's target and LFUDA's and GDSF's age; emptying the monitor,
+        // and resizing it or not, must leave none of that behind. Each run
+        // gets a fresh cache partition, as the array rebuilds its own.
+        let warm = (0..600u64).map(|i| ((i * 7 + i / 5) % 29, i % 3 == 0));
+        let second = || (0..400u64).map(|i| ((i * 11 + i / 7) % 31, i % 4 == 1));
+        for kind in PolicyKind::paper_set() {
+            for (migrate, slots) in [(false, 2), (true, 2), (false, 3), (true, 3)] {
+                let mut old_pc = pc(2);
+                let mut m = IoMonitor::new(kind, old_pc.capacity());
+                replay(&mut m, &mut old_pc, warm.clone());
+                let s = m.stats();
+                assert!(s.read_evictions + s.write_evictions > 0, "{kind}");
+                if migrate {
+                    m.begin_migration(&mut old_pc);
+                } else {
+                    m.invalidate_all(&mut old_pc);
+                }
+                let mut pc_a = pc(slots);
+                if pc_a.capacity() != old_pc.capacity() {
+                    m.resize(pc_a.capacity());
+                }
+                let mut pc_b = pc(slots);
+                let mut fresh = IoMonitor::new(kind, pc_b.capacity());
+                assert_eq!(
+                    replay(&mut m, &mut pc_a, second()),
+                    replay(&mut fresh, &mut pc_b, second()),
+                    "{kind}, migrate = {migrate}, slots = {slots}"
+                );
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Under every policy the mapping cache is the one record of
+        /// dirtiness: each eviction's dirty flag, the dirty-eviction count
+        /// and the residents' flags all equal a recount of which resident
+        /// blocks were written.
+        #[test]
+        fn prop_mapping_cache_holds_every_dirty_bit(
+            slots in 1u64..4,
+            stream in proptest::collection::vec((0u64..24, any::<bool>()), 1..200),
+        ) {
+            for kind in PolicyKind::paper_set() {
+                let mut pc = pc(slots);
+                let mut m = IoMonitor::new(kind, pc.capacity());
+                // Resident block -> written while resident.
+                let mut written = std::collections::BTreeMap::new();
+                let mut dirty_evictions = 0;
+                for &(block, write) in &stream {
+                    let io = if write { IoKind::Write } else { IoKind::Read };
+                    let (decision, evictions) = m.access(block, io, 1, &mut pc);
+                    prop_assert_eq!(decision.is_hit(), written.contains_key(&block));
+                    for task in evictions {
+                        let was_written = written.remove(&task.pa_block);
+                        prop_assert_eq!(Some(task.dirty), was_written, "{}", kind);
+                        dirty_evictions += u64::from(task.dirty);
+                    }
+                    *written.entry(block).or_insert(false) |= write;
+                    prop_assert_eq!(m.stats().dirty_evictions, dirty_evictions);
+                    let mapped: Vec<(u64, bool)> =
+                        m.mapping().iter().map(|(pa, map)| (pa, map.dirty)).collect();
+                    let recount: Vec<(u64, bool)> = written.iter().map(|(&b, &d)| (b, d)).collect();
+                    prop_assert_eq!(mapped, recount, "{}", kind);
+                }
+            }
+        }
     }
 }

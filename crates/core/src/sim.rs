@@ -765,7 +765,8 @@ mod tests {
         assert_eq!(report.sequentiality_cdf, quiet.sequentiality_cdf);
         // `load_balance` is left out: the collector is sized to every disk
         // the schedule will add, so the added disks count as idle in every
-        // second's cv (a known defect, ROADMAP item 5).
+        // second's cv (the known load-balance defect: disks that do not
+        // exist yet are counted).
     }
 
     /// Logs every scheduled event and counts requests.
