@@ -206,7 +206,56 @@ mod tests {
         assert!(p.p > 0, "B1 ghost hit must raise the recency target");
     }
 
+    #[test]
+    fn b2_ghost_hit_lowers_recency_target() {
+        let mut p = ArcPolicy::new(2);
+        p.access(1, R);
+        p.access(1, R); // 1 moves to T2
+        p.access(2, R);
+        assert_eq!(p.access(3, R).evicted(), Some(2)); // T1's LRU goes to B1
+                                                       // A B1 ghost hit raises the target and pushes T2's LRU into B2.
+        assert_eq!(p.access(2, R).evicted(), Some(1));
+        assert_eq!(p.p, 1);
+        assert!(p.b2.contains(1));
+        // A B2 ghost hit lowers it again and pushes T1's LRU into B1.
+        assert_eq!(p.access(1, R).evicted(), Some(3));
+        assert_eq!(p.p, 0);
+        assert!(p.t2.contains(1) && p.t2.contains(2) && p.b1.contains(3));
+    }
+
+    #[test]
+    fn full_recency_list_evicts_without_a_ghost() {
+        // With T1 holding the whole capacity and B1 empty, a new block
+        // evicts T1's LRU outright: no ghost remembers it, so its return is
+        // a plain miss that leaves the target alone.
+        let mut p = ArcPolicy::new(2);
+        p.access(1, R);
+        p.access(2, R);
+        assert_eq!(p.access(3, R).evicted(), Some(1));
+        assert_eq!(p.b1.len() + p.b2.len(), 0);
+        assert_eq!(p.access(1, R).evicted(), Some(2));
+        assert_eq!(p.p, 0);
+        assert!(p.t1.contains(1) && !p.t2.contains(1));
+    }
+
     proptest! {
+        /// ARC's directory bounds: the recency side (`T1` and its ghosts
+        /// `B1`) never outgrows the capacity, and all four lists together
+        /// never hold more than twice it.
+        #[test]
+        fn prop_arc_directory_stays_within_twice_capacity(
+            blocks in proptest::collection::vec(0u64..64, 1..400),
+            cap in 1usize..16,
+        ) {
+            let mut p = ArcPolicy::new(cap);
+            for &b in &blocks {
+                p.access(b, R);
+                prop_assert!(p.t1.len() + p.b1.len() <= cap);
+                prop_assert!(p.len() + p.b1.len() + p.b2.len() <= 2 * cap);
+                prop_assert!(p.p <= cap);
+            }
+        }
+
         /// Under any access pattern ARC never exceeds its capacity, never
         /// loses track of residency, and evicts at most one block per access.
         #[test]

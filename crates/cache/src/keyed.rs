@@ -218,6 +218,34 @@ mod tests {
     }
 
     #[test]
+    fn lfuda_eviction_raises_age_to_the_victims_key() {
+        let mut p = LfudaPolicy::new(2);
+        for _ in 0..3 {
+            p.access(1, R); // key 3
+        }
+        p.access(2, R); // key 1
+        assert_eq!(p.access(3, R).evicted(), Some(2));
+        assert!(p.inner.age == 1.0);
+        // Newcomers enter at one access plus the age.
+        assert!(p.inner.entries[&3].key == 2.0);
+        assert_eq!(p.access(4, R).evicted(), Some(3));
+        assert!(p.inner.age == 2.0);
+        // Block 4 entered at key 3, level with block 1; the lower block id
+        // goes first.
+        assert_eq!(p.access(5, R).evicted(), Some(1));
+    }
+
+    #[test]
+    fn gdsf_keeps_the_size_of_the_arrival_request() {
+        let mut p = GdsfPolicy::new(2);
+        p.access(1, AccessMeta::read(4));
+        // Hits count towards the frequency but do not change the size.
+        p.access(1, AccessMeta::read(1));
+        p.access(1, AccessMeta::read(16));
+        assert!(p.inner.entries[&1].key == 0.75);
+    }
+
+    #[test]
     fn gdsf_penalises_blocks_of_large_requests() {
         let mut p = GdsfPolicy::new(2);
         p.access(1, AccessMeta::read(64)); // key = 1/64

@@ -355,9 +355,33 @@ mod tests {
         p.access(1, W); // dirty, LRU position
         p.access(2, R); // clean
         p.access(3, W); // dirty
-                        // Plain LRU would evict 1 (dirty); WLRU skips it and evicts clean 2.
+
+        // Plain LRU would evict 1 (dirty); WLRU skips it and evicts clean 2.
         assert_eq!(p.access(4, R).evicted(), Some(2));
         assert_eq!(residents(&p), [(1, true), (3, true), (4, false)]);
+    }
+
+    #[test]
+    fn wlru_write_hit_marks_block_dirty() {
+        let mut p = WlruPolicy::new(2, 1.0);
+        p.access(1, R);
+        p.access(2, R);
+        assert!(p.access(1, W).is_hit());
+        assert!(p.access(2, R).is_hit());
+        assert_eq!(residents(&p), [(1, true), (2, false)]);
+        // Block 1 is least recently used, but the write hit made it dirty.
+        assert_eq!(p.access(3, R).evicted(), Some(2));
+    }
+
+    #[test]
+    fn wlru_read_hit_keeps_block_dirty() {
+        let mut p = WlruPolicy::new(2, 1.0);
+        p.access(1, W);
+        p.access(2, R);
+        assert!(p.access(1, R).is_hit());
+        assert!(p.access(2, R).is_hit());
+        assert_eq!(residents(&p), [(1, true), (2, false)]);
+        assert_eq!(p.access(3, R).evicted(), Some(2));
     }
 
     #[test]

@@ -212,6 +212,41 @@ mod tests {
     }
 
     #[test]
+    fn inserted_outcome_carries_the_victim() {
+        assert_eq!(AccessOutcome::inserted(None), AccessOutcome::Inserted);
+        let o = AccessOutcome::inserted(Some(9));
+        assert_eq!(o, AccessOutcome::InsertedWithEviction(9));
+        assert_eq!(o.evicted(), Some(9));
+    }
+
+    #[test]
+    fn only_wlru_reads_the_write_flag() {
+        // The same blocks, once with every access to a multiple of 5 a
+        // write and once read-only: every policy but WLRU decides alike
+        // both times, while WLRU spares written blocks that recency alone
+        // would evict.
+        let stream: Vec<(u64, bool)> = (0..200u64)
+            .map(|i| (i * 7 + i / 5) % 13)
+            .map(|b| (b, b % 5 == 0))
+            .collect();
+        for kind in PolicyKind::paper_set() {
+            let run = |writes: bool| {
+                let mut p = kind.build(4);
+                let meta = |w: bool| AccessMeta {
+                    is_write: w && writes,
+                    request_blocks: 1,
+                };
+                stream
+                    .iter()
+                    .map(|&(b, w)| p.access(b, meta(w)))
+                    .collect::<Vec<_>>()
+            };
+            let wlru = matches!(kind, PolicyKind::Wlru(_));
+            assert_eq!(run(true) == run(false), !wlru, "{kind}");
+        }
+    }
+
+    #[test]
     fn policy_kind_parsing() {
         assert_eq!("lru".parse::<PolicyKind>().unwrap(), PolicyKind::Lru);
         assert_eq!("ARC".parse::<PolicyKind>().unwrap(), PolicyKind::Arc);

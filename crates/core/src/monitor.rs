@@ -513,6 +513,25 @@ mod tests {
     }
 
     #[test]
+    fn only_wlru_spares_the_written_lru_block() {
+        // A written block at the LRU end and two clean ones: every policy
+        // but WLRU evicts the written block, and the monitor charges its
+        // write-back from the mapping cache's dirty bit.
+        for kind in PolicyKind::paper_set() {
+            let mut pc = pc(1); // capacity 3
+            let mut m = IoMonitor::new(kind, pc.capacity());
+            m.access(1, IoKind::Write, 1, &mut pc);
+            m.access(2, IoKind::Read, 1, &mut pc);
+            m.access(3, IoKind::Read, 1, &mut pc);
+            let (_, ev) = m.access(4, IoKind::Read, 1, &mut pc);
+            let wlru = matches!(kind, PolicyKind::Wlru(_));
+            let expected = if wlru { (1, 2, false) } else { (1, 1, true) };
+            assert_eq!((ev.len(), ev[0].pa_block, ev[0].dirty), expected, "{kind}");
+            assert_eq!(m.stats().dirty_evictions, u64::from(!wlru), "{kind}");
+        }
+    }
+
+    #[test]
     fn invalidate_all_returns_only_dirty_writebacks() {
         let mut pc = pc(2); // capacity 6
         let mut m = monitor(pc.capacity());
@@ -528,6 +547,30 @@ mod tests {
         m.resize(pc.capacity() * 2);
         let (d, _) = m.access(9, IoKind::Read, 1, &mut pc);
         assert!(matches!(d, BlockDecision::Admitted { .. }));
+    }
+
+    #[test]
+    fn resize_sets_the_capacity_of_the_rebuilt_policy() {
+        for kind in PolicyKind::paper_set() {
+            let mut old_pc = pc(2); // capacity 6
+            let mut m = IoMonitor::new(kind, old_pc.capacity());
+            m.access(1, IoKind::Read, 1, &mut old_pc);
+            for (slots, capacity) in [(1, 3), (4, 12)] {
+                m.invalidate_all(&mut old_pc);
+                let mut new_pc = pc(slots);
+                assert_eq!(new_pc.capacity(), capacity);
+                m.resize(capacity);
+                // The first `capacity` distinct blocks fit; the next evicts.
+                for b in 0..capacity {
+                    let (_, ev) = m.access(100 + b, IoKind::Read, 1, &mut new_pc);
+                    assert!(ev.is_empty(), "{kind} evicted below capacity {capacity}");
+                }
+                let (_, ev) = m.access(999, IoKind::Read, 1, &mut new_pc);
+                assert_eq!(ev.len(), 1, "{kind} at capacity {capacity}");
+                assert_eq!(m.cached_blocks() as u64, capacity, "{kind}");
+                old_pc = new_pc;
+            }
+        }
     }
 
     #[test]
@@ -606,6 +649,23 @@ mod tests {
         );
         // A second readmit is a no-op: the block is already home.
         assert!(m.readmit(pa, mapping.dirty, &mut pc).is_none());
+    }
+
+    #[test]
+    fn readmit_eviction_carries_the_victims_dirty_bit() {
+        let mut pc = pc(1); // capacity 3
+        let mut m = IoMonitor::new(PolicyKind::Lru, pc.capacity());
+        for (block, dirty) in [(1, true), (2, false), (3, false)] {
+            let (_, ev) = m.readmit(block, dirty, &mut pc).unwrap();
+            assert!(ev.is_empty());
+        }
+        // The LRU victim's dirty bit comes from the mapping cache, and its
+        // slot goes straight to the re-admitted block.
+        let (slot, ev) = m.readmit(4, false, &mut pc).unwrap();
+        let victim = (ev.len(), ev[0].pa_block, ev[0].pc_slot, ev[0].dirty);
+        assert_eq!(victim, (1, 1, slot, true));
+        assert!(!m.mapping().contains(1));
+        assert_eq!(*m.stats(), MonitorStats::default(), "re-admits are silent");
     }
 
     #[test]
