@@ -26,6 +26,13 @@
 //! write-back of a dirty victim. [`AccessMeta::is_write`] feeds WLRU's
 //! clean-first choice, so WLRU is the one policy that tracks dirtiness.
 //!
+//! The policies are asked about every block of every request, so their
+//! per-block state avoids ordered maps: [`BlockMap`], a deterministic
+//! open-addressed table from block id to a small value, finds a block's
+//! node in a slab, and LRU, ARC and WLRU chain those nodes by `u32` index
+//! into their recency lists. The I/O monitor keeps its heat counts and
+//! mapping cache in the same kind of table.
+//!
 //! # Example
 //!
 //! ```
@@ -44,11 +51,13 @@
 #![warn(missing_docs)]
 
 pub mod arc;
+pub mod block_map;
 pub mod keyed;
 pub mod lru;
 pub mod policy;
 
 pub use arc::ArcPolicy;
+pub use block_map::BlockMap;
 pub use keyed::{GdsfPolicy, LfudaPolicy};
 pub use lru::{LruPolicy, WlruPolicy};
 pub use policy::{AccessMeta, AccessOutcome, PolicyKind, ReplacementPolicy};

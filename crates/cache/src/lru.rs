@@ -1,60 +1,189 @@
 //! LRU and Weighted-LRU policies, plus the recency list shared with ARC.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
+use crate::block_map::BlockMap;
 use crate::policy::{AccessMeta, AccessOutcome, ReplacementPolicy};
 
-/// An ordered recency list: O(log n) touch/insert/evict with strict LRU
-/// ordering. Shared by [`LruPolicy`] and the ARC lists.
-#[derive(Debug, Clone, Default)]
+/// The node index that ends a [`Chain`].
+const NIL: u32 = u32::MAX;
+
+/// A slab node's neighbours in one [`Chain`].
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+impl Link {
+    const DETACHED: Link = Link {
+        prev: NIL,
+        next: NIL,
+    };
+}
+
+/// A doubly linked list of slab nodes, oldest first. The chain holds its
+/// two ends; the caller holds every node's [`Link`] in a slice indexed by
+/// node.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// Links `node` in as the newest entry.
+    fn push_back(&mut self, links: &mut [Link], node: u32) {
+        links[node as usize] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = node,
+            tail => links[tail as usize].next = node,
+        }
+        self.tail = node;
+    }
+
+    /// Unlinks `node`, which must be in this chain.
+    fn unlink(&mut self, links: &mut [Link], node: u32) {
+        let Link { prev, next } = links[node as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => links[next as usize].prev = prev,
+        }
+    }
+}
+
+/// A recency list: a [`BlockMap`] from each block to its node in a slab,
+/// and the nodes chained least recently used first, so `touch`, `pop_lru`
+/// and `remove` are O(1). A freed node is the next one reused, so the slab
+/// never holds more nodes than the list ever held blocks at once. Backs
+/// [`LruPolicy`], the ARC lists and [`WlruPolicy`]'s recency order.
+#[derive(Debug, Clone)]
 pub(crate) struct LruList {
-    /// block -> recency stamp
-    stamps: HashMap<u64, u64>,
-    /// recency stamp -> block (ascending = least recently used first)
-    order: BTreeMap<u64, u64>,
-    next_stamp: u64,
+    /// block -> node
+    index: BlockMap<u32>,
+    /// node -> block
+    blocks: Vec<u64>,
+    links: Vec<Link>,
+    order: Chain,
+    /// Nodes released by removals, reused last-freed first.
+    free: Vec<u32>,
 }
 
 impl LruList {
     pub(crate) fn new() -> Self {
-        Self::default()
+        Self::with_capacity(0)
+    }
+
+    /// An empty list whose table and slab hold `blocks` blocks without
+    /// growing.
+    pub(crate) fn with_capacity(blocks: usize) -> Self {
+        LruList {
+            index: BlockMap::with_capacity(blocks),
+            blocks: Vec::with_capacity(blocks),
+            links: Vec::with_capacity(blocks),
+            order: Chain::EMPTY,
+            free: Vec::new(),
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.stamps.len()
+        self.index.len()
     }
 
     pub(crate) fn contains(&self, block: u64) -> bool {
-        self.stamps.contains_key(&block)
+        self.index.contains_key(block)
     }
 
     /// Inserts `block` as the most recently used entry (or refreshes it).
     pub(crate) fn touch(&mut self, block: u64) {
-        if let Some(old) = self.stamps.remove(&block) {
-            self.order.remove(&old);
+        match self.node(block) {
+            Some(node) => self.move_to_mru(node),
+            None => {
+                self.insert(block);
+            }
         }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.stamps.insert(block, stamp);
-        self.order.insert(stamp, block);
     }
 
     /// Removes and returns the least recently used block.
     pub(crate) fn pop_lru(&mut self) -> Option<u64> {
-        let (&stamp, &block) = self.order.iter().next()?;
-        self.order.remove(&stamp);
-        self.stamps.remove(&block);
-        Some(block)
+        let node = self.lru()?;
+        Some(self.remove_node(node))
     }
 
     /// Removes a specific block; returns true if it was present.
     pub(crate) fn remove(&mut self, block: u64) -> bool {
-        if let Some(stamp) = self.stamps.remove(&block) {
-            self.order.remove(&stamp);
-            true
-        } else {
-            false
+        match self.node(block) {
+            Some(node) => {
+                self.remove_node(node);
+                true
+            }
+            None => false,
         }
+    }
+
+    /// The node holding `block`.
+    fn node(&self, block: u64) -> Option<u32> {
+        self.index.get(block)
+    }
+
+    /// The least recently used node.
+    fn lru(&self) -> Option<u32> {
+        Some(self.order.head).filter(|&node| node != NIL)
+    }
+
+    /// Makes `node` the most recently used.
+    fn move_to_mru(&mut self, node: u32) {
+        self.order.unlink(&mut self.links, node);
+        self.order.push_back(&mut self.links, node);
+    }
+
+    /// Adds `block`, which must be absent, as the most recently used entry
+    /// and returns its node: the last node freed, if any.
+    fn insert(&mut self, block: u64) -> u32 {
+        let node = match self.free.pop() {
+            Some(node) => {
+                self.blocks[node as usize] = block;
+                node
+            }
+            None => {
+                let node = u32::try_from(self.blocks.len())
+                    .ok()
+                    .filter(|&node| node != NIL)
+                    .expect("a recency list holds fewer than u32::MAX blocks");
+                self.blocks.push(block);
+                self.links.push(Link::DETACHED);
+                node
+            }
+        };
+        self.index.insert(block, node);
+        self.order.push_back(&mut self.links, node);
+        node
+    }
+
+    /// Removes `node` from the list and returns its block.
+    fn remove_node(&mut self, node: u32) -> u64 {
+        let block = self.blocks[node as usize];
+        self.index.remove(block);
+        self.order.unlink(&mut self.links, node);
+        self.free.push(node);
+        block
+    }
+
+    /// The listed nodes, least recently used first.
+    fn nodes_lru_first(&self) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(self.lru(), |&node| {
+            Some(self.links[node as usize].next).filter(|&next| next != NIL)
+        })
     }
 }
 
@@ -75,15 +204,15 @@ impl LruPolicy {
         assert!(capacity > 0, "cache capacity must be positive");
         LruPolicy {
             capacity,
-            list: LruList::new(),
+            list: LruList::with_capacity(capacity),
         }
     }
 }
 
 impl ReplacementPolicy for LruPolicy {
     fn access(&mut self, block: u64, _meta: AccessMeta) -> AccessOutcome {
-        if self.list.contains(block) {
-            self.list.touch(block);
+        if let Some(node) = self.list.node(block) {
+            self.list.move_to_mru(node);
             return AccessOutcome::Hit;
         }
         let evicted = if self.list.len() >= self.capacity {
@@ -91,7 +220,7 @@ impl ReplacementPolicy for LruPolicy {
         } else {
             None
         };
-        self.list.touch(block);
+        self.list.insert(block);
         AccessOutcome::inserted(evicted)
     }
 }
@@ -110,17 +239,17 @@ struct StampRanks {
 }
 
 impl StampRanks {
-    fn new(window: usize) -> Self {
+    fn new(window: u32) -> Self {
         StampRanks {
-            tree: vec![0; window + 1],
+            tree: vec![0; window as usize + 1],
         }
     }
 
-    fn window(&self) -> u64 {
-        (self.tree.len() - 1) as u64
+    fn window(&self) -> u32 {
+        (self.tree.len() - 1) as u32
     }
 
-    fn add(&mut self, stamp: u64) {
+    fn add(&mut self, stamp: u32) {
         let mut i = stamp as usize + 1;
         while i < self.tree.len() {
             self.tree[i] += 1;
@@ -128,7 +257,7 @@ impl StampRanks {
         }
     }
 
-    fn remove(&mut self, stamp: u64) {
+    fn remove(&mut self, stamp: u32) {
         let mut i = stamp as usize + 1;
         while i < self.tree.len() {
             self.tree[i] -= 1;
@@ -138,7 +267,7 @@ impl StampRanks {
 
     /// Number of resident stamps strictly below `stamp` — the stamp's
     /// 0-based position from the LRU end.
-    fn count_below(&self, stamp: u64) -> usize {
+    fn count_below(&self, stamp: u32) -> usize {
         let mut i = stamp as usize;
         let mut sum = 0u32;
         while i > 0 {
@@ -156,23 +285,28 @@ impl StampRanks {
 /// With `w = 0` it degenerates to plain LRU; with `w = 1` the whole cache is
 /// eligible. The reference algorithm scans the recency list from the LRU end,
 /// an `O(k·w)` walk per eviction that dominated replay time on large cache
-/// partitions. This implementation keeps the clean residents in a stamp-
-/// ordered set and ranks the oldest one with a Fenwick tree (`StampRanks`), so every access
-/// — eviction included — is `O(log k)` while selecting the exact victim the
-/// reference scan would: the oldest clean block when its LRU rank falls
-/// inside the scan window, the LRU head otherwise.
+/// partitions. This implementation keeps its residents in a slab of at most
+/// `k` nodes, chained twice by `u32` indices: every resident in recency
+/// order (an `LruList`), and the clean ones, oldest first. A Fenwick tree
+/// over recency stamps (`StampRanks`) ranks the oldest clean block, so every
+/// access, eviction included, is `O(log k)` while selecting the exact victim
+/// the reference scan would: the oldest clean block when its LRU rank falls
+/// inside the scan window, the LRU head otherwise. The arriving block takes
+/// over the victim's node.
 #[derive(Debug, Clone)]
 pub struct WlruPolicy {
     capacity: usize,
     w: f64,
-    /// block -> (recency stamp, dirty flag)
-    entries: HashMap<u64, (u64, bool)>,
-    /// stamp -> block, ascending = least recently used first
-    order: BTreeMap<u64, u64>,
-    /// Stamps of clean resident blocks (the eviction candidates).
-    clean: BTreeSet<u64>,
+    /// Residents in recency order; its node indices also index the three
+    /// per-node vectors below.
+    list: LruList,
+    stamps: Vec<u32>,
+    dirty: Vec<bool>,
+    clean_links: Vec<Link>,
+    /// Clean residents, oldest first (the eviction candidates).
+    clean: Chain,
     ranks: StampRanks,
-    next_stamp: u64,
+    next_stamp: u32,
 }
 
 impl WlruPolicy {
@@ -180,20 +314,25 @@ impl WlruPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or `w` is outside `[0, 1]`.
+    /// Panics if `capacity` is zero or `w` is outside `[0, 1]`, or if twice
+    /// `capacity`, the stamp window, does not fit a `u32`.
     pub fn new(capacity: usize, w: f64) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         assert!(
             (0.0..=1.0).contains(&w),
             "WLRU weight must be in [0,1], got {w}"
         );
+        let window = u32::try_from(Self::stamp_window(capacity))
+            .expect("the stamp window, twice the capacity, fits a u32");
         WlruPolicy {
             capacity,
             w,
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
-            clean: BTreeSet::new(),
-            ranks: StampRanks::new(Self::stamp_window(capacity, 0)),
+            list: LruList::with_capacity(capacity),
+            stamps: vec![0; capacity],
+            dirty: vec![false; capacity],
+            clean_links: vec![Link::DETACHED; capacity],
+            clean: Chain::EMPTY,
+            ranks: StampRanks::new(window),
             next_stamp: 0,
         }
     }
@@ -203,104 +342,90 @@ impl WlruPolicy {
         self.w
     }
 
-    /// Stamp window: live stamps fit with at least a same-sized headroom of
-    /// fresh stamps before the next compaction, so compaction cost amortizes
-    /// to O(1) per access.
-    fn stamp_window(capacity: usize, len: usize) -> usize {
-        (2 * capacity).max(2 * len).max(64)
+    /// Stamp window: the at most `capacity` live stamps fit with at least a
+    /// same-sized headroom of fresh stamps before the next compaction, so
+    /// compaction cost amortizes to O(1) per access.
+    fn stamp_window(capacity: usize) -> usize {
+        capacity.saturating_mul(2).max(64)
     }
 
     /// Renumbers all live stamps densely from 0 in LRU order (order
     /// preserved, so behaviour is unchanged) and rebuilds the rank tree.
     fn compact(&mut self) {
-        let window = Self::stamp_window(self.capacity, self.order.len());
-        let mut order = BTreeMap::new();
-        let mut clean = BTreeSet::new();
-        let mut ranks = StampRanks::new(window);
-        for (fresh, (_, &block)) in self.order.iter().enumerate() {
-            let fresh = fresh as u64;
-            let entry = self
-                .entries
-                .get_mut(&block)
-                .expect("ordered blocks are resident");
-            entry.0 = fresh;
-            if !entry.1 {
-                clean.insert(fresh);
-            }
-            order.insert(fresh, block);
-            ranks.add(fresh);
+        self.ranks = StampRanks::new(self.ranks.window());
+        for (fresh, node) in self.list.nodes_lru_first().enumerate() {
+            let fresh = fresh as u32;
+            self.stamps[node as usize] = fresh;
+            self.ranks.add(fresh);
         }
-        self.next_stamp = order.len() as u64;
-        self.order = order;
-        self.clean = clean;
-        self.ranks = ranks;
+        self.next_stamp = self.list.len() as u32;
     }
 
-    fn alloc_stamp(&mut self) -> u64 {
-        if self.next_stamp >= self.ranks.window() {
-            self.compact();
+    /// Takes `node` out of the rank tree and the clean chain, returning its
+    /// dirty flag.
+    fn forget(&mut self, node: u32) -> bool {
+        let i = node as usize;
+        self.ranks.remove(self.stamps[i]);
+        if !self.dirty[i] {
+            self.clean.unlink(&mut self.clean_links, node);
         }
+        self.dirty[i]
+    }
+
+    /// Gives `node`, just made the most recently used, the next stamp and
+    /// dirty flag `dirty`.
+    fn remember(&mut self, node: u32, dirty: bool) {
+        let i = node as usize;
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        stamp
-    }
-
-    /// Inserts `block` as the most recently used entry with dirty flag
-    /// `dirty` (the block must not be resident).
-    fn insert_mru(&mut self, block: u64, dirty: bool) {
-        let stamp = self.alloc_stamp();
-        self.entries.insert(block, (stamp, dirty));
-        self.order.insert(stamp, block);
+        self.stamps[i] = stamp;
+        self.dirty[i] = dirty;
         self.ranks.add(stamp);
         if !dirty {
-            self.clean.insert(stamp);
+            self.clean.push_back(&mut self.clean_links, node);
         }
-    }
-
-    /// Drops a resident block from every index, returning its dirty flag.
-    fn detach(&mut self, block: u64) -> Option<bool> {
-        let (stamp, dirty) = self.entries.remove(&block)?;
-        self.order.remove(&stamp);
-        self.ranks.remove(stamp);
-        if !dirty {
-            self.clean.remove(&stamp);
-        }
-        Some(dirty)
     }
 
     /// The victim the reference WLRU scan would pick: the oldest clean block
     /// when its LRU rank is inside the first `⌈k·w⌉` positions, otherwise the
     /// LRU head.
-    fn pick_victim(&self) -> Option<u64> {
+    fn pick_victim(&self) -> u32 {
         let scan_limit = ((self.capacity as f64) * self.w).ceil() as usize;
-        if let Some(&oldest_clean) = self.clean.iter().next() {
-            // Every resident stamp below the oldest clean one belongs to a
-            // dirty block, so `count_below` is exactly the number of dirty
-            // candidates the reference scan would skip first.
-            if self.ranks.count_below(oldest_clean) < scan_limit {
-                return self.order.get(&oldest_clean).copied();
-            }
+        let oldest_clean = self.clean.head;
+        // Every resident stamp below the oldest clean one belongs to a dirty
+        // block, so `count_below` is exactly the number of dirty candidates
+        // the reference scan would skip first.
+        if oldest_clean != NIL
+            && self.ranks.count_below(self.stamps[oldest_clean as usize]) < scan_limit
+        {
+            return oldest_clean;
         }
-        self.order.values().next().copied()
+        self.list.lru().expect("cache is full, a victim must exist")
     }
 }
 
 impl ReplacementPolicy for WlruPolicy {
     fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
-        if let Some(dirty) = self.detach(block) {
-            self.insert_mru(block, dirty || meta.is_write);
+        // An access takes one stamp, and a compaction leaves at least
+        // `capacity` free.
+        if self.next_stamp >= self.ranks.window() {
+            self.compact();
+        }
+        if let Some(node) = self.list.node(block) {
+            let dirty = self.forget(node) || meta.is_write;
+            self.list.move_to_mru(node);
+            self.remember(node, dirty);
             return AccessOutcome::Hit;
         }
-        let evicted = if self.entries.len() >= self.capacity {
-            let victim = self
-                .pick_victim()
-                .expect("cache is full, a victim must exist");
-            self.detach(victim).expect("the victim is resident");
-            Some(victim)
+        let evicted = if self.list.len() >= self.capacity {
+            let victim = self.pick_victim();
+            self.forget(victim);
+            Some(self.list.remove_node(victim))
         } else {
             None
         };
-        self.insert_mru(block, meta.is_write);
+        let node = self.list.insert(block);
+        self.remember(node, meta.is_write);
         AccessOutcome::inserted(evicted)
     }
 }
@@ -314,7 +439,10 @@ mod tests {
 
     /// WLRU's residents with their dirty flags, least recently used first.
     fn residents(p: &WlruPolicy) -> Vec<(u64, bool)> {
-        p.order.values().map(|b| (*b, p.entries[b].1)).collect()
+        p.list
+            .nodes_lru_first()
+            .map(|node| (p.list.blocks[node as usize], p.dirty[node as usize]))
+            .collect()
     }
 
     #[test]
@@ -327,6 +455,26 @@ mod tests {
         assert!(l.remove(3) && !l.remove(3));
         let popped = [l.pop_lru(), l.pop_lru(), l.pop_lru()];
         assert_eq!((popped, l.len()), ([Some(2), Some(1), None], 0));
+    }
+
+    #[test]
+    fn recency_list_reuses_freed_nodes() {
+        let mut l = LruList::new();
+        for b in 0..1_000u64 {
+            l.touch(b);
+            if b >= 3 {
+                assert!(l.remove(b - 3));
+            }
+        }
+        // Never more than four blocks at once, so never more than four
+        // nodes, and the order survives the reuse.
+        assert_eq!((l.blocks.len(), l.len()), (4, 3));
+        assert_eq!([l.pop_lru(), l.pop_lru()], [Some(997), Some(998)]);
+        l.touch(5);
+        assert_eq!(
+            [l.pop_lru(), l.pop_lru(), l.pop_lru()],
+            [Some(999), Some(5), None]
+        );
     }
 
     #[test]
@@ -522,6 +670,7 @@ mod tests {
                 let meta = if write { W } else { R };
                 prop_assert_eq!(fast.access(block, meta), oracle.access(block, meta));
                 prop_assert_eq!(residents(&fast), oracle.list.clone());
+                prop_assert!(fast.list.blocks.len() <= cap, "the slab outgrew the capacity");
             }
         }
     }

@@ -1,9 +1,12 @@
 //! The mapping cache (paper §4.2).
 //!
-//! An in-memory ordered map from archive-partition LBAs to their cached
-//! copies in the cache partition, with a dirty flag per entry. Lookups are
-//! `O(log k)`; memory is a few bytes per cached block (the paper budgets
-//! ≈0.58 % of the cache-partition size, ≈5.9 MB per cached GB).
+//! An in-memory table from archive-partition LBAs to their cached copies in
+//! the cache partition, with a dirty flag per entry: a [`BlockMap`] of
+//! packed translations, sized from the cache partition's capacity. A lookup
+//! hashes the LBA and probes a few adjacent slots. A slot takes 16 bytes,
+//! so a full cache costs 18–37 bytes per cached block, the range the
+//! table's load spans; the paper budgets ≈0.58 % of the cache-partition
+//! size, ≈5.9 MB per cached GB, or about 23 bytes per 4 KiB block.
 //!
 //! The mapping cache is the one home of dirty bits that the array reads:
 //! the monitor charges an evicted copy's write-back from the flag it removes
@@ -16,8 +19,7 @@
 //! entries are recovered from the log and clean entries are simply
 //! invalidated.
 
-use std::collections::BTreeMap;
-
+use craid_cache::BlockMap;
 use serde::{Deserialize, Serialize};
 
 /// One translation held by the mapping cache.
@@ -27,6 +29,25 @@ pub struct Mapping {
     pub pc_block: u64,
     /// True if the cached copy differs from the archive copy.
     pub dirty: bool,
+}
+
+impl Mapping {
+    /// The translation in one word: the slot above a low dirty bit.
+    fn pack(self) -> u64 {
+        assert!(
+            self.pc_block < 1 << 63,
+            "cache slot {} does not fit a packed translation",
+            self.pc_block
+        );
+        self.pc_block << 1 | u64::from(self.dirty)
+    }
+
+    fn unpack(word: u64) -> Self {
+        Mapping {
+            pc_block: word >> 1,
+            dirty: word & 1 == 1,
+        }
+    }
 }
 
 /// A persisted dirty-translation record (the failure-resilience log of
@@ -41,6 +62,9 @@ pub struct DirtyLogEntry {
 
 /// The in-memory translation table `LBA_PA → (LBA_PC, dirty)`.
 ///
+/// Every walk ([`MappingCache::iter`], [`MappingCache::drain`],
+/// [`MappingCache::dirty_log`]) is by ascending archive LBA.
+///
 /// # Example
 ///
 /// ```
@@ -52,15 +76,24 @@ pub struct DirtyLogEntry {
 /// assert_eq!(m.lookup(1_000).unwrap().pc_block, 0);
 /// assert!(m.lookup(1_000).unwrap().dirty);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MappingCache {
-    map: BTreeMap<u64, Mapping>,
+    /// archive LBA -> packed [`Mapping`]
+    map: BlockMap<u64>,
 }
 
 impl MappingCache {
-    /// Creates an empty mapping cache.
+    /// Creates an empty mapping cache that grows as translations arrive.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty mapping cache that holds `blocks` translations (a
+    /// cache partition's capacity) without growing.
+    pub fn with_capacity(blocks: usize) -> Self {
+        MappingCache {
+            map: BlockMap::with_capacity(blocks),
+        }
     }
 
     /// Number of cached translations.
@@ -75,24 +108,25 @@ impl MappingCache {
 
     /// Looks up the translation for an archive block.
     pub fn lookup(&self, pa_block: u64) -> Option<Mapping> {
-        self.map.get(&pa_block).copied()
+        self.map.get(pa_block).map(Mapping::unpack)
     }
 
     /// True if `pa_block` currently has a cached copy.
     pub fn contains(&self, pa_block: u64) -> bool {
-        self.map.contains_key(&pa_block)
+        self.map.contains_key(pa_block)
     }
 
     /// Inserts (or replaces) the translation for `pa_block`.
     pub fn insert(&mut self, pa_block: u64, pc_block: u64, dirty: bool) {
-        self.map.insert(pa_block, Mapping { pc_block, dirty });
+        self.map
+            .insert(pa_block, Mapping { pc_block, dirty }.pack());
     }
 
     /// Marks the cached copy of `pa_block` as modified. Returns true if the
     /// block was mapped.
     pub fn mark_dirty(&mut self, pa_block: u64) -> bool {
-        if let Some(m) = self.map.get_mut(&pa_block) {
-            m.dirty = true;
+        if let Some(word) = self.map.get_mut(pa_block) {
+            *word |= 1;
             true
         } else {
             false
@@ -101,29 +135,33 @@ impl MappingCache {
 
     /// Removes the translation for `pa_block`, returning it if present.
     pub fn remove(&mut self, pa_block: u64) -> Option<Mapping> {
-        self.map.remove(&pa_block)
+        self.map.remove(pa_block).map(Mapping::unpack)
     }
 
-    /// Removes every translation, returning the former contents (used when
-    /// the cache partition is invalidated during an upgrade).
+    /// Removes every translation, returning the former contents by ascending
+    /// archive LBA (used when the cache partition is invalidated during an
+    /// upgrade).
     pub fn drain(&mut self) -> Vec<(u64, Mapping)> {
-        let out: Vec<(u64, Mapping)> = self.map.iter().map(|(&k, &v)| (k, v)).collect();
+        let out = self.iter().collect();
         self.map.clear();
         out
     }
 
     /// Iterates over all translations in archive-LBA order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Mapping)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Mapping)> {
+        self.map
+            .sorted()
+            .into_iter()
+            .map(|(pa_block, word)| (pa_block, Mapping::unpack(word)))
     }
 
     /// The persistent dirty log: every translation whose cached copy is
-    /// modified and would be lost if the mapping cache disappeared.
+    /// modified and would be lost if the mapping cache disappeared, by
+    /// ascending archive LBA.
     pub fn dirty_log(&self) -> Vec<DirtyLogEntry> {
-        self.map
-            .iter()
+        self.iter()
             .filter(|(_, m)| m.dirty)
-            .map(|(&pa_block, m)| DirtyLogEntry {
+            .map(|(pa_block, m)| DirtyLogEntry {
                 pa_block,
                 pc_block: m.pc_block,
             })
@@ -134,17 +172,11 @@ impl MappingCache {
     /// only dirty translations survive (clean cached copies are simply
     /// invalidated because the archive still holds identical data).
     pub fn recover_from_log(log: &[DirtyLogEntry]) -> Self {
-        let mut map = BTreeMap::new();
+        let mut cache = MappingCache::with_capacity(log.len());
         for entry in log {
-            map.insert(
-                entry.pa_block,
-                Mapping {
-                    pc_block: entry.pc_block,
-                    dirty: true,
-                },
-            );
+            cache.insert(entry.pa_block, entry.pc_block, true);
         }
-        MappingCache { map }
+        cache
     }
 }
 
@@ -213,16 +245,40 @@ mod tests {
 
     #[test]
     fn drain_returns_everything_in_order() {
+        // Scattered archive LBAs inserted and removed in scrambled order,
+        // so the table's slot order is nothing like the LBA order: every
+        // walk must still come out by ascending LBA.
         let mut m = MappingCache::new();
-        m.insert(30, 2, true);
-        m.insert(10, 0, false);
-        m.insert(20, 1, false);
-        let drained = m.drain();
+        let mut reference = std::collections::BTreeMap::new();
+        for i in 0..1_500u64 {
+            let pa = i * 2_654_435_761 % 1_722_253_320;
+            m.insert(pa, i, i % 3 == 0);
+            reference.insert(
+                pa,
+                Mapping {
+                    pc_block: i,
+                    dirty: i % 3 == 0,
+                },
+            );
+            if i % 4 == 1 {
+                let gone = (i / 2) * 2_654_435_761 % 1_722_253_320;
+                assert_eq!(m.remove(gone), reference.remove(&gone));
+            }
+        }
+        assert!(reference.len() >= 1_000);
+        let expected: Vec<(u64, Mapping)> = reference.into_iter().collect();
+        let dirty: Vec<DirtyLogEntry> = expected
+            .iter()
+            .filter(|(_, map)| map.dirty)
+            .map(|&(pa_block, map)| DirtyLogEntry {
+                pa_block,
+                pc_block: map.pc_block,
+            })
+            .collect();
+        assert_eq!(m.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(m.dirty_log(), dirty);
+        assert_eq!(m.drain(), expected);
         assert!(m.is_empty());
-        assert_eq!(
-            drained.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![10, 20, 30]
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use craid_cache::{AccessMeta, AccessOutcome, PolicyKind, ReplacementPolicy};
+use craid_cache::{AccessMeta, BlockMap, PolicyKind, ReplacementPolicy};
 use craid_diskmodel::IoKind;
 
 use crate::mapping::MappingCache;
@@ -135,10 +135,10 @@ pub struct IoMonitor {
     stats: MonitorStats,
     /// Per-block access counts — the heat signal the background engine's
     /// `HotFirst` priority orders rebuilds and migrations by. Survives
-    /// invalidations (it is access history, not residency). A BTree map so
-    /// iteration (`hottest_blocks`) walks keys in a deterministic order
-    /// before the heat-ranked sort applies its own tie-break.
-    heat: std::collections::BTreeMap<u64, u64>,
+    /// invalidations (it is access history, not residency). It holds every
+    /// block ever accessed, so it grows with the footprint touched, not
+    /// with the cache; `hottest_blocks` sorts it by heat, then by block.
+    heat: BlockMap<u64>,
 }
 
 impl IoMonitor {
@@ -155,9 +155,9 @@ impl IoMonitor {
             kind: policy_kind,
             capacity,
             policy: policy_kind.build(capacity),
-            mapping: MappingCache::new(),
+            mapping: MappingCache::with_capacity(capacity),
             stats: MonitorStats::default(),
-            heat: std::collections::BTreeMap::new(),
+            heat: BlockMap::new(),
         }
     }
 
@@ -203,78 +203,80 @@ impl IoMonitor {
             IoKind::Read => self.stats.read_accesses += 1,
             IoKind::Write => self.stats.write_accesses += 1,
         }
-        *self.heat.entry(pa_block).or_insert(0) += 1;
+        *self.heat.get_or_insert(pa_block, 0) += 1;
 
         let outcome = self.policy.access(pa_block, meta);
-        match outcome {
-            AccessOutcome::Hit => {
-                match kind {
-                    IoKind::Read => self.stats.read_hits += 1,
-                    IoKind::Write => self.stats.write_hits += 1,
-                }
-                if kind.is_write() {
-                    self.mapping.mark_dirty(pa_block);
-                }
-                let slot = self
-                    .mapping
-                    .lookup(pa_block)
-                    .expect("policy residency and mapping cache are in lock-step")
-                    .pc_block;
-                (BlockDecision::Cached { slot }, Vec::new())
+        if outcome.is_hit() {
+            match kind {
+                IoKind::Read => self.stats.read_hits += 1,
+                IoKind::Write => self.stats.write_hits += 1,
             }
-            AccessOutcome::Inserted => {
-                let slot = pc
-                    .allocate()
-                    .expect("policy capacity equals cache-partition capacity");
-                self.mapping.insert(pa_block, slot, kind.is_write());
-                // The tracer's ambient clock was set by the replay loop for
-                // this request; with no tracer installed this builds nothing.
-                craid_obs::emit(|now| {
-                    craid_obs::TraceEvent::instant(craid_obs::SpanCategory::Cache, "admit", now)
-                        .arg("block", pa_block)
-                        .arg("write", kind.is_write())
-                });
-                craid_obs::counter_add("cache.admissions", 1);
-                (BlockDecision::Admitted { slot }, Vec::new())
+            if kind.is_write() {
+                self.mapping.mark_dirty(pa_block);
             }
-            AccessOutcome::InsertedWithEviction(evicted) => {
-                match kind {
-                    IoKind::Read => self.stats.read_evictions += 1,
-                    IoKind::Write => self.stats.write_evictions += 1,
-                }
-                let victim = self
-                    .mapping
-                    .remove(evicted)
-                    .expect("evicted block must have a mapping");
-                pc.release(victim.pc_block);
-                let dirty = victim.dirty;
-                if dirty {
-                    self.stats.dirty_evictions += 1;
-                }
-                let slot = pc.allocate().expect("the eviction just freed a slot");
-                self.mapping.insert(pa_block, slot, kind.is_write());
-                craid_obs::emit(|now| {
-                    craid_obs::TraceEvent::instant(craid_obs::SpanCategory::Cache, "admit", now)
-                        .arg("block", pa_block)
-                        .arg("write", kind.is_write())
-                });
-                craid_obs::emit(|now| {
-                    craid_obs::TraceEvent::instant(craid_obs::SpanCategory::Cache, "evict", now)
-                        .arg("block", evicted)
-                        .arg("dirty", dirty)
-                });
-                craid_obs::counter_add("cache.admissions", 1);
-                craid_obs::counter_add("cache.evictions", 1);
-                (
-                    BlockDecision::Admitted { slot },
-                    vec![EvictionTask {
-                        pa_block: evicted,
-                        pc_slot: victim.pc_block,
-                        dirty,
-                    }],
-                )
-            }
+            let slot = self
+                .mapping
+                .lookup(pa_block)
+                .expect("policy residency and mapping cache are in lock-step")
+                .pc_block;
+            return (BlockDecision::Cached { slot }, Vec::new());
         }
+        let (slot, eviction) = self.admit(pa_block, kind.is_write(), outcome.evicted(), pc);
+        // The tracer's ambient clock was set by the replay loop for this
+        // request; with no tracer installed this builds nothing.
+        craid_obs::emit(|now| {
+            craid_obs::TraceEvent::instant(craid_obs::SpanCategory::Cache, "admit", now)
+                .arg("block", pa_block)
+                .arg("write", kind.is_write())
+        });
+        craid_obs::counter_add("cache.admissions", 1);
+        if let Some(task) = eviction {
+            match kind {
+                IoKind::Read => self.stats.read_evictions += 1,
+                IoKind::Write => self.stats.write_evictions += 1,
+            }
+            self.stats.dirty_evictions += u64::from(task.dirty);
+            craid_obs::emit(|now| {
+                craid_obs::TraceEvent::instant(craid_obs::SpanCategory::Cache, "evict", now)
+                    .arg("block", task.pa_block)
+                    .arg("dirty", task.dirty)
+            });
+            craid_obs::counter_add("cache.evictions", 1);
+        }
+        (
+            BlockDecision::Admitted { slot },
+            eviction.into_iter().collect(),
+        )
+    }
+
+    /// Gives `pa_block`, which the policy just admitted, a slot and a
+    /// translation, after releasing the slot and translation of `evicted`,
+    /// the block the policy pushed out for it, if any. Returns the slot and
+    /// the victim's write-back work. Counts and traces nothing.
+    fn admit(
+        &mut self,
+        pa_block: u64,
+        dirty: bool,
+        evicted: Option<u64>,
+        pc: &mut CachePartition,
+    ) -> (u64, Option<EvictionTask>) {
+        let eviction = evicted.map(|victim| {
+            let mapping = self
+                .mapping
+                .remove(victim)
+                .expect("evicted block must have a mapping");
+            pc.release(mapping.pc_block);
+            EvictionTask {
+                pa_block: victim,
+                pc_slot: mapping.pc_block,
+                dirty: mapping.dirty,
+            }
+        });
+        let slot = pc
+            .allocate()
+            .expect("policy capacity equals cache-partition capacity");
+        self.mapping.insert(pa_block, slot, dirty);
+        (slot, eviction)
     }
 
     /// Invalidates the whole cache partition (the paper's upgrade step):
@@ -338,38 +340,17 @@ impl IoMonitor {
         } else {
             AccessMeta::read(1)
         };
-        match self.policy.access(pa_block, meta) {
-            AccessOutcome::Hit => None, // residency and mapping are in lock-step
-            AccessOutcome::Inserted => {
-                let slot = pc
-                    .allocate()
-                    .expect("policy capacity equals cache-partition capacity");
-                self.mapping.insert(pa_block, slot, dirty);
-                Some((slot, Vec::new()))
-            }
-            AccessOutcome::InsertedWithEviction(evicted) => {
-                let victim = self
-                    .mapping
-                    .remove(evicted)
-                    .expect("evicted block must have a mapping");
-                pc.release(victim.pc_block);
-                let slot = pc.allocate().expect("the eviction just freed a slot");
-                self.mapping.insert(pa_block, slot, dirty);
-                Some((
-                    slot,
-                    vec![EvictionTask {
-                        pa_block: evicted,
-                        pc_slot: victim.pc_block,
-                        dirty: victim.dirty,
-                    }],
-                ))
-            }
+        let outcome = self.policy.access(pa_block, meta);
+        if outcome.is_hit() {
+            return None; // residency and mapping are in lock-step
         }
+        let (slot, eviction) = self.admit(pa_block, dirty, outcome.evicted(), pc);
+        Some((slot, eviction.into_iter().collect()))
     }
 
     /// Observed access count of `pa_block` (the heat signal).
     pub fn heat_of(&self, pa_block: u64) -> u64 {
-        self.heat.get(&pa_block).copied().unwrap_or(0)
+        self.heat.get(pa_block).unwrap_or(0)
     }
 
     /// Sorts `blocks` hottest-first (ties broken by ascending block number,
@@ -382,7 +363,7 @@ impl IoMonitor {
     /// (deterministic tie-break by block number). The background engine uses
     /// this to put a rebuild's hot stripes at the front of the stream.
     pub fn hottest_blocks(&self, limit: usize) -> Vec<u64> {
-        let mut ranked: Vec<(u64, u64)> = self.heat.iter().map(|(&b, &h)| (b, h)).collect();
+        let mut ranked = self.heat.sorted();
         ranked.sort_by_key(|&(b, h)| (std::cmp::Reverse(h), b));
         ranked.truncate(limit);
         ranked.into_iter().map(|(b, _)| b).collect()
@@ -392,15 +373,14 @@ impl IoMonitor {
     /// event), preserving the resident set and its dirty bits.
     ///
     /// The new policy is rebuilt by re-inserting every cached block in
-    /// ascending block order, so the handover is deterministic; recency /
-    /// frequency history beyond residency is not carried over (the new
-    /// policy starts with one access per resident block).
+    /// ascending block order (the mapping cache's walk), so the handover is
+    /// deterministic; recency / frequency history beyond residency is not
+    /// carried over (the new policy starts with one access per resident
+    /// block).
     pub fn switch_policy(&mut self, kind: PolicyKind) {
-        let mut resident: Vec<(u64, bool)> =
-            self.mapping.iter().map(|(pa, m)| (pa, m.dirty)).collect();
-        resident.sort_unstable();
         let mut fresh = kind.build(self.capacity);
-        for (pa_block, dirty) in resident {
+        for (pa_block, mapping) in self.mapping.iter() {
+            let dirty = mapping.dirty;
             let meta = if dirty {
                 AccessMeta::write(1)
             } else {
@@ -431,6 +411,7 @@ impl IoMonitor {
         );
         self.capacity = capacity_blocks as usize;
         self.policy = self.kind.build(self.capacity);
+        self.mapping = MappingCache::with_capacity(self.capacity);
     }
 }
 
@@ -611,6 +592,68 @@ mod tests {
         m.rank_hot_desc(&mut blocks);
         assert_eq!(blocks, vec![5, 9, 1, 42]);
         assert_eq!(m.hottest_blocks(2), vec![5, 9]);
+    }
+
+    #[test]
+    fn hottest_blocks_break_heat_ties_by_ascending_block() {
+        // Scrambled accesses give 300 blocks one of three heats; within a
+        // heat the blocks must come out by ascending number.
+        let mut pc = pc(400); // capacity 1200, so nothing is evicted
+        let mut m = monitor(pc.capacity());
+        let block = |i: u64| i * 7_919 % 300 * 5_003;
+        for i in 0..600u64 {
+            let b = block(i % 300);
+            for _ in 0..1 + b % 3 {
+                m.access(b, IoKind::Read, 1, &mut pc);
+            }
+        }
+        let mut expected: Vec<u64> = (0..300).map(block).collect();
+        expected.sort_by_key(|&b| (std::cmp::Reverse(b % 3), b));
+        assert_eq!(m.hottest_blocks(usize::MAX), expected);
+        assert_eq!(m.hottest_blocks(5), expected[..5]);
+    }
+
+    #[test]
+    fn begin_migration_returns_blocks_in_ascending_order() {
+        let mut pc = pc(400); // capacity 1200
+        let mut m = monitor(pc.capacity());
+        let mut expected = Vec::new();
+        for i in 0..1_100u64 {
+            let b = i * 2_654_435_761 % 1_722_253_320;
+            let kind = if i % 2 == 0 {
+                IoKind::Write
+            } else {
+                IoKind::Read
+            };
+            m.access(b, kind, 1, &mut pc);
+            expected.push((b, kind.is_write()));
+        }
+        expected.sort_unstable();
+        let drained: Vec<(u64, bool)> = m
+            .begin_migration(&mut pc)
+            .into_iter()
+            .map(|(b, map)| (b, map.dirty))
+            .collect();
+        assert_eq!(drained, expected);
+    }
+
+    #[test]
+    fn extreme_block_ids_are_ordinary_blocks() {
+        let mut pc = pc(1); // capacity 3
+        let mut m = monitor(pc.capacity());
+        for block in [0, u64::MAX, 0] {
+            m.access(block, IoKind::Write, 1, &mut pc);
+        }
+        assert_eq!((m.heat_of(0), m.heat_of(u64::MAX)), (2, 1));
+        assert!(m.cached_slot(0).is_some() && m.cached_slot(u64::MAX).is_some());
+        assert_eq!(m.hottest_blocks(2), vec![0, u64::MAX]);
+        m.access(1, IoKind::Read, 1, &mut pc);
+        // Clean block 1 ranks third, outside WLRU(0.5)'s scan window of two,
+        // so the dirty LRU head, u64::MAX, is the victim.
+        let (_, ev) = m.access(2, IoKind::Read, 1, &mut pc);
+        assert_eq!((ev[0].pa_block, ev[0].dirty), (u64::MAX, true));
+        let writebacks = m.invalidate_all(&mut pc);
+        assert_eq!((writebacks.len(), writebacks[0].pa_block), (1, 0));
     }
 
     #[test]
