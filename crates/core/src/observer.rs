@@ -9,9 +9,9 @@
 //! without touching the engine's run loop.
 //!
 //! The paper's measurement pipeline itself is implemented as an observer:
-//! [`MetricsCollector`] owns the response-time summaries, quantile sketches,
-//! load-balance / sequentiality / concurrency trackers, and assembles the
-//! final [`SimulationReport`].
+//! [`MetricsCollector`] owns the response-time summaries, exact response-time
+//! quantiles, load-balance / sequentiality / concurrency trackers, and
+//! assembles the final [`SimulationReport`].
 
 use craid_diskmodel::IoKind;
 use craid_metrics::{
@@ -218,8 +218,8 @@ impl MetricsCollector {
             read_quantiles: Quantiles::new(),
             write_quantiles: Quantiles::new(),
             load: LoadBalanceTracker::new(device_slots),
-            seq: SequentialityTracker::new(),
-            conc: ConcurrencyTracker::new(),
+            seq: SequentialityTracker::new(device_slots),
+            conc: ConcurrencyTracker::new(device_slots),
             requests: 0,
             closed: false,
         }

@@ -5,8 +5,6 @@
 //! a metric to evaluate the uniformity of its distribution." The smaller the
 //! cv, the closer the array is to an ideal uniform distribution.
 
-use serde::{Deserialize, Serialize};
-
 use craid_simkit::SimTime;
 
 use crate::quantiles::Quantiles;
@@ -38,7 +36,7 @@ pub fn coefficient_of_variation(loads: &[f64]) -> f64 {
 /// and the best/worst summary of its Table 6).
 ///
 /// Feed events in non-decreasing time order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoadBalanceTracker {
     devices: usize,
     current_second: u64,

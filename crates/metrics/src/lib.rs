@@ -7,14 +7,18 @@
 //!   confidence interval the paper attaches to its response-time plots
 //!   (Figs. 4 and 6).
 //! * [`Quantiles`] — exact percentiles and CDF points (Fig. 5's sequentiality
-//!   CDF, Fig. 7's load-balance CDF, Table 5's 99th-percentile queue depths).
+//!   CDF, Fig. 7's load-balance CDF, the response-time percentiles and
+//!   Table 5's concurrently active devices).
 //! * [`coefficient_of_variation`] and [`LoadBalanceTracker`] — the per-second
 //!   `cv = σ/µ` of per-disk I/O load that §5.3 uses as its load-balance
 //!   metric.
 //! * [`SequentialityTracker`] — the per-second fraction of physically
-//!   sequential device accesses behind Fig. 5.
+//!   sequential device accesses behind Fig. 5, from one last end per device.
 //! * [`ConcurrencyTracker`] — per-second count of concurrently active devices
-//!   and queue-depth samples behind Table 5.
+//!   and an exact queue-depth histogram behind Table 5.
+//!
+//! The device-level trackers are sized by device count at construction and
+//! keep no per-I/O state.
 //!
 //! # Example
 //!

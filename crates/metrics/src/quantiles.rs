@@ -1,7 +1,5 @@
 //! Exact percentiles and CDF points.
 
-use serde::{Deserialize, Serialize};
-
 /// The 0-based index of the `q`-quantile among `n` ascending samples under
 /// the nearest-rank method (`rank = ⌈q·n⌉`, `q = 0` selecting the minimum).
 ///
@@ -24,10 +22,13 @@ pub fn nearest_rank(q: f64, n: usize) -> usize {
 /// Collects samples and answers percentile / CDF queries exactly.
 ///
 /// Samples are stored (as `f64`); sorting happens lazily on the first query
-/// after new samples arrive. The experiment harness deals with at most a few
-/// million samples per run, for which exact quantiles are both affordable and
-/// preferable to sketch error.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// after new samples arrive. A simulation records at most one sample per
+/// client request (its response time) or one per simulated second (cv,
+/// sequentiality, active devices), for which exact quantiles are both
+/// affordable and preferable to sketch error. Integer samples as numerous
+/// as device I/Os are counted in a histogram instead, as
+/// [`ConcurrencyTracker`](crate::ConcurrencyTracker) counts queue depths.
+#[derive(Debug, Clone, Default)]
 pub struct Quantiles {
     samples: Vec<f64>,
     sorted: bool,

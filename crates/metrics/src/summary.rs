@@ -1,11 +1,9 @@
 //! Streaming mean / variance / confidence-interval summary.
 
-use serde::{Deserialize, Serialize};
-
 /// A single-pass summary of a stream of samples (Welford's algorithm), with
 /// the 95 % confidence interval of the mean that the paper reports for its
 /// response-time measurements.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamingSummary {
     count: u64,
     mean: f64,
