@@ -70,9 +70,6 @@ struct CacheTier {
     /// earlier one is still streaming (the exactly-one-location invariant
     /// keeps their block sets disjoint).
     old_pcs: BTreeMap<TaskId, CachePartition>,
-    /// Reusable per-request planner buffers (cleared each plan, never
-    /// shrunk) — keeps the replay hot path allocation-free.
-    plan_scratch: PlanScratch,
 }
 
 /// A simulated volume: the archive partition `PA` holds every block and,
@@ -93,6 +90,9 @@ pub struct CraidArray {
     disks: usize,
     expansion_sets: Vec<usize>,
     background: BackgroundEngine,
+    /// Planning buffers every request and every background batch reuses
+    /// (cleared, never shrunk), so neither allocates once warm.
+    scratch: PlanScratch,
     /// The in-flight paced archive restripe (ideal archives only: growing
     /// one onto more disks reshapes nearly every used block — the cost the
     /// paper charges to conventional upgrades). The restripe cursor keeps
@@ -129,7 +129,6 @@ impl CraidArray {
                 pc,
                 migration: MigrationMap::new(),
                 old_pcs: BTreeMap::new(),
-                plan_scratch: PlanScratch::default(),
             })
         } else {
             None
@@ -146,6 +145,7 @@ impl CraidArray {
             disks: config.disks,
             expansion_sets: config.expansion_sets.clone(),
             background,
+            scratch: PlanScratch::default(),
             config,
             devices,
             cache,
@@ -260,27 +260,40 @@ impl CraidArray {
     }
 
     /// Writes back a set of dirty blocks from `pc` to `pa` (used by the
-    /// instant upgrade invalidation).
+    /// instant upgrade invalidation): the copies are read from `pc`, then
+    /// written with their parity in `pa`.
     fn write_back(
         devices: &mut DeviceSet,
         pc: &CachePartition,
         pa: &Partition<ArchiveLayout>,
         now: SimTime,
         tasks: &[crate::monitor::EvictionTask],
+        scratch: &mut PlanScratch,
         report: &mut ExpansionReport,
     ) {
-        let slots: Vec<u64> = tasks.iter().map(|t| t.pc_slot).collect();
-        let pa_blocks: Vec<u64> = tasks.iter().map(|t| t.pa_block).collect();
-        devices.issue(
-            now,
-            &pc.plan_blocks(IoKind::Read, &slots),
-            &mut report.events,
+        scratch.writeback_slots.clear();
+        scratch
+            .writeback_slots
+            .extend(tasks.iter().map(|t| t.pc_slot));
+        scratch.writeback_pa_blocks.clear();
+        scratch
+            .writeback_pa_blocks
+            .extend(tasks.iter().map(|t| t.pa_block));
+        let ios = &mut scratch.background;
+        ios.clear();
+        pc.plan_blocks_into(
+            IoKind::Read,
+            &scratch.writeback_slots,
+            &mut scratch.archive.buffers,
+            ios,
         );
-        devices.issue(
-            now,
-            &pa.plan_blocks(IoKind::Write, &pa_blocks),
-            &mut report.events,
+        pa.plan_blocks_into(
+            IoKind::Write,
+            &scratch.writeback_pa_blocks,
+            &mut scratch.archive.buffers,
+            ios,
         );
+        devices.issue(now, ios, &mut report.events);
         report.writeback_blocks += tasks.len() as u64;
     }
 
@@ -365,9 +378,10 @@ impl CraidArray {
         // means a block that turns out superseded never issues a phantom
         // old-slot read, and the planning pass can borrow the generation's
         // preserved geometry in place instead of cloning it per batch.
-        let mut moves: Vec<(u64, u64)> = Vec::new();
-        let mut writeback_slots: Vec<u64> = Vec::new();
-        let mut writeback_pa_blocks: Vec<u64> = Vec::new();
+        let scratch = &mut self.scratch;
+        scratch.moves.clear();
+        scratch.writeback_slots.clear();
+        scratch.writeback_pa_blocks.clear();
         for &pa_block in blocks {
             // A block no longer pending *for this generation* was superseded
             // by client traffic (already counted) — the engine's budget
@@ -395,13 +409,13 @@ impl CraidArray {
                 self.migration_stats.superseded_blocks += 1;
                 continue;
             };
-            moves.push((old_slot, new_slot));
+            scratch.moves.push((old_slot, new_slot));
             self.migration_stats.migrated_blocks += 1;
             for task in evictions {
                 if task.dirty {
                     self.migration_stats.writeback_blocks += 1;
-                    writeback_slots.push(task.pc_slot);
-                    writeback_pa_blocks.push(task.pa_block);
+                    scratch.writeback_slots.push(task.pc_slot);
+                    scratch.writeback_pa_blocks.push(task.pa_block);
                 }
             }
         }
@@ -409,42 +423,55 @@ impl CraidArray {
             .old_pcs
             .get(&id)
             .expect("a migration task implies a preserved old PC geometry");
-        let mut old_ios: Vec<PartitionIo> = Vec::new();
-        let mut new_ios: Vec<PartitionIo> = Vec::new();
-        for &(old_slot, new_slot) in &moves {
-            for io in old_pc.plan_blocks(IoKind::Read, &[old_slot]) {
-                old_ios.push(PartitionIo {
-                    purpose: IoPurpose::MigrateRead,
-                    ..io
-                });
+        let mut old_ios = std::mem::take(&mut scratch.foreground);
+        let mut new_ios = std::mem::take(&mut scratch.background);
+        old_ios.clear();
+        new_ios.clear();
+        let buffers = &mut scratch.archive.buffers;
+        for &(old_slot, new_slot) in &scratch.moves {
+            let from = old_ios.len();
+            old_pc.plan_blocks_into(IoKind::Read, &[old_slot], buffers, &mut old_ios);
+            for io in &mut old_ios[from..] {
+                io.purpose = IoPurpose::MigrateRead;
             }
-            for io in cache.pc.plan_blocks(IoKind::Write, &[new_slot]) {
-                new_ios.push(PartitionIo {
-                    purpose: if io.purpose == IoPurpose::Data {
-                        IoPurpose::MigrateWrite
-                    } else {
-                        io.purpose
-                    },
-                    ..io
-                });
+            let from = new_ios.len();
+            cache
+                .pc
+                .plan_blocks_into(IoKind::Write, &[new_slot], buffers, &mut new_ios);
+            for io in &mut new_ios[from..] {
+                if io.purpose == IoPurpose::Data {
+                    io.purpose = IoPurpose::MigrateWrite;
+                }
             }
         }
-        new_ios.extend(cache.pc.plan_blocks(IoKind::Read, &writeback_slots));
+        cache.pc.plan_blocks_into(
+            IoKind::Read,
+            &scratch.writeback_slots,
+            buffers,
+            &mut new_ios,
+        );
         // Displaced dirty write-backs land at the archive's reshaped homes
         // and supersede any pending restripe moves of the same blocks.
         if let Some(state) = self.archive_restripe.as_mut() {
-            for &b in &writeback_pa_blocks {
+            for &b in &scratch.writeback_pa_blocks {
                 state.supersede(&self.pa, b);
             }
         }
-        new_ios.extend(self.pa.plan_blocks(IoKind::Write, &writeback_pa_blocks));
+        self.pa.plan_blocks_into(
+            IoKind::Write,
+            &scratch.writeback_pa_blocks,
+            buffers,
+            &mut new_ios,
+        );
         self.flush_archive_forfeits();
         // Old-geometry reads reconstruct via the old parity groups; the
         // rest via the current layouts.
-        let old_ios = self.degrade(old_ios, Some(id));
-        let new_ios = self.degrade(new_ios, None);
+        self.degrade(&mut old_ios, 0, Some(id));
+        self.degrade(&mut new_ios, 0, None);
         self.devices.issue(now, &old_ios, events);
         self.devices.issue(now, &new_ios, events);
+        self.scratch.foreground = old_ios;
+        self.scratch.background = new_ios;
     }
 
     /// Issues the device I/O for the next `budget` archive-restripe moves:
@@ -452,29 +479,39 @@ impl CraidArray {
     /// its reshaped home (parity maintenance included). The device events
     /// are appended to `events`.
     fn apply_archive_batch(&mut self, now: SimTime, budget: u64, events: &mut Vec<DeviceIoEvent>) {
-        let (moved, ios) = self
+        let mut ios = std::mem::take(&mut self.scratch.background);
+        ios.clear();
+        let moved = self
             .archive_restripe
             .as_mut()
             .expect("a restripe batch implies restripe state")
-            .plan_batch(&self.pa, budget);
+            .plan_batch(
+                &self.pa,
+                budget,
+                &mut self.scratch.runs,
+                &mut self.scratch.archive.buffers,
+                &mut ios,
+            );
         self.migration_stats.archive_migrated_blocks += moved;
         // An ideal-archive reshape preserves the parity-group width (the
         // expanded count must stay a multiple of the group), so the current
         // layout's peers are also correct for pre-reshape locations.
-        let ios = self.degrade(ios, None);
+        self.degrade(&mut ios, 0, None);
         self.devices.issue(now, &ios, events);
+        self.scratch.background = ios;
     }
 
-    /// Rewrites a plan for degraded mode when a disk is failed or
+    /// Rewrites `plan[from..]` for degraded mode when a disk is failed or
     /// rebuilding; a no-op on a healthy array. `generation` names the
     /// migration whose *pre-upgrade* cache partition the plan addresses
     /// (`None` for the current layouts): its copies are protected by that
     /// geometry's parity groups, not the rebuilt one's (the two can group
     /// disks differently when the expanded count stops dividing by the
-    /// parity group).
-    fn degrade(&mut self, plan: Vec<PartitionIo>, generation: Option<TaskId>) -> Vec<PartitionIo> {
+    /// parity group). The rewritten I/Os are built in the scratch's spare
+    /// list, not a fresh one.
+    fn degrade(&mut self, plan: &mut Vec<PartitionIo>, from: usize, generation: Option<TaskId>) {
         let Some((failed, state)) = self.devices.degraded_disk() else {
-            return plan;
+            return;
         };
         // Degraded mode: reads of the lost disk are reconstructed from its
         // parity-group peers — the PC and PA layouts group disks
@@ -497,33 +534,42 @@ impl CraidArray {
             }
             _ => pa_layout.reconstruction_peers(io.disk),
         };
+        let degraded = &mut self.scratch.degraded;
         fault::degrade_plan(
-            plan,
+            &plan[from..],
+            degraded,
             failed,
             state == DiskState::Rebuilding,
             peers_for,
             &mut self.fault_stats,
-        )
+        );
+        plan.truncate(from);
+        plan.extend_from_slice(degraded);
     }
 
     /// Serves a request on an array without a cache partition: every block
     /// goes to the archive (through the pre-upgrade volume while a paced
     /// restripe has not moved it yet) and every I/O is foreground.
-    fn submit_uncached(&mut self, now: SimTime, kind: IoKind, range: BlockRange) -> RequestReport {
-        let blocks: Vec<u64> = range.blocks().collect();
-        let plan = {
-            let mut access = archive_access(&self.pa, &mut self.archive_restripe);
-            match kind {
-                IoKind::Read => access.plan_reads(&blocks),
-                IoKind::Write => access.plan_writes(&blocks),
-            }
-        };
+    fn submit_uncached(
+        &mut self,
+        now: SimTime,
+        kind: IoKind,
+        range: BlockRange,
+        report: &mut RequestReport,
+    ) {
+        let mut plan = std::mem::take(&mut self.scratch.foreground);
+        plan.clear();
+        archive_access(&self.pa, &mut self.archive_restripe).plan_range(
+            kind,
+            range,
+            &mut self.scratch.archive,
+            &mut plan,
+        );
         self.flush_archive_forfeits();
-        let plan = self.degrade(plan, None);
-        let mut report = RequestReport::default();
+        self.degrade(&mut plan, 0, None);
         let finish = self.devices.issue(now, &plan, &mut report.events);
         report.response = finish.saturating_since(now);
-        report
+        self.scratch.foreground = plan;
     }
 
     /// Read access to the I/O monitor, if the array has one (examples and
@@ -649,6 +695,7 @@ impl CraidArray {
                         &self.pa,
                         now,
                         &tasks,
+                        &mut self.scratch,
                         &mut report,
                     );
                     self.devices.add_hdds(added_disks);
@@ -735,12 +782,13 @@ impl StorageArray for CraidArray {
         self.cache.as_ref().map_or(0, |cache| cache.pc.capacity())
     }
 
-    fn submit(
+    fn submit_into(
         &mut self,
         now: SimTime,
         kind: IoKind,
         range: BlockRange,
-    ) -> Result<RequestReport, CraidError> {
+        report: &mut RequestReport,
+    ) -> Result<(), CraidError> {
         if range.end() > self.pa.data_capacity() {
             return Err(CraidError::OutOfRange {
                 start: range.start(),
@@ -748,8 +796,15 @@ impl StorageArray for CraidArray {
                 capacity: self.pa.data_capacity(),
             });
         }
+        let mut events = std::mem::take(&mut report.events);
+        events.clear();
+        *report = RequestReport {
+            events,
+            ..RequestReport::default()
+        };
         let Some(cache) = self.cache.as_mut() else {
-            return Ok(self.submit_uncached(now, kind, range));
+            self.submit_uncached(now, kind, range, report);
+            return Ok(());
         };
         // Mid-upgrade redirection: blocks the paced migration has not
         // reached yet resolve against the MigrationMap first. Dirty pending
@@ -757,81 +812,98 @@ impl StorageArray for CraidArray {
         // from there; everything the client touches otherwise (clean reads,
         // all writes) proceeds against the post-upgrade layout and
         // supersedes the pending move — writes land at the new home.
-        let mut old_slot_reads: BTreeMap<TaskId, Vec<u64>> = BTreeMap::new();
+        let scratch = &mut self.scratch;
+        scratch.old_slot_reads.clear();
         let mut pending_hits = 0u64;
-        let plan_blocks: Option<Vec<u64>> = if cache.migration.is_empty() {
-            None
-        } else {
-            let mut fresh = Vec::with_capacity(range.len() as usize);
+        let triaged = !cache.migration.is_empty();
+        if triaged {
+            scratch.fresh.clear();
             for pa_block in range.blocks() {
                 match cache.migration.get(pa_block) {
                     Some(home) if home.dirty && kind == IoKind::Read => {
                         pending_hits += 1;
-                        old_slot_reads
-                            .entry(home.generation)
-                            .or_default()
-                            .push(home.pc_slot);
+                        scratch.old_slot_reads.push((home.generation, home.pc_slot));
                     }
                     Some(_) => {
                         cache.migration.remove(pa_block);
                         self.migration_stats.superseded_blocks += 1;
-                        fresh.push(pa_block);
+                        scratch.fresh.push(pa_block);
                     }
-                    None => fresh.push(pa_block),
+                    None => scratch.fresh.push(pa_block),
                 }
             }
-            Some(fresh)
-        };
-        let mut plan = {
+        }
+        let plan = {
             let mut access = archive_access(&self.pa, &mut self.archive_restripe);
-            match &plan_blocks {
-                // Fast path: no PC migration in flight, no per-block triage
-                // (and no block-list allocation).
-                None => redirector::plan_request_iter(
-                    &mut cache.monitor,
-                    &mut cache.pc,
-                    &mut access,
-                    kind,
-                    range.blocks(),
-                    range.len(),
-                    &mut cache.plan_scratch,
-                ),
-                Some(fresh) => redirector::plan_request_iter(
+            if triaged {
+                let fresh = std::mem::take(&mut scratch.fresh);
+                let plan = redirector::plan_request_iter(
                     &mut cache.monitor,
                     &mut cache.pc,
                     &mut access,
                     kind,
                     fresh.iter().copied(),
                     range.len(),
-                    &mut cache.plan_scratch,
-                ),
+                    scratch,
+                );
+                scratch.fresh = fresh;
+                plan
+            } else {
+                // Fast path: no PC migration in flight, no per-block triage.
+                redirector::plan_request_iter(
+                    &mut cache.monitor,
+                    &mut cache.pc,
+                    &mut access,
+                    kind,
+                    range.blocks(),
+                    range.len(),
+                    scratch,
+                )
             }
         };
         self.flush_archive_forfeits();
-        plan.cache_hit_blocks += pending_hits;
+        report.cache_hit_blocks = plan.cache_hit_blocks + pending_hits;
+        report.admitted_blocks = plan.admitted_blocks;
+        report.evictions = plan.evictions;
+        report.dirty_writebacks = plan.dirty_writebacks;
 
-        let mut report = RequestReport {
-            cache_hit_blocks: plan.cache_hit_blocks,
-            admitted_blocks: plan.admitted_blocks,
-            evictions: plan.evictions,
-            dirty_writebacks: plan.dirty_writebacks,
-            ..RequestReport::default()
-        };
-        let mut foreground = self.degrade(plan.foreground, None);
-        for (generation, slots) in old_slot_reads {
-            let old_ios = self
-                .cache
+        let mut foreground = std::mem::take(&mut self.scratch.foreground);
+        let mut background = std::mem::take(&mut self.scratch.background);
+        self.degrade(&mut foreground, 0, None);
+        // Pending dirty blocks are read from their generation's preserved
+        // geometry, one generation at a time in ascending order. A
+        // generation's slots are planned as a set, so sorting them changes
+        // nothing.
+        let mut old_slot_reads = std::mem::take(&mut self.scratch.old_slot_reads);
+        old_slot_reads.sort_unstable();
+        for group in old_slot_reads.chunk_by(|a, b| a.0 == b.0) {
+            let generation = group[0].0;
+            let scratch = &mut self.scratch;
+            scratch.old_slots.clear();
+            scratch
+                .old_slots
+                .extend(group.iter().map(|&(_, slot)| slot));
+            let from = foreground.len();
+            self.cache
                 .as_ref()
                 .and_then(|cache| cache.old_pcs.get(&generation))
                 .expect("pending dirty blocks imply a preserved old PC geometry")
-                .plan_blocks(IoKind::Read, &slots);
-            foreground.extend(self.degrade(old_ios, Some(generation)));
+                .plan_blocks_into(
+                    IoKind::Read,
+                    &scratch.old_slots,
+                    &mut scratch.archive.buffers,
+                    &mut foreground,
+                );
+            self.degrade(&mut foreground, from, Some(generation));
         }
-        let background = self.degrade(plan.background, None);
+        self.scratch.old_slot_reads = old_slot_reads;
+        self.degrade(&mut background, 0, None);
         let finish = self.devices.issue(now, &foreground, &mut report.events);
         self.devices.issue(now, &background, &mut report.events);
         report.response = finish.saturating_since(now);
-        Ok(report)
+        self.scratch.foreground = foreground;
+        self.scratch.background = background;
+        Ok(())
     }
 
     fn expand(&mut self, now: SimTime, added_disks: usize) -> Result<ExpansionReport, CraidError> {
@@ -1319,6 +1391,53 @@ mod tests {
         assert!(a.expand(SimTime::ZERO, 0).is_err());
         let mut plus = array(StrategyKind::Craid5Plus);
         assert!(plus.expand(SimTime::ZERO, 1).is_err());
+    }
+
+    #[test]
+    fn reused_reports_and_event_buffers_match_fresh_ones() {
+        // Two identical arrays take the same requests, failure, repair,
+        // paced upgrade and pumps: one refills a single report and one
+        // event buffer throughout, the other gets fresh ones. Stale events
+        // or counters must never survive into the next request.
+        for strategy in [StrategyKind::Craid5, StrategyKind::Raid5] {
+            let mut reused = paced(strategy, 400.0, BackgroundPriority::HotFirst);
+            let mut fresh = paced(strategy, 400.0, BackgroundPriority::HotFirst);
+            let mut report = RequestReport::default();
+            let mut events = Vec::new();
+            for i in 0..400u64 {
+                let now = SimTime::from_millis(i as f64 * 20.0);
+                for a in [&mut reused, &mut fresh] {
+                    match i {
+                        100 => assert!(!a.expand(now, 4).unwrap().deferred),
+                        150 => a.fail_disk(now, 1).unwrap(),
+                        250 => a.repair_disk(now, 1).unwrap(),
+                        _ => {}
+                    }
+                }
+                events.clear();
+                reused.pump_background_into(now, &mut events);
+                assert_eq!(events, fresh.pump_background(now), "{strategy} pump {i}");
+                let kind = if i % 3 == 0 {
+                    IoKind::Write
+                } else {
+                    IoKind::Read
+                };
+                let range = BlockRange::new(i * 37 % 9_000, 1 + i % 9);
+                reused.submit_into(now, kind, range, &mut report).unwrap();
+                let expected = fresh.submit(now, kind, range).unwrap();
+                assert_eq!(report, expected, "{strategy} request {i}");
+            }
+            assert!(reused.fault_stats().reconstruction_ios > 0);
+            // A rejected request leaves the report as it was.
+            let before = report.clone();
+            let cap = reused.capacity_blocks();
+            let past_the_end = BlockRange::new(cap, 1);
+            let now = SimTime::from_secs(9.0);
+            assert!(reused
+                .submit_into(now, IoKind::Read, past_the_end, &mut report)
+                .is_err());
+            assert_eq!(report, before);
+        }
     }
 
     /// Warms an array with a deterministic mixed workload.

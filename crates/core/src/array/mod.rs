@@ -98,7 +98,25 @@ pub trait StorageArray {
     /// Cache-partition capacity in blocks (0 for the baselines).
     fn pc_capacity_blocks(&self) -> u64;
 
-    /// Serves one client request arriving at `now`.
+    /// Serves one client request arriving at `now`, filling `report`: its
+    /// `events` list is cleared and refilled, so a caller that hands the
+    /// same report back request after request reuses its buffer, and every
+    /// other field is overwritten. A rejected request leaves `report`
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CraidError::OutOfRange`] if the request extends beyond the
+    /// volume.
+    fn submit_into(
+        &mut self,
+        now: SimTime,
+        kind: IoKind,
+        range: BlockRange,
+        report: &mut RequestReport,
+    ) -> Result<(), CraidError>;
+
+    /// [`StorageArray::submit_into`] into a fresh report.
     ///
     /// # Errors
     ///
@@ -109,7 +127,11 @@ pub trait StorageArray {
         now: SimTime,
         kind: IoKind,
         range: BlockRange,
-    ) -> Result<RequestReport, CraidError>;
+    ) -> Result<RequestReport, CraidError> {
+        let mut report = RequestReport::default();
+        self.submit_into(now, kind, range, &mut report)?;
+        Ok(report)
+    }
 
     /// Adds `added_disks` mechanical disks at time `now` and performs the
     /// strategy's upgrade procedure.

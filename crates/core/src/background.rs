@@ -404,6 +404,18 @@ pub struct BackgroundEngine {
     /// due. Every state change that can move a pacing clock (push, forfeit,
     /// poll, throttle retarget) clears it.
     next_due_cache: Option<Option<SimTime>>,
+    /// [`BackgroundEngine::poll`]'s working lists, one entry per live
+    /// task, kept so a poll allocates none of them: each task's demand,
+    /// its grant, and the tasks left hungry by a contended split.
+    poll_scratch: PollScratch,
+}
+
+/// See [`BackgroundEngine`]'s `poll_scratch`.
+#[derive(Debug, Clone, Default)]
+struct PollScratch {
+    due: Vec<u64>,
+    alloc: Vec<u64>,
+    hungry: Vec<usize>,
 }
 
 impl BackgroundEngine {
@@ -702,7 +714,12 @@ impl BackgroundEngine {
         let cap = self.batch_cap();
         let scale = self.scale();
         // Phase 1: how many blocks does each task's pace demand right now?
-        let mut due: Vec<u64> = Vec::with_capacity(self.queue.len());
+        let PollScratch {
+            mut due,
+            mut alloc,
+            mut hungry,
+        } = std::mem::take(&mut self.poll_scratch);
+        due.clear();
         let mut total_due = 0u64;
         let mut weight_sum = 0.0f64;
         for task in &self.queue {
@@ -720,7 +737,8 @@ impl BackgroundEngine {
         // of one block per hungry task (everyone makes progress every poll)
         // and leftover budget redistributed in push order so the poll stays
         // work-conserving.
-        let mut alloc = due.clone();
+        alloc.clear();
+        alloc.extend_from_slice(&due);
         if total_due > cap {
             let mut assigned = 0u64;
             for (task, (alloc, &want)) in self.queue.iter().zip(alloc.iter_mut().zip(&due)) {
@@ -735,7 +753,8 @@ impl BackgroundEngine {
             // The refill visits hungry tasks in push order; *where it
             // starts* is a policy the model checker may rotate (branch 0 =
             // the first hungry task, the pinned behaviour).
-            let hungry: Vec<usize> = (0..alloc.len()).filter(|&i| due[i] > alloc[i]).collect();
+            hungry.clear();
+            hungry.extend((0..alloc.len()).filter(|&i| due[i] > alloc[i]));
             if leftover > 0 && !hungry.is_empty() {
                 let start = choice::choose(DecisionPoint::FairShareLeftover, hungry.len());
                 for position in 0..hungry.len() {
@@ -828,6 +847,7 @@ impl BackgroundEngine {
                 true
             }
         });
+        self.poll_scratch = PollScratch { due, alloc, hungry };
         batches
     }
 

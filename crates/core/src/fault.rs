@@ -34,7 +34,8 @@ use crate::report::FaultStats;
 /// benefit of reconstructing them early).
 pub(crate) const MAX_HOT_REBUILD_BLOCKS: usize = 4_096;
 
-/// Rewrites an I/O plan for an array whose disk `failed` is unavailable.
+/// Rewrites an I/O plan for an array whose disk `failed` is unavailable,
+/// into `out` (cleared first, so a caller can keep it as a spare list).
 ///
 /// Reads targeting the failed disk fan out as [`IoPurpose::ReconstructRead`]
 /// to the peers `peers_for` reports for that I/O (the surviving members of
@@ -43,14 +44,15 @@ pub(crate) const MAX_HOT_REBUILD_BLOCKS: usize = 4_096;
 /// true (a rebuilding hot spare). Counters for the report accumulate into
 /// `stats`.
 pub(crate) fn degrade_plan(
-    plan: Vec<PartitionIo>,
+    plan: &[PartitionIo],
+    out: &mut Vec<PartitionIo>,
     failed: usize,
     accepts_writes: bool,
     peers_for: impl Fn(&PartitionIo) -> Vec<usize>,
     stats: &mut FaultStats,
-) -> Vec<PartitionIo> {
-    let mut out = Vec::with_capacity(plan.len());
-    for io in plan {
+) {
+    out.clear();
+    for &io in plan {
         if io.disk != failed {
             out.push(io);
             continue;
@@ -73,7 +75,6 @@ pub(crate) fn degrade_plan(
             IoKind::Write => stats.parity_absorbed_writes += 1,
         }
     }
-    out
 }
 
 /// The per-disk physical block count a rebuild must reconstruct when
@@ -103,7 +104,9 @@ mod tests {
     fn degrade_fans_reads_out_to_peers_and_leaves_others_alone() {
         let plan = vec![io(0, 10, 4, IoKind::Read), io(2, 10, 4, IoKind::Read)];
         let mut stats = FaultStats::default();
-        let out = degrade_plan(plan, 2, false, |_| vec![0, 1, 3], &mut stats);
+        // The output list's old contents are cleared, not kept.
+        let mut out = vec![io(5, 0, 1, IoKind::Write)];
+        degrade_plan(&plan, &mut out, 2, false, |_| vec![0, 1, 3], &mut stats);
         // Disk 0's read survives untouched; disk 2's read becomes three
         // reconstruction reads at the same range.
         assert_eq!(out.len(), 4);
@@ -122,12 +125,13 @@ mod tests {
     fn degrade_absorbs_writes_to_a_dead_disk_but_not_to_a_spare() {
         let plan = vec![io(2, 0, 2, IoKind::Write)];
         let mut stats = FaultStats::default();
-        let dead = degrade_plan(plan.clone(), 2, false, |_| vec![0, 1], &mut stats);
-        assert!(dead.is_empty(), "a dead disk cannot take the write");
+        let mut out = Vec::new();
+        degrade_plan(&plan, &mut out, 2, false, |_| vec![0, 1], &mut stats);
+        assert!(out.is_empty(), "a dead disk cannot take the write");
         assert_eq!(stats.parity_absorbed_writes, 1);
 
-        let spare = degrade_plan(plan, 2, true, |_| vec![0, 1], &mut stats);
-        assert_eq!(spare.len(), 1, "a rebuilding spare accepts writes");
+        degrade_plan(&plan, &mut out, 2, true, |_| vec![0, 1], &mut stats);
+        assert_eq!(out, plan, "a rebuilding spare accepts writes");
     }
 
     #[test]

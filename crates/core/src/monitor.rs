@@ -181,8 +181,9 @@ impl IoMonitor {
         self.mapping.lookup(pa_block).map(|m| m.pc_block)
     }
 
-    /// Records one block access and returns the placement decision plus any
-    /// eviction work it triggered.
+    /// Records one block access and returns the placement decision plus the
+    /// eviction work it triggered: at most one task, as an iterator, so the
+    /// caller can loop over it and no list is allocated per access.
     ///
     /// # Panics
     ///
@@ -194,7 +195,7 @@ impl IoMonitor {
         kind: IoKind,
         request_blocks: u64,
         pc: &mut CachePartition,
-    ) -> (BlockDecision, Vec<EvictionTask>) {
+    ) -> (BlockDecision, std::option::IntoIter<EvictionTask>) {
         let meta = match kind {
             IoKind::Read => AccessMeta::read(request_blocks),
             IoKind::Write => AccessMeta::write(request_blocks),
@@ -219,7 +220,7 @@ impl IoMonitor {
                 .lookup(pa_block)
                 .expect("policy residency and mapping cache are in lock-step")
                 .pc_block;
-            return (BlockDecision::Cached { slot }, Vec::new());
+            return (BlockDecision::Cached { slot }, None.into_iter());
         }
         let (slot, eviction) = self.admit(pa_block, kind.is_write(), outcome.evicted(), pc);
         // The tracer's ambient clock was set by the replay loop for this
@@ -243,10 +244,7 @@ impl IoMonitor {
             });
             craid_obs::counter_add("cache.evictions", 1);
         }
-        (
-            BlockDecision::Admitted { slot },
-            eviction.into_iter().collect(),
-        )
+        (BlockDecision::Admitted { slot }, eviction.into_iter())
     }
 
     /// Gives `pa_block`, which the policy just admitted, a slot and a
@@ -321,8 +319,9 @@ impl IoMonitor {
 
     /// Re-admits a block the background migration moved into the (rebuilt)
     /// cache partition, preserving its dirty bit. Returns the assigned slot
-    /// plus any eviction work the re-admission displaced, or `None` when the
-    /// block is already resident (client traffic beat the migration to it).
+    /// plus the eviction work the re-admission displaced (at most one task,
+    /// as in [`IoMonitor::access`]), or `None` when the block is already
+    /// resident (client traffic beat the migration to it).
     ///
     /// The re-admission is silent: it counts into neither the access nor the
     /// eviction statistics — it is maintenance traffic, not client load.
@@ -331,7 +330,7 @@ impl IoMonitor {
         pa_block: u64,
         dirty: bool,
         pc: &mut CachePartition,
-    ) -> Option<(u64, Vec<EvictionTask>)> {
+    ) -> Option<(u64, std::option::IntoIter<EvictionTask>)> {
         if self.mapping.contains(pa_block) {
             return None;
         }
@@ -345,7 +344,7 @@ impl IoMonitor {
             return None; // residency and mapping are in lock-step
         }
         let (slot, eviction) = self.admit(pa_block, dirty, outcome.evicted(), pc);
-        Some((slot, eviction.into_iter().collect()))
+        Some((slot, eviction.into_iter()))
     }
 
     /// Observed access count of `pa_block` (the heat signal).
@@ -428,11 +427,18 @@ mod tests {
         IoMonitor::new(PolicyKind::Wlru(0.5), capacity)
     }
 
+    /// An access's or re-admission's evictions collected into a list.
+    fn collected<T>(
+        (value, evictions): (T, std::option::IntoIter<EvictionTask>),
+    ) -> (T, Vec<EvictionTask>) {
+        (value, evictions.collect())
+    }
+
     #[test]
     fn admission_then_hit() {
         let mut pc = pc(4); // capacity 12
         let mut m = monitor(pc.capacity());
-        let (d, ev) = m.access(100, IoKind::Read, 1, &mut pc);
+        let (d, ev) = collected(m.access(100, IoKind::Read, 1, &mut pc));
         assert!(matches!(d, BlockDecision::Admitted { .. }));
         assert!(ev.is_empty());
         let (d2, _) = m.access(100, IoKind::Read, 1, &mut pc);
@@ -465,7 +471,7 @@ mod tests {
         m.access(3, IoKind::Read, 1, &mut pc);
         assert_eq!(pc.free_slots(), 0);
         // Fourth distinct block must evict one of the first three.
-        let (d, ev) = m.access(4, IoKind::Read, 1, &mut pc);
+        let (d, ev) = collected(m.access(4, IoKind::Read, 1, &mut pc));
         assert!(matches!(d, BlockDecision::Admitted { .. }));
         assert_eq!(ev.len(), 1);
         assert_eq!(
@@ -486,7 +492,7 @@ mod tests {
         m.access(1, IoKind::Write, 1, &mut pc); // dirty, LRU position
         m.access(2, IoKind::Read, 1, &mut pc);
         m.access(3, IoKind::Read, 1, &mut pc);
-        let (_, ev) = m.access(4, IoKind::Read, 1, &mut pc);
+        let (_, ev) = collected(m.access(4, IoKind::Read, 1, &mut pc));
         assert_eq!(ev.len(), 1);
         assert!(!ev[0].dirty, "WLRU should have picked a clean victim");
         assert_eq!(m.stats().dirty_evictions, 0);
@@ -504,7 +510,7 @@ mod tests {
             m.access(1, IoKind::Write, 1, &mut pc);
             m.access(2, IoKind::Read, 1, &mut pc);
             m.access(3, IoKind::Read, 1, &mut pc);
-            let (_, ev) = m.access(4, IoKind::Read, 1, &mut pc);
+            let (_, ev) = collected(m.access(4, IoKind::Read, 1, &mut pc));
             let wlru = matches!(kind, PolicyKind::Wlru(_));
             let expected = if wlru { (1, 2, false) } else { (1, 1, true) };
             assert_eq!((ev.len(), ev[0].pa_block, ev[0].dirty), expected, "{kind}");
@@ -543,10 +549,10 @@ mod tests {
                 m.resize(capacity);
                 // The first `capacity` distinct blocks fit; the next evicts.
                 for b in 0..capacity {
-                    let (_, ev) = m.access(100 + b, IoKind::Read, 1, &mut new_pc);
+                    let (_, ev) = collected(m.access(100 + b, IoKind::Read, 1, &mut new_pc));
                     assert!(ev.is_empty(), "{kind} evicted below capacity {capacity}");
                 }
-                let (_, ev) = m.access(999, IoKind::Read, 1, &mut new_pc);
+                let (_, ev) = collected(m.access(999, IoKind::Read, 1, &mut new_pc));
                 assert_eq!(ev.len(), 1, "{kind} at capacity {capacity}");
                 assert_eq!(m.cached_blocks() as u64, capacity, "{kind}");
                 old_pc = new_pc;
@@ -650,7 +656,7 @@ mod tests {
         m.access(1, IoKind::Read, 1, &mut pc);
         // Clean block 1 ranks third, outside WLRU(0.5)'s scan window of two,
         // so the dirty LRU head, u64::MAX, is the victim.
-        let (_, ev) = m.access(2, IoKind::Read, 1, &mut pc);
+        let (_, ev) = collected(m.access(2, IoKind::Read, 1, &mut pc));
         assert_eq!((ev[0].pa_block, ev[0].dirty), (u64::MAX, true));
         let writebacks = m.invalidate_all(&mut pc);
         assert_eq!((writebacks.len(), writebacks[0].pa_block), (1, 0));
@@ -681,7 +687,7 @@ mod tests {
         let drained = m.begin_migration(&mut pc);
         let accesses_before = m.stats().read_accesses + m.stats().write_accesses;
         let (pa, mapping) = drained[0];
-        let (slot, evictions) = m.readmit(pa, mapping.dirty, &mut pc).unwrap();
+        let (slot, evictions) = collected(m.readmit(pa, mapping.dirty, &mut pc).unwrap());
         assert!(evictions.is_empty());
         assert!(m.mapping().lookup(pa).unwrap().dirty);
         assert_eq!(m.mapping().lookup(pa).unwrap().pc_block, slot);
@@ -699,12 +705,12 @@ mod tests {
         let mut pc = pc(1); // capacity 3
         let mut m = IoMonitor::new(PolicyKind::Lru, pc.capacity());
         for (block, dirty) in [(1, true), (2, false), (3, false)] {
-            let (_, ev) = m.readmit(block, dirty, &mut pc).unwrap();
+            let (_, ev) = collected(m.readmit(block, dirty, &mut pc).unwrap());
             assert!(ev.is_empty());
         }
         // The LRU victim's dirty bit comes from the mapping cache, and its
         // slot goes straight to the re-admitted block.
-        let (slot, ev) = m.readmit(4, false, &mut pc).unwrap();
+        let (slot, ev) = collected(m.readmit(4, false, &mut pc).unwrap());
         let victim = (ev.len(), ev[0].pa_block, ev[0].pc_slot, ev[0].dirty);
         assert_eq!(victim, (1, 1, slot, true));
         assert!(!m.mapping().contains(1));
@@ -723,7 +729,7 @@ mod tests {
         m.switch_policy(PolicyKind::Lru);
         assert_eq!(m.cached_blocks(), 3);
         assert!(m.mapping().lookup(1).unwrap().dirty);
-        let (_, ev) = m.access(4, IoKind::Read, 1, &mut pc);
+        let (_, ev) = collected(m.access(4, IoKind::Read, 1, &mut pc));
         assert_eq!((ev.len(), ev[0].pa_block, ev[0].dirty), (1, 1, true));
         // The switch outlives an invalidation: the emptied cache is still
         // LRU, so the same stream evicts dirty block 1 again.
@@ -756,7 +762,7 @@ mod tests {
         stream
             .map(|(block, write)| {
                 let kind = if write { IoKind::Write } else { IoKind::Read };
-                m.access(block, kind, 1 + block % 4, pc)
+                collected(m.access(block, kind, 1 + block % 4, pc))
             })
             .collect()
     }

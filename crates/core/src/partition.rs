@@ -12,7 +12,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use craid_diskmodel::{BlockRange, IoKind};
-use craid_raid::{IoPlanner, Layout, PlannedIo, Raid5Layout, Raid5PlusLayout};
+use craid_raid::{IoPlanner, Layout, PlanBuffers, PlannedIo, Raid5Layout, Raid5PlusLayout};
 
 /// A device I/O produced by a partition: a [`PlannedIo`] whose device index
 /// and block number are absolute (array-wide device id, device-absolute
@@ -67,26 +67,51 @@ impl<L: Layout> Partition<L> {
         self.first_device = first_device;
     }
 
-    /// Plans the device I/Os for a set of logical partition blocks,
-    /// translating device indices and block numbers to absolute coordinates.
+    /// Plans the device I/Os for a set of logical partition blocks into a
+    /// fresh list (see [`Partition::plan_blocks_into`]).
     pub fn plan_blocks(&self, kind: IoKind, blocks: &[u64]) -> Vec<PartitionIo> {
-        self.place(self.planner.plan_blocks(kind, blocks))
+        let mut plan = self.planner.plan_blocks(kind, blocks);
+        self.place(&mut plan);
+        plan
     }
 
-    /// [`Partition::plan_blocks`] for ascending, disjoint logical runs (see
-    /// [`IoPlanner::plan_runs`]).
-    pub fn plan_runs(&self, kind: IoKind, runs: &[BlockRange]) -> Vec<PartitionIo> {
-        self.place(self.planner.plan_runs(kind, runs))
+    /// Appends to `plan` the device I/Os for a set of logical partition
+    /// blocks, in absolute coordinates: the planner works in `buffers`
+    /// (see [`IoPlanner::plan_blocks_into`]) and only the I/Os this call
+    /// appended are shifted onto the partition's devices and offset.
+    pub fn plan_blocks_into(
+        &self,
+        kind: IoKind,
+        blocks: &[u64],
+        buffers: &mut PlanBuffers,
+        plan: &mut Vec<PartitionIo>,
+    ) {
+        let from = plan.len();
+        self.planner.plan_blocks_into(kind, blocks, buffers, plan);
+        self.place(&mut plan[from..]);
     }
 
-    /// Shifts a layout-relative plan onto this partition's devices and
-    /// block offset, in place.
-    fn place(&self, mut plan: Vec<PlannedIo>) -> Vec<PartitionIo> {
-        for io in &mut plan {
+    /// [`Partition::plan_blocks_into`] for ascending, disjoint logical runs
+    /// (see [`IoPlanner::plan_runs_into`]).
+    pub fn plan_runs_into(
+        &self,
+        kind: IoKind,
+        runs: &[BlockRange],
+        buffers: &mut PlanBuffers,
+        plan: &mut Vec<PartitionIo>,
+    ) {
+        let from = plan.len();
+        self.planner.plan_runs_into(kind, runs, buffers, plan);
+        self.place(&mut plan[from..]);
+    }
+
+    /// Shifts layout-relative I/Os onto this partition's devices and block
+    /// offset, in place.
+    fn place(&self, ios: &mut [PlannedIo]) {
+        for io in ios {
             io.disk += self.first_device;
             io.range = BlockRange::new(io.range.start() + self.block_offset, io.range.len());
         }
-        plan
     }
 }
 
@@ -247,9 +272,22 @@ impl CachePartition {
         self.recycled.push(Reverse(slot));
     }
 
-    /// Plans the device I/Os touching the given cache slots.
+    /// Plans the device I/Os touching the given cache slots into a fresh
+    /// list.
     pub fn plan_blocks(&self, kind: IoKind, slots: &[u64]) -> Vec<PartitionIo> {
         self.partition.plan_blocks(kind, slots)
+    }
+
+    /// Appends to `plan` the device I/Os touching the given cache slots
+    /// (see [`Partition::plan_blocks_into`]).
+    pub fn plan_blocks_into(
+        &self,
+        kind: IoKind,
+        slots: &[u64],
+        buffers: &mut PlanBuffers,
+        plan: &mut Vec<PartitionIo>,
+    ) {
+        self.partition.plan_blocks_into(kind, slots, buffers, plan);
     }
 
     /// Replaces the layout (an online upgrade extended the partition over
@@ -326,6 +364,32 @@ mod tests {
         let plan = part.plan_blocks(IoKind::Read, &[0]);
         assert_eq!(plan[0].disk, 2);
         assert_eq!(plan[0].range.start(), 100, "block offset is applied");
+    }
+
+    #[test]
+    fn appended_plans_shift_only_what_they_appended() {
+        let part = Partition::new(Raid5Layout::new(4, 4, 2, 8).unwrap(), 2, 100);
+        let prefix = PartitionIo {
+            disk: 0,
+            range: BlockRange::new(0, 1),
+            kind: IoKind::Read,
+            purpose: IoPurpose::Data,
+        };
+        let mut plan = vec![prefix];
+        let mut buffers = PlanBuffers::default();
+        part.plan_blocks_into(IoKind::Write, &[0], &mut buffers, &mut plan);
+        assert_eq!(plan[0], prefix, "the prefix is neither shifted nor merged");
+        assert_eq!(plan[1..], part.plan_blocks(IoKind::Write, &[0])[..]);
+        assert_eq!(plan.len(), 5, "data, old data, old parity, parity");
+        part.plan_runs_into(
+            IoKind::Read,
+            &[BlockRange::new(0, 2)],
+            &mut buffers,
+            &mut plan,
+        );
+        assert_eq!(plan.len(), 6);
+        assert_eq!(plan[5].disk, 2);
+        assert_eq!(plan[5].range, BlockRange::new(100, 2));
     }
 
     #[test]

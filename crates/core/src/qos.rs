@@ -536,6 +536,7 @@ mod tests {
         /// The counted window agrees with the rebuilt one at every decision:
         /// latencies land exactly on the integer target, percentiles include
         /// 0 and 1, and windows are short enough that samples age out.
+        #[test]
         fn counted_verdict_matches_the_rebuilt_window(
             (targets, target_ms, max_depth) in (0u8..3, 1u32..6, 1u32..12),
             (percentile_pick, percentile_draw, window_ms) in (0usize..7, 0.0f64..1.0, 50u64..500),

@@ -17,7 +17,9 @@
 //! its maintenance work with normal operation.
 
 use craid_diskmodel::{BlockRange, IoKind};
+use craid_raid::PlanBuffers;
 
+use crate::background::TaskId;
 use crate::monitor::IoMonitor;
 use crate::partition::{ArchiveLayout, CachePartition, Partition, PartitionIo};
 use crate::restripe::RestripeState;
@@ -42,49 +44,144 @@ pub(crate) enum ArchiveAccess<'a> {
 }
 
 impl ArchiveAccess<'_> {
-    /// Plans reads of `blocks` from their authoritative archive copies.
+    /// Appends reads of `blocks` from their authoritative archive copies
+    /// to `plan`.
     #[inline]
-    pub(crate) fn plan_reads(&self, blocks: &[u64]) -> Vec<PartitionIo> {
+    pub(crate) fn plan_reads(
+        &self,
+        blocks: &[u64],
+        scratch: &mut ArchiveScratch,
+        plan: &mut Vec<PartitionIo>,
+    ) {
         match self {
-            ArchiveAccess::Plain(pa) => pa.plan_blocks(IoKind::Read, blocks),
+            ArchiveAccess::Plain(pa) => {
+                pa.plan_blocks_into(IoKind::Read, blocks, &mut scratch.buffers, plan)
+            }
             ArchiveAccess::Restriping { current, restripe } => {
-                let (pending, settled): (Vec<u64>, Vec<u64>) = blocks
-                    .iter()
-                    .partition(|&&b| restripe.is_pending(current, b));
-                let mut plan = current.plan_blocks(IoKind::Read, &settled);
-                plan.extend(restripe.old.plan_blocks(IoKind::Read, &pending));
-                plan
+                scratch.pending.clear();
+                scratch.settled.clear();
+                for &block in blocks {
+                    if restripe.is_pending(current, block) {
+                        scratch.pending.push(block);
+                    } else {
+                        scratch.settled.push(block);
+                    }
+                }
+                current.plan_blocks_into(
+                    IoKind::Read,
+                    &scratch.settled,
+                    &mut scratch.buffers,
+                    plan,
+                );
+                restripe.old.plan_blocks_into(
+                    IoKind::Read,
+                    &scratch.pending,
+                    &mut scratch.buffers,
+                    plan,
+                );
             }
         }
     }
 
-    /// Plans writes of `blocks` at their current archive homes, superseding
-    /// any pending restripe move of the same blocks.
+    /// Appends writes of `blocks` at their current archive homes to
+    /// `plan`, superseding any pending restripe move of the same blocks.
     #[inline]
-    pub(crate) fn plan_writes(&mut self, blocks: &[u64]) -> Vec<PartitionIo> {
+    pub(crate) fn plan_writes(
+        &mut self,
+        blocks: &[u64],
+        scratch: &mut ArchiveScratch,
+        plan: &mut Vec<PartitionIo>,
+    ) {
         match self {
-            ArchiveAccess::Plain(pa) => pa.plan_blocks(IoKind::Write, blocks),
+            ArchiveAccess::Plain(pa) => {
+                pa.plan_blocks_into(IoKind::Write, blocks, &mut scratch.buffers, plan)
+            }
             ArchiveAccess::Restriping { current, restripe } => {
                 for &block in blocks {
                     restripe.supersede(current, block);
                 }
-                current.plan_blocks(IoKind::Write, blocks)
+                current.plan_blocks_into(IoKind::Write, blocks, &mut scratch.buffers, plan);
             }
         }
     }
+
+    /// Appends the I/O of one client request for `range` to `plan`. With
+    /// no restripe in flight the range is planned as the one run it is;
+    /// mid-restripe its blocks are split as [`ArchiveAccess::plan_reads`]
+    /// and [`ArchiveAccess::plan_writes`] do.
+    pub(crate) fn plan_range(
+        &mut self,
+        kind: IoKind,
+        range: BlockRange,
+        scratch: &mut ArchiveScratch,
+        plan: &mut Vec<PartitionIo>,
+    ) {
+        if let ArchiveAccess::Plain(pa) = self {
+            pa.plan_runs_into(kind, &[range], &mut scratch.buffers, plan);
+            return;
+        }
+        let mut blocks = std::mem::take(&mut scratch.blocks);
+        blocks.clear();
+        blocks.extend(range.blocks());
+        match kind {
+            IoKind::Read => self.plan_reads(&blocks, scratch, plan),
+            IoKind::Write => self.plan_writes(&blocks, scratch, plan),
+        }
+        scratch.blocks = blocks;
+    }
 }
 
-/// Reusable per-block triage buffers for the planner. The replay hot loop
-/// plans one request per trace record; owning these vectors across calls
-/// (cleared, never shrunk) keeps the per-request path free of heap
-/// allocations once the high-water marks are reached.
+/// The archive side of [`PlanScratch`]: the planner's buffers, which the
+/// cache partition's planning shares, plus the block lists a request is
+/// split into while a restripe is in flight.
+#[derive(Debug, Default)]
+pub(crate) struct ArchiveScratch {
+    pub(crate) buffers: PlanBuffers,
+    /// A request's blocks, for a mid-restripe request on an array without
+    /// a cache partition.
+    blocks: Vec<u64>,
+    /// Blocks the restripe has not moved yet (read from the old volume).
+    pending: Vec<u64>,
+    /// Blocks at their reshaped homes.
+    settled: Vec<u64>,
+}
+
+/// Reusable buffers for planning client requests: the per-block triage
+/// lists, the planner's working memory and the foreground and background
+/// I/O lists a request's plan is built in. The array owns one and hands it
+/// to every request and every background batch, cleared and never shrunk,
+/// so planning allocates nothing once each buffer has reached the
+/// high-water mark of the requests it served.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     hit_slots: Vec<u64>,
     admitted_slots: Vec<u64>,
     admitted_pa_blocks: Vec<u64>,
-    writeback_pa_blocks: Vec<u64>,
-    writeback_slots: Vec<u64>,
+    /// Archive blocks of dirty victims (a request's, or a migration
+    /// batch's).
+    pub(crate) writeback_pa_blocks: Vec<u64>,
+    /// Cache slots of dirty victims, in step with `writeback_pa_blocks`.
+    pub(crate) writeback_slots: Vec<u64>,
+    pub(crate) archive: ArchiveScratch,
+    /// I/Os the client's completion waits for (a background batch's
+    /// old-geometry reads).
+    pub(crate) foreground: Vec<PartitionIo>,
+    /// Maintenance I/Os issued alongside (a background batch's I/O).
+    pub(crate) background: Vec<PartitionIo>,
+    /// The array's spare list for degraded-mode rewrites.
+    pub(crate) degraded: Vec<PartitionIo>,
+    /// The blocks of a request that flow through the monitor while a
+    /// cache-partition migration is in flight.
+    pub(crate) fresh: Vec<u64>,
+    /// `(generation, old slot)` of a request's pending dirty blocks, read
+    /// from the preserved pre-upgrade cache partitions.
+    pub(crate) old_slot_reads: Vec<(TaskId, u64)>,
+    /// One generation's old slots, cut out of `old_slot_reads`.
+    pub(crate) old_slots: Vec<u64>,
+    /// `(old slot, new slot)` of each block a migration batch moves.
+    pub(crate) moves: Vec<(u64, u64)>,
+    /// The runs a restripe batch moves.
+    pub(crate) runs: Vec<BlockRange>,
 }
 
 impl PlanScratch {
@@ -94,6 +191,8 @@ impl PlanScratch {
         self.admitted_pa_blocks.clear();
         self.writeback_pa_blocks.clear();
         self.writeback_slots.clear();
+        self.foreground.clear();
+        self.background.clear();
     }
 }
 
@@ -127,24 +226,30 @@ pub fn plan_request(
     kind: IoKind,
     range: BlockRange,
 ) -> RequestPlan {
-    plan_request_iter(
+    let mut scratch = PlanScratch::default();
+    let mut plan = plan_request_iter(
         monitor,
         pc,
         &mut ArchiveAccess::Plain(pa),
         kind,
         range.blocks(),
         range.len(),
-        &mut PlanScratch::default(),
-    )
+        &mut scratch,
+    );
+    plan.foreground = scratch.foreground;
+    plan.background = scratch.background;
+    plan
 }
 
 /// [`plan_request`] over any block sequence, against an [`ArchiveAccess`]
-/// and with caller-owned triage scratch so the hot loop allocates nothing
-/// per request. While an expansion migration is in flight the array passes
-/// only the blocks that flow through the monitor (the rest are redirected
-/// to their pre-upgrade homes); `request_blocks` is the size of the
-/// original client request (the `S_i` the policies see), which may exceed
-/// the number of blocks planned.
+/// and with caller-owned scratch so the hot loop allocates nothing per
+/// request: the I/O lists are built in `scratch.foreground` and
+/// `scratch.background`, and the returned plan carries the counters only
+/// (its lists are empty). While an expansion migration is in flight the
+/// array passes only the blocks that flow through the monitor (the rest
+/// are redirected to their pre-upgrade homes); `request_blocks` is the
+/// size of the original client request (the `S_i` the policies see),
+/// which may exceed the number of blocks planned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_request_iter(
     monitor: &mut IoMonitor,
@@ -183,24 +288,37 @@ pub(crate) fn plan_request_iter(
             // Cached blocks are read from PC, missing blocks from PA (from
             // their pre-reshape location while an archive restripe has not
             // reached them).
-            plan.foreground
-                .extend(pc.plan_blocks(IoKind::Read, &scratch.hit_slots));
-            plan.foreground
-                .extend(pa.plan_reads(&scratch.admitted_pa_blocks));
+            pc.plan_blocks_into(
+                IoKind::Read,
+                &scratch.hit_slots,
+                &mut scratch.archive.buffers,
+                &mut scratch.foreground,
+            );
+            pa.plan_reads(
+                &scratch.admitted_pa_blocks,
+                &mut scratch.archive,
+                &mut scratch.foreground,
+            );
             // Copying the admitted blocks into their new PC slots happens in
             // the background (B.1 in the paper's control-flow figure).
-            plan.background
-                .extend(pc.plan_blocks(IoKind::Write, &scratch.admitted_slots));
+            pc.plan_blocks_into(
+                IoKind::Write,
+                &scratch.admitted_slots,
+                &mut scratch.archive.buffers,
+                &mut scratch.background,
+            );
         }
         IoKind::Write => {
             // Writes are always absorbed by the cache partition. Hit and
             // admitted slots merge in request order (hits first, matching
             // the historical plan order bit-for-bit).
-            let admitted = std::mem::take(&mut scratch.admitted_slots);
-            scratch.hit_slots.extend(&admitted);
-            scratch.admitted_slots = admitted;
-            plan.foreground
-                .extend(pc.plan_blocks(IoKind::Write, &scratch.hit_slots));
+            scratch.hit_slots.extend_from_slice(&scratch.admitted_slots);
+            pc.plan_blocks_into(
+                IoKind::Write,
+                &scratch.hit_slots,
+                &mut scratch.archive.buffers,
+                &mut scratch.foreground,
+            );
         }
     }
 
@@ -208,10 +326,17 @@ pub(crate) fn plan_request_iter(
     // original data (and its parity) in the archive — the "4 additional
     // I/Os" of §5.1. Archive writes land at the reshaped home and
     // supersede any pending restripe move of the same block.
-    plan.background
-        .extend(pc.plan_blocks(IoKind::Read, &scratch.writeback_slots));
-    plan.background
-        .extend(pa.plan_writes(&scratch.writeback_pa_blocks));
+    pc.plan_blocks_into(
+        IoKind::Read,
+        &scratch.writeback_slots,
+        &mut scratch.archive.buffers,
+        &mut scratch.background,
+    );
+    pa.plan_writes(
+        &scratch.writeback_pa_blocks,
+        &mut scratch.archive,
+        &mut scratch.background,
+    );
 
     plan
 }
@@ -345,6 +470,52 @@ mod tests {
             .background
             .iter()
             .any(|io| io.purpose == IoPurpose::ParityWrite && io.range.start() >= 2));
+    }
+
+    #[test]
+    fn a_reused_scratch_plans_like_a_fresh_one() {
+        // A small cache partition, so requests hit, admit and evict dirty
+        // victims; one monitor plans through one scratch, its twin through
+        // a fresh scratch per request.
+        let (mut monitor, mut pc, pa) = setup(2);
+        let (mut twin, mut twin_pc, _) = setup(2);
+        let mut scratch = PlanScratch::default();
+        for i in 0..300u64 {
+            let kind = if i % 3 == 0 {
+                IoKind::Write
+            } else {
+                IoKind::Read
+            };
+            let range = BlockRange::new(i * 7 % 90, 1 + i % 5);
+            let counts = plan_request_iter(
+                &mut monitor,
+                &mut pc,
+                &mut ArchiveAccess::Plain(&pa),
+                kind,
+                range.blocks(),
+                range.len(),
+                &mut scratch,
+            );
+            let fresh = plan_request(&mut twin, &mut twin_pc, &pa, kind, range);
+            assert_eq!(scratch.foreground, fresh.foreground, "request {i}");
+            assert_eq!(scratch.background, fresh.background, "request {i}");
+            assert_eq!(
+                (
+                    counts.cache_hit_blocks,
+                    counts.admitted_blocks,
+                    counts.evictions,
+                    counts.dirty_writebacks
+                ),
+                (
+                    fresh.cache_hit_blocks,
+                    fresh.admitted_blocks,
+                    fresh.evictions,
+                    fresh.dirty_writebacks
+                ),
+                "request {i}"
+            );
+        }
+        assert!(monitor.stats().dirty_evictions > 0);
     }
 
     #[test]

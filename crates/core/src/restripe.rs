@@ -16,7 +16,7 @@
 //! cursor, comparing old and new locations once per stripe unit rather
 //! than once per block, splits the moving runs around superseded blocks,
 //! cuts the last run at the engine's exact block budget, and plans the
-//! resulting runs through both volumes ([`Partition::plan_runs`]). Batch
+//! resulting runs through both volumes ([`Partition::plan_runs_into`]). Batch
 //! boundaries therefore fall on the same blocks as a block-by-block walk
 //! would put them. Membership of the pending set is *computed*, not
 //! stored: a block is pending iff it is ahead of the cursor, its location
@@ -30,7 +30,7 @@
 use std::collections::BTreeSet;
 
 use craid_diskmodel::{BlockRange, IoKind};
-use craid_raid::{migration_runs, round_robin_migration_blocks, IoPurpose, Layout};
+use craid_raid::{migration_runs, round_robin_migration_blocks, IoPurpose, Layout, PlanBuffers};
 
 use crate::background::TaskId;
 use crate::partition::{ArchiveLayout, Partition, PartitionIo};
@@ -125,25 +125,27 @@ impl RestripeState {
     /// Advances the cursor past the next `budget` moves (ascending logical
     /// order) of the reshape towards `current` (the array's live,
     /// post-upgrade volume — stable for the restripe's lifetime because
-    /// further expansions queue behind an in-flight restripe) and returns
-    /// them as ascending, disjoint logical runs. Superseded blocks split
-    /// the runs without counting against the budget and are pruned from
-    /// the set as the cursor passes them; the last run is cut at the exact
-    /// budget, so the cursor stops just past the `budget`-th move. The
-    /// engine already accounted `budget` against this task's remaining
+    /// further expansions queue behind an in-flight restripe) and appends
+    /// them to `runs` as ascending, disjoint logical runs (merged only with
+    /// each other, never with what `runs` already held). Superseded blocks
+    /// split the runs without counting against the budget and are pruned
+    /// from the set as the cursor passes them; the last run is cut at the
+    /// exact budget, so the cursor stops just past the `budget`-th move.
+    /// The engine already accounted `budget` against this task's remaining
     /// work, so `budget` moves come back — fewer only when supersessions
     /// raced the poll that allocated the budget (their forfeits then
     /// saturate the engine's remaining count, so the two stay consistent).
-    /// The engine never issues a zero budget; one yields no runs.
+    /// The engine never issues a zero budget; one appends no runs.
     pub fn next_runs(
         &mut self,
         current: &Partition<ArchiveLayout>,
         budget: u64,
-    ) -> Vec<BlockRange> {
-        let mut runs: Vec<BlockRange> = Vec::new();
+        runs: &mut Vec<BlockRange>,
+    ) {
         if budget == 0 {
-            return runs;
+            return;
         }
+        let first = runs.len();
         let mut left = budget;
         // The stream running dry leaves nothing before `used` to walk.
         let mut cursor = self.used;
@@ -156,7 +158,7 @@ impl RestripeState {
                 let stop = skips.peek().map_or(run.end(), |&s| s.min(run.end()));
                 let take = (stop - from).min(left);
                 if take > 0 {
-                    match runs.last_mut() {
+                    match runs[first..].last_mut() {
                         Some(last) if last.end() == from => {
                             *last = BlockRange::new(last.start(), last.len() + take);
                         }
@@ -181,8 +183,9 @@ impl RestripeState {
         self.cursor = cursor;
         // Anything superseded below the new cursor can never be asked about
         // again; drop it so the set stays bounded by in-flight writes.
-        self.superseded = self.superseded.split_off(&cursor);
-        runs
+        while self.superseded.first().is_some_and(|&block| block < cursor) {
+            self.superseded.pop_first();
+        }
     }
 
     /// True when every move has been issued or superseded.
@@ -190,19 +193,24 @@ impl RestripeState {
         self.pending() == 0
     }
 
-    /// Advances the cursor by `budget` moves and plans their device I/O:
-    /// a [`MigrateRead`](craid_raid::IoPurpose::MigrateRead) of each run's
-    /// pre-upgrade location plus a
+    /// Advances the cursor by `budget` moves and appends their device I/O
+    /// to `plan`: a [`MigrateRead`](craid_raid::IoPurpose::MigrateRead) of
+    /// each run's pre-upgrade location plus a
     /// [`MigrateWrite`](craid_raid::IoPurpose::MigrateWrite) (parity
-    /// maintenance included) at its reshaped home in `current`. Returns the
-    /// number of moves issued with the plan — the one authoritative
-    /// batch-to-I/O translation every restripe is driven through.
+    /// maintenance included) at its reshaped home in `current`. `runs` and
+    /// `buffers` are working memory. Returns the number of moves issued
+    /// with the plan — the one authoritative batch-to-I/O translation every
+    /// restripe is driven through.
     pub fn plan_batch(
         &mut self,
         current: &Partition<ArchiveLayout>,
         budget: u64,
-    ) -> (u64, Vec<PartitionIo>) {
-        let runs = self.next_runs(current, budget);
+        runs: &mut Vec<BlockRange>,
+        buffers: &mut PlanBuffers,
+        plan: &mut Vec<PartitionIo>,
+    ) -> u64 {
+        runs.clear();
+        self.next_runs(current, budget, runs);
         let moved: u64 = runs.iter().map(|run| run.len()).sum();
         // Usually exactly `budget` moves come back, but supersessions that
         // raced the poll which allocated the budget (e.g. a PC-migration
@@ -213,20 +221,19 @@ impl RestripeState {
             moved <= budget,
             "the restripe cursor never over-issues its budget"
         );
-        let mut ios = self.old.plan_runs(IoKind::Read, &runs);
-        for io in &mut ios {
+        let reads = plan.len();
+        self.old.plan_runs_into(IoKind::Read, runs, buffers, plan);
+        let writes = plan.len();
+        current.plan_runs_into(IoKind::Write, runs, buffers, plan);
+        for io in &mut plan[reads..writes] {
             io.purpose = IoPurpose::MigrateRead;
         }
-        let writes = current.plan_runs(IoKind::Write, &runs);
-        ios.extend(writes.into_iter().map(|io| PartitionIo {
-            purpose: if io.purpose == IoPurpose::Data {
-                IoPurpose::MigrateWrite
-            } else {
-                io.purpose
-            },
-            ..io
-        }));
-        (moved, ios)
+        for io in &mut plan[writes..] {
+            if io.purpose == IoPurpose::Data {
+                io.purpose = IoPurpose::MigrateWrite;
+            }
+        }
+        moved
     }
 }
 
@@ -252,11 +259,21 @@ mod tests {
         current: &Partition<ArchiveLayout>,
         budget: u64,
     ) -> Vec<u64> {
-        state
-            .next_runs(current, budget)
+        next_runs(state, current, budget)
             .into_iter()
             .flat_map(BlockRange::blocks)
             .collect()
+    }
+
+    /// One batch of the run cursor into a fresh list.
+    fn next_runs(
+        state: &mut RestripeState,
+        current: &Partition<ArchiveLayout>,
+        budget: u64,
+    ) -> Vec<BlockRange> {
+        let mut runs = Vec::new();
+        state.next_runs(current, budget, &mut runs);
+        runs
     }
 
     #[test]
@@ -278,7 +295,7 @@ mod tests {
         }
         assert_eq!(walked, expected, "the lazy walk equals the eager plan");
         assert_eq!(state.migrated, expected.len() as u64);
-        assert!(state.next_runs(&new, 7).is_empty());
+        assert!(next_runs(&mut state, &new, 7).is_empty());
     }
 
     #[test]
@@ -296,7 +313,7 @@ mod tests {
             "blocks past the used range never move"
         );
         // Issue one batch past `first`: it is no longer pending.
-        state.next_runs(&new, 1);
+        next_runs(&mut state, &new, 1);
         assert!(!state.is_pending(&new, first));
         assert!(state.is_pending(&new, *moved.last().unwrap()));
     }
@@ -349,7 +366,7 @@ mod tests {
         // The next batch skips it without charging the budget.
         assert_eq!(next_blocks(&mut state, &new, 1), [moved[3]]);
         assert!(state.superseded.is_empty());
-        assert!(state.next_runs(&new, 0).is_empty());
+        assert!(next_runs(&mut state, &new, 0).is_empty());
     }
 
     /// The block-by-block cursor the run cursor replaced: the reference its
@@ -410,6 +427,7 @@ mod tests {
         /// same moves in each batch, the same cursor and superseded set
         /// after it, the same move count, and `plan_batch` plans what the
         /// per-block planner plans for those blocks.
+        #[test]
         fn prop_run_cursor_matches_the_block_walk(
             (group, old_groups, added_groups) in (2usize..5, 1usize..3, 1usize..3),
             (unit, rows, used_permille) in (1u64..6, 2u64..10, 0u64..1_000),
@@ -428,6 +446,9 @@ mod tests {
             prop_assert_eq!(state.total_moves(), per_block);
             let mut reference = BlockCursor { used, cursor: 0, superseded: BTreeSet::new() };
             let mut picks = picks.into_iter();
+            // One set of buffers for the whole walk, and every batch's
+            // plan appended after the previous batches' I/Os.
+            let (mut runs, mut buffers, mut plan) = (Vec::new(), PlanBuffers::default(), Vec::new());
             while !state.drained() {
                 // A client write to a random block, then a batch whose
                 // budget runs from one block to several stripe units; once
@@ -443,7 +464,9 @@ mod tests {
                     None => unit,
                 };
                 let blocks = reference.next_batch(&old, &new, budget);
-                let (moved, ios) = state.plan_batch(&new, budget);
+                let before = plan.len();
+                let moved = state.plan_batch(&new, budget, &mut runs, &mut buffers, &mut plan);
+                let ios = &plan[before..];
                 prop_assert_eq!(moved, blocks.len() as u64);
                 prop_assert_eq!(state.cursor, reference.cursor);
                 prop_assert_eq!(&state.superseded, &reference.superseded);
@@ -455,7 +478,7 @@ mod tests {
                     let purpose = if io.purpose == IoPurpose::Data { IoPurpose::MigrateWrite } else { io.purpose };
                     PlannedIo { purpose, ..io }
                 }));
-                prop_assert_eq!(ios, expected);
+                prop_assert_eq!(ios, &expected[..]);
             }
             prop_assert_eq!(state.migrated + state.superseded_count, per_block);
         }

@@ -237,14 +237,18 @@ impl Simulation {
         // so the explored decision tree is unchanged.
         let event_clocked = !crate::choice::active();
         // Request-path scratch, reused across records: the mapped sub-range
-        // list, the outcome's report list, and the background event buffer
-        // (reclaimed from the outcome after the observer hooks ran).
+        // list, the outcome's report list, the background event buffer
+        // (reclaimed from the outcome after the observer hooks ran) and the
+        // previous records' client reports, which `submit_into` refills.
+        // The pump's report only lends `background` and stays out of the
+        // pool: pooling it would add one report per pump.
         let mut ranges: Vec<BlockRange> = Vec::new();
         let mut background: Vec<crate::devices::DeviceIoEvent> = Vec::new();
         let mut outcome = RequestOutcome {
             worst_ms: 0.0,
             reports: Vec::new(),
         };
+        let mut spare_reports: Vec<RequestReport> = Vec::new();
 
         for record in trace {
             end_time = end_time.max(record.time);
@@ -304,7 +308,8 @@ impl Simulation {
                 });
             }
             for &range in &ranges {
-                let report = array.submit(record.time, record.kind, range)?;
+                let mut report = spare_reports.pop().unwrap_or_default();
+                array.submit_into(record.time, record.kind, range, &mut report)?;
                 outcome.worst_ms = outcome.worst_ms.max(report.response.as_millis());
                 outcome.reports.push(report);
             }
@@ -344,6 +349,7 @@ impl Simulation {
             if has_background_report {
                 background = std::mem::take(&mut outcome.reports[0].events);
             }
+            spare_reports.extend(outcome.reports.drain(usize::from(has_background_report)..));
         }
 
         // Events scheduled after the last request still execute, outside

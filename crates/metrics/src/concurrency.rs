@@ -285,6 +285,7 @@ mod tests {
         /// same depths recorded as `f64`, the mean included, with shallow
         /// depths mixed with depths up to 10^6: the histogram changes no
         /// report byte.
+        #[test]
         fn prop_queue_depths_match_quantiles_bit_for_bit(
             draws in proptest::collection::vec(
                 (any::<bool>(), 0u64..64, 0u64..1_000_001),

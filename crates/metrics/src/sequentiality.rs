@@ -203,6 +203,7 @@ mod tests {
         /// end in a `BTreeMap`, on the overall fraction and on every
         /// per-second sample. About half the accesses continue their
         /// device's last run.
+        #[test]
         fn prop_matches_a_per_device_recount(
             raw in proptest::collection::vec(
                 (0u64..8_000_000, 0usize..6, any::<bool>(), (0u64..1_000, 1u64..16)),

@@ -50,7 +50,7 @@ pub mod reshape;
 pub mod types;
 
 pub use layout::Layout;
-pub use planner::{IoPlanner, PlannedIo};
+pub use planner::{IoPlanner, PlanBuffers, PlannedIo};
 pub use raid0::Raid0Layout;
 pub use raid5::Raid5Layout;
 pub use raid5plus::Raid5PlusLayout;

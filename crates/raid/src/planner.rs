@@ -40,8 +40,8 @@ pub struct PlannedIo {
 ///
 /// # Runs and set semantics
 ///
-/// Every request is planned as a set of logical blocks: [`plan_runs`]
-/// takes that set as ascending, disjoint runs, and [`plan_blocks`]
+/// Every request is planned as a set of logical blocks: [`plan_runs_into`]
+/// takes that set as ascending, disjoint runs, and [`plan_blocks_into`]
 /// reduces its input to such runs first (a block listed twice is planned
 /// once). The plan lists the data I/Os, then for writes
 /// the old-data reads, old-parity reads and parity writes, each group
@@ -50,20 +50,39 @@ pub struct PlannedIo {
 /// `data_blocks_per_parity_stripe / stripe_unit` distinct written blocks
 /// share its parity block.
 ///
-/// [`plan_runs`]: IoPlanner::plan_runs
+/// # Appending into reused buffers
+///
+/// [`plan_runs_into`] and [`plan_blocks_into`] are the planner: they
+/// append the plan to the caller's list and do their work in a
+/// [`PlanBuffers`], so a caller that keeps both across requests plans
+/// without allocating once the buffers have grown to its largest request.
+/// I/Os merge only inside the part one call appended, never with what the
+/// list already held. [`plan_blocks`] wraps them for callers that want a
+/// fresh list.
+///
+/// [`plan_runs_into`]: IoPlanner::plan_runs_into
+/// [`plan_blocks_into`]: IoPlanner::plan_blocks_into
 /// [`plan_blocks`]: IoPlanner::plan_blocks
 ///
 /// # Example
 ///
 /// ```
-/// use craid_raid::{IoPlanner, Raid5Layout};
+/// use craid_raid::{IoPlanner, PlanBuffers, Raid5Layout};
 /// use craid_diskmodel::{BlockRange, IoKind};
 ///
 /// let planner = IoPlanner::new(Raid5Layout::new(4, 4, 2, 16).unwrap());
 /// // A single-block overwrite needs 4 device I/Os: old data, old parity,
 /// // new data, new parity.
-/// let plan = planner.plan_runs(IoKind::Write, &[BlockRange::new(0, 1)]);
+/// let plan = planner.plan_blocks(IoKind::Write, &[0]);
 /// assert_eq!(plan.len(), 4);
+///
+/// // The same plan, appended to a list after a read of block 8.
+/// let mut buffers = PlanBuffers::default();
+/// let mut ios = Vec::new();
+/// planner.plan_blocks_into(IoKind::Read, &[8], &mut buffers, &mut ios);
+/// planner.plan_runs_into(IoKind::Write, &[BlockRange::new(0, 1)], &mut buffers, &mut ios);
+/// assert_eq!(ios.len(), 5);
+/// assert_eq!(ios[1..], plan[..]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IoPlanner<L> {
@@ -82,33 +101,73 @@ impl<L: Layout> IoPlanner<L> {
     }
 
     /// Plans the device I/Os for an arbitrary (not necessarily contiguous
-    /// or sorted) set of logical blocks. Used by CRAID when copying the
-    /// scattered hot set into the cache partition.
+    /// or sorted) set of logical blocks into a fresh list (see
+    /// [`IoPlanner::plan_blocks_into`]).
     ///
     /// # Panics
     ///
     /// Panics if any block is beyond the layout's data capacity.
     pub fn plan_blocks(&self, kind: IoKind, logical_blocks: &[u64]) -> Vec<PlannedIo> {
-        self.plan_runs(kind, &runs_of(logical_blocks))
+        let mut plan = Vec::new();
+        self.plan_blocks_into(kind, logical_blocks, &mut PlanBuffers::default(), &mut plan);
+        plan
     }
 
-    /// Plans the device I/Os for the logical blocks of `runs`, which must
-    /// be ascending and disjoint.
+    /// Appends to `plan` the device I/Os for an arbitrary (not necessarily
+    /// contiguous or sorted) set of logical blocks, reduced to runs inside
+    /// `buffers`. Used by CRAID when copying the scattered hot set into the
+    /// cache partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any block is beyond the layout's data capacity.
+    pub fn plan_blocks_into(
+        &self,
+        kind: IoKind,
+        logical_blocks: &[u64],
+        buffers: &mut PlanBuffers,
+        plan: &mut Vec<PlannedIo>,
+    ) {
+        let mut runs = std::mem::take(&mut buffers.runs);
+        runs_of(logical_blocks, &mut buffers.sorted, &mut runs);
+        self.plan_runs_into(kind, &runs, buffers, plan);
+        buffers.runs = runs;
+    }
+
+    /// Appends to `plan` the device I/Os for the logical blocks of `runs`,
+    /// which must be ascending and disjoint, working in `buffers`. The
+    /// I/Os already in `plan` are left as they are.
     ///
     /// # Panics
     ///
     /// Panics if a run starts before the previous one ends or extends
     /// beyond the layout's data capacity.
-    pub fn plan_runs(&self, kind: IoKind, runs: &[BlockRange]) -> Vec<PlannedIo> {
+    pub fn plan_runs_into(
+        &self,
+        kind: IoKind,
+        runs: &[BlockRange],
+        buffers: &mut PlanBuffers,
+        plan: &mut Vec<PlannedIo>,
+    ) {
         let capacity = self.layout.data_capacity();
         let unit = self.layout.stripe_unit();
+        let PlanBuffers {
+            data,
+            parity,
+            columns,
+            bounds,
+            ..
+        } = buffers;
+        data.clear();
+        parity.clear();
         // Sized once up front: a restripe batch is a few stripe units, and
         // growing these vectors piece by piece would cost as much as
         // planning them.
         let pieces: usize = runs.iter().map(|run| (run.len() / unit) as usize + 2).sum();
-        let mut data: Vec<Extent> = Vec::with_capacity(pieces);
-        let mut parity: Vec<ParityPiece> =
-            Vec::with_capacity(if kind.is_write() { pieces } else { 0 });
+        data.reserve(pieces);
+        if kind.is_write() {
+            parity.reserve(pieces);
+        }
         let mut prev_end = 0;
         for run in runs {
             assert!(
@@ -139,56 +198,73 @@ impl<L: Layout> IoPlanner<L> {
             }
         }
         let full = (self.layout.data_blocks_per_parity_stripe() / unit).max(1);
-        let mut columns = Columns::split(&mut parity, full);
-        let mut plan = Vec::with_capacity(
+        columns.split(parity, full, bounds);
+        plan.reserve(
             data.len()
                 + columns.old_data_reads.len()
                 + columns.parity_reads.len()
                 + columns.parity_writes.len(),
         );
-        coalesce(&mut data, kind, IoPurpose::Data, &mut plan);
+        coalesce(data, kind, IoPurpose::Data, plan);
         coalesce(
             &mut columns.old_data_reads,
             IoKind::Read,
             IoPurpose::OldDataRead,
-            &mut plan,
+            plan,
         );
         coalesce(
             &mut columns.parity_reads,
             IoKind::Read,
             IoPurpose::ParityRead,
-            &mut plan,
+            plan,
         );
         coalesce(
             &mut columns.parity_writes,
             IoKind::Write,
             IoPurpose::ParityWrite,
-            &mut plan,
+            plan,
         );
-        plan
     }
 }
 
-/// The ascending, duplicate-free runs covering a block list.
-fn runs_of(blocks: &[u64]) -> Vec<BlockRange> {
-    let sorted: Vec<u64>;
+/// The planner's working memory, kept by a caller that plans many
+/// requests so that [`IoPlanner::plan_runs_into`] and
+/// [`IoPlanner::plan_blocks_into`] reuse it instead of allocating: the
+/// runs a block list reduces to and its sorted copy, the data extents,
+/// the parity pieces, the three parity column lists and the coverage
+/// bounds. Every call clears what it uses, and nothing shrinks, so the
+/// buffers hold the high-water mark of the requests planned with them.
+/// Their contents between calls mean nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PlanBuffers {
+    runs: Vec<BlockRange>,
+    sorted: Vec<u64>,
+    data: Vec<Extent>,
+    parity: Vec<ParityPiece>,
+    columns: Columns,
+    bounds: Vec<u64>,
+}
+
+/// Fills `runs` with the ascending, duplicate-free runs covering a block
+/// list, sorting a copy of it in `sorted` when it is not already strictly
+/// ascending.
+fn runs_of(blocks: &[u64], sorted: &mut Vec<u64>, runs: &mut Vec<BlockRange>) {
+    runs.clear();
     let blocks = if blocks.windows(2).all(|w| w[0] < w[1]) {
         blocks
     } else {
-        let mut copy = blocks.to_vec();
-        copy.sort_unstable();
-        copy.dedup();
-        sorted = copy;
-        &sorted
+        sorted.clear();
+        sorted.extend_from_slice(blocks);
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted
     };
-    let mut runs: Vec<BlockRange> = Vec::new();
     for &block in blocks {
         match runs.last_mut() {
             Some(run) if run.end() == block => *run = BlockRange::new(run.start(), run.len() + 1),
             _ => runs.push(BlockRange::new(block, 1)),
         }
     }
-    runs
 }
 
 /// Blocks `start .. start + len`, physically contiguous on one disk.
@@ -223,7 +299,7 @@ struct ParityPiece {
 }
 
 /// The parity traffic of a write, before coalescing.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 struct Columns {
     old_data_reads: Vec<Extent>,
     parity_reads: Vec<Extent>,
@@ -236,14 +312,12 @@ impl Columns {
     /// the old parity are read first). A parity block's column is full when
     /// at least `full` pieces cover it. Pieces whose parity extents overlap
     /// form a cluster; only inside a cluster can coverage exceed one.
-    fn split(pieces: &mut [ParityPiece], full: u64) -> Self {
-        let mut columns = Columns {
-            old_data_reads: Vec::with_capacity(pieces.len()),
-            parity_reads: Vec::with_capacity(pieces.len()),
-            parity_writes: Vec::with_capacity(pieces.len()),
-        };
+    /// The three lists are refilled in place; `bounds` is working memory.
+    fn split(&mut self, pieces: &mut [ParityPiece], full: u64, bounds: &mut Vec<u64>) {
+        self.old_data_reads.clear();
+        self.parity_reads.clear();
+        self.parity_writes.clear();
         pieces.sort_unstable_by_key(|p| p.parity);
-        let mut bounds: Vec<u64> = Vec::new();
         let mut rest: &[ParityPiece] = pieces;
         while let Some(first) = rest.first() {
             let disk = first.parity.disk;
@@ -261,13 +335,13 @@ impl Columns {
                 .count();
             let (cluster, tail) = rest.split_at(size);
             rest = tail;
-            columns.parity_writes.push(Extent {
+            self.parity_writes.push(Extent {
                 disk,
                 start,
                 len: end - start,
             });
             if (size as u64) < full {
-                columns.read_modify_write(cluster, start, end);
+                self.read_modify_write(cluster, start, end);
                 continue;
             }
             // Coverage is constant between consecutive piece boundaries.
@@ -286,11 +360,10 @@ impl Columns {
                     .filter(|p| p.parity.start <= lo && hi <= p.parity.end())
                     .count() as u64;
                 if covering < full {
-                    columns.read_modify_write(cluster, lo, hi);
+                    self.read_modify_write(cluster, lo, hi);
                 }
             }
         }
-        columns
     }
 
     /// Reads the old parity blocks `lo .. hi` of `cluster`'s disk and the
@@ -316,7 +389,8 @@ impl Columns {
 }
 
 /// Sorts `extents` and appends them to `plan` as I/Os, merging those that
-/// are physically contiguous (or overlapping) on one disk.
+/// are physically contiguous (or overlapping) on one disk. Only I/Os this
+/// call appended merge: what `plan` already held is another group.
 fn coalesce(extents: &mut [Extent], kind: IoKind, purpose: IoPurpose, plan: &mut Vec<PlannedIo>) {
     extents.sort_unstable();
     let first = plan.len();
@@ -346,6 +420,16 @@ mod tests {
     use std::collections::BTreeSet;
 
     include!("planner_reference.rs");
+
+    impl<L: Layout> IoPlanner<L> {
+        /// [`IoPlanner::plan_runs_into`] into a fresh list with fresh
+        /// buffers.
+        fn plan_runs(&self, kind: IoKind, runs: &[BlockRange]) -> Vec<PlannedIo> {
+            let mut plan = Vec::new();
+            self.plan_runs_into(kind, runs, &mut PlanBuffers::default(), &mut plan);
+            plan
+        }
+    }
 
     fn raid5_planner() -> IoPlanner<Raid5Layout> {
         // 4 disks, one parity group of 4, unit 2, 16 blocks/disk.
@@ -576,9 +660,106 @@ mod tests {
         }
     }
 
+    /// The runs covering a duplicate-free block list, built without the
+    /// planner's own `runs_of`.
+    fn sorted_runs(blocks: &[u64]) -> Vec<BlockRange> {
+        let mut sorted = blocks.to_vec();
+        sorted.sort_unstable();
+        let mut runs: Vec<BlockRange> = Vec::new();
+        for block in sorted {
+            match runs.last_mut() {
+                Some(run) if run.end() == block => {
+                    *run = BlockRange::new(run.start(), run.len() + 1)
+                }
+                _ => runs.push(BlockRange::new(block, 1)),
+            }
+        }
+        runs
+    }
+
+    /// One drawn request: the segments of its block set, the shuffle seed
+    /// and whether it writes.
+    type Request = (Vec<(u64, u64, bool)>, u64, bool);
+
+    /// Plans `requests` one after another into one list with one reused
+    /// `PlanBuffers`, alternating the run and block entry points. Before
+    /// each request the list gains a copy of that request's first I/O, so
+    /// a merge across the boundary would always be possible. Every call
+    /// must leave the list's earlier I/Os as they were and append exactly
+    /// the plan fresh buffers give.
+    fn assert_appends_like_fresh<L: Layout>(layout: L, requests: &[Request]) {
+        let p = IoPlanner::new(layout);
+        let mut buffers = PlanBuffers::default();
+        let mut list = vec![PlannedIo {
+            disk: 0,
+            range: BlockRange::new(0, 1),
+            kind: IoKind::Write,
+            purpose: IoPurpose::ParityWrite,
+        }];
+        for (i, (segments, seed, write)) in requests.iter().enumerate() {
+            let kind = if *write { IoKind::Write } else { IoKind::Read };
+            let blocks = scattered_blocks(p.layout(), segments, *seed);
+            let runs = sorted_runs(&blocks);
+            let fresh = p.plan_runs(kind, &runs);
+            list.extend(fresh.first().copied());
+            let before = list.clone();
+            if i % 2 == 0 {
+                p.plan_runs_into(kind, &runs, &mut buffers, &mut list);
+            } else {
+                p.plan_blocks_into(kind, &blocks, &mut buffers, &mut list);
+            }
+            assert_eq!(
+                list[..before.len()],
+                before[..],
+                "request {i}: the prefix moved"
+            );
+            assert_eq!(
+                list[before.len()..],
+                fresh[..],
+                "request {i}: {kind} of {runs:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Appending keeps the list's prefix and appends the fresh plan,
+        /// and reused buffers plan like fresh ones, over random requests
+        /// on RAID-5, RAID-5+ and RAID-0.
+        #[test]
+        fn prop_appended_plans_match_fresh_ones(
+            (pick, a, b) in (0u8..3, 0usize..12, 0usize..12),
+            (unit, rows) in (1u64..6, 1u64..9),
+            requests in proptest::collection::vec(
+                (
+                    proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..5),
+                    any::<u64>(),
+                    any::<bool>(),
+                ),
+                1..8,
+            ),
+        ) {
+            match pick {
+                0 => {
+                    let group = 2 + a % 4;
+                    let layout = Raid5Layout::new((1 + b % 3) * group, group, unit, rows * unit).unwrap();
+                    assert_appends_like_fresh(layout, &requests);
+                }
+                1 => {
+                    let layout = Raid5PlusLayout::new(&[2 + a % 5, 2 + b % 5], unit, rows * unit).unwrap();
+                    assert_appends_like_fresh(layout, &requests);
+                }
+                _ => {
+                    let layout = Raid0Layout::new(2 + a % 5, unit, rows * unit).unwrap();
+                    assert_appends_like_fresh(layout, &requests);
+                }
+            }
+        }
+    }
+
     proptest! {
         /// The run planner returns the per-block reference's plan, I/O for
         /// I/O, on RAID-5 with several parity groups.
+        #[test]
         fn prop_raid5_matches_the_reference(
             (groups, group, unit, rows) in (1usize..4, 2usize..6, 1u64..6, 1u64..9),
             segments in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..6),
@@ -590,6 +771,7 @@ mod tests {
 
         /// Same on RAID-5+, whose member sets differ in width (and whose
         /// full-column threshold is the narrowest set's).
+        #[test]
         fn prop_raid5plus_matches_the_reference(
             sizes in proptest::collection::vec(2usize..7, 1..4),
             (unit, rows) in (1u64..6, 1u64..7),
@@ -601,6 +783,7 @@ mod tests {
         }
 
         /// Same on RAID-0, which has no parity traffic at all.
+        #[test]
         fn prop_raid0_matches_the_reference(
             (disks, unit, rows) in (2usize..7, 1u64..6, 1u64..9),
             segments in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..6),

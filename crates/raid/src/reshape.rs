@@ -315,6 +315,7 @@ mod tests {
         /// The run walk moves exactly the per-block stream's blocks, even
         /// when the two layouts' stripe units differ and `used` is not a
         /// multiple of either.
+        #[test]
         fn prop_runs_flatten_to_the_block_stream(
             (old_disks, old_unit) in (2usize..6, 1u64..7),
             (added, new_unit) in (1usize..4, 1u64..7),

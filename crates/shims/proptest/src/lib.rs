@@ -139,14 +139,16 @@ pub mod collection {
     }
 }
 
-/// Runs each `fn name(bindings in strategies) { body }` as a `#[test]`
-/// executing [`NUM_CASES`] random cases.
+/// Turns each `fn name(bindings in strategies) { body }` into a function
+/// executing [`NUM_CASES`] random cases. As in the real crate, the
+/// function's attributes pass through unchanged and none is added: a
+/// property is a test when it carries its own `#[test]`, so libtest
+/// registers it once.
 #[macro_export]
 macro_rules! proptest {
     ($( $(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block )+) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let mut proptest_rng = $crate::test_runner::deterministic();
                 for proptest_case in 0..$crate::NUM_CASES {
@@ -189,16 +191,19 @@ mod tests {
 
     proptest! {
         /// Doc comments before properties must parse.
+        #[test]
         fn ranges_stay_in_bounds(x in 3u64..17, f in -2.0f64..2.0) {
             prop_assert!((3..17).contains(&x));
             prop_assert!((-2.0..2.0).contains(&f));
         }
 
+        #[test]
         fn vectors_respect_length(v in crate::collection::vec(0u32..5, 2..9)) {
             prop_assert!((2..9).contains(&v.len()));
             prop_assert!(v.iter().all(|&x| x < 5));
         }
 
+        #[test]
         fn tuples_and_any_compose((a, b, flag) in (0u64..4, 0u64..4, any::<bool>())) {
             prop_assert!(a < 4 && b < 4);
             let _ = flag;
