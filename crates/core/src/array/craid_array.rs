@@ -1393,50 +1393,107 @@ mod tests {
         assert!(plus.expand(SimTime::ZERO, 1).is_err());
     }
 
+    /// Two identical `strategy` arrays take the same requests, failure,
+    /// repair, paced upgrade and pumps: one refills a single report and one
+    /// event buffer throughout, the other gets fresh ones. Stale events or
+    /// counters must never survive into the next request, and a rejected
+    /// request leaves the report as it was.
+    fn assert_reused_reports_match_fresh_ones(strategy: StrategyKind) {
+        let mut reused = paced(strategy, 400.0, BackgroundPriority::HotFirst);
+        let mut fresh = paced(strategy, 400.0, BackgroundPriority::HotFirst);
+        let mut report = RequestReport::default();
+        let mut events = Vec::new();
+        for i in 0..400u64 {
+            let now = SimTime::from_millis(i as f64 * 20.0);
+            for a in [&mut reused, &mut fresh] {
+                match i {
+                    100 => assert!(!a.expand(now, 4).unwrap().deferred),
+                    150 => a.fail_disk(now, 1).unwrap(),
+                    250 => a.repair_disk(now, 1).unwrap(),
+                    _ => {}
+                }
+            }
+            events.clear();
+            reused.pump_background_into(now, &mut events);
+            assert_eq!(events, fresh.pump_background(now), "{strategy} pump {i}");
+            let kind = if i % 3 == 0 {
+                IoKind::Write
+            } else {
+                IoKind::Read
+            };
+            let range = BlockRange::new(i * 37 % 9_000, 1 + i % 9);
+            reused.submit_into(now, kind, range, &mut report).unwrap();
+            let expected = fresh.submit(now, kind, range).unwrap();
+            assert_eq!(report, expected, "{strategy} request {i}");
+        }
+        assert!(reused.fault_stats().reconstruction_ios > 0);
+        let before = report.clone();
+        let cap = reused.capacity_blocks();
+        let past_the_end = BlockRange::new(cap, 1);
+        let now = SimTime::from_secs(9.0);
+        assert!(reused
+            .submit_into(now, IoKind::Read, past_the_end, &mut report)
+            .is_err());
+        assert_eq!(report, before);
+    }
+
     #[test]
     fn reused_reports_and_event_buffers_match_fresh_ones() {
-        // Two identical arrays take the same requests, failure, repair,
-        // paced upgrade and pumps: one refills a single report and one
-        // event buffer throughout, the other gets fresh ones. Stale events
-        // or counters must never survive into the next request.
         for strategy in [StrategyKind::Craid5, StrategyKind::Raid5] {
-            let mut reused = paced(strategy, 400.0, BackgroundPriority::HotFirst);
-            let mut fresh = paced(strategy, 400.0, BackgroundPriority::HotFirst);
-            let mut report = RequestReport::default();
-            let mut events = Vec::new();
-            for i in 0..400u64 {
-                let now = SimTime::from_millis(i as f64 * 20.0);
-                for a in [&mut reused, &mut fresh] {
-                    match i {
-                        100 => assert!(!a.expand(now, 4).unwrap().deferred),
-                        150 => a.fail_disk(now, 1).unwrap(),
-                        250 => a.repair_disk(now, 1).unwrap(),
-                        _ => {}
-                    }
-                }
-                events.clear();
-                reused.pump_background_into(now, &mut events);
-                assert_eq!(events, fresh.pump_background(now), "{strategy} pump {i}");
-                let kind = if i % 3 == 0 {
-                    IoKind::Write
-                } else {
-                    IoKind::Read
-                };
-                let range = BlockRange::new(i * 37 % 9_000, 1 + i % 9);
-                reused.submit_into(now, kind, range, &mut report).unwrap();
-                let expected = fresh.submit(now, kind, range).unwrap();
-                assert_eq!(report, expected, "{strategy} request {i}");
-            }
-            assert!(reused.fault_stats().reconstruction_ios > 0);
-            // A rejected request leaves the report as it was.
-            let before = report.clone();
-            let cap = reused.capacity_blocks();
-            let past_the_end = BlockRange::new(cap, 1);
-            let now = SimTime::from_secs(9.0);
-            assert!(reused
-                .submit_into(now, IoKind::Read, past_the_end, &mut report)
-                .is_err());
-            assert_eq!(report, before);
+            assert_reused_reports_match_fresh_ones(strategy);
+        }
+    }
+
+    #[test]
+    fn reused_reports_match_fresh_ones_on_craid5plus() {
+        assert_reused_reports_match_fresh_ones(StrategyKind::Craid5Plus);
+    }
+
+    #[test]
+    fn reused_reports_match_fresh_ones_on_raid5plus() {
+        assert_reused_reports_match_fresh_ones(StrategyKind::Raid5Plus);
+    }
+
+    #[test]
+    fn reused_reports_match_fresh_ones_on_craid5_ssd() {
+        assert_reused_reports_match_fresh_ones(StrategyKind::Craid5Ssd);
+    }
+
+    #[test]
+    fn reused_reports_match_fresh_ones_on_craid5plus_ssd() {
+        assert_reused_reports_match_fresh_ones(StrategyKind::Craid5PlusSsd);
+    }
+
+    #[test]
+    fn an_uncached_request_issues_the_archive_plan_of_its_range() {
+        // Without a cache partition a request is planned as the one run its
+        // range is: the devices see exactly the archive's plan of its
+        // blocks, in plan order.
+        let mut a = array(StrategyKind::Raid5);
+        let requests = [
+            (IoKind::Read, BlockRange::new(3, 1)),
+            (IoKind::Read, BlockRange::new(100, 37)),
+            (IoKind::Write, BlockRange::new(7, 1)),
+            (IoKind::Write, BlockRange::new(640, 96)),
+        ];
+        for (i, (kind, range)) in requests.into_iter().enumerate() {
+            let report = a.submit(SimTime::from_secs(i as f64), kind, range).unwrap();
+            let issued: Vec<PartitionIo> = report
+                .events
+                .iter()
+                .map(|e| PartitionIo {
+                    disk: e.device,
+                    range: BlockRange::new(e.start_block, e.blocks),
+                    kind: e.kind,
+                    purpose: e.purpose,
+                })
+                .collect();
+            let blocks: Vec<u64> = range.blocks().collect();
+            assert_eq!(
+                issued,
+                a.pa.plan_blocks(kind, &blocks),
+                "{kind} of {range:?}"
+            );
         }
     }
 

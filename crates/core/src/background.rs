@@ -1184,6 +1184,34 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_poll_scratch_grants_like_a_fresh_one() {
+        // Three contending tasks finish one after another, so the poll's
+        // working lists outgrow the queue: every poll must grant what the
+        // same engine state with empty lists grants.
+        let mut engine = BackgroundEngine::with_shares(2.0, 1.0);
+        engine.push_rebuild(
+            SimTime::ZERO,
+            0,
+            vec![1, 2],
+            vec![BlockRange::new(0, 3 * MAX_BATCH_BLOCKS)],
+            1e9,
+        );
+        engine.push_migration(SimTime::ZERO, (0..MAX_BATCH_BLOCKS).collect(), 1e9);
+        engine.push_restripe(SimTime::ZERO, 5 * MAX_BATCH_BLOCKS, 1e9);
+        let mut polls = 0;
+        while !engine.is_idle() {
+            polls += 1;
+            assert!(polls < 100, "the work drains");
+            let mut fresh = engine.clone();
+            fresh.poll_scratch = PollScratch::default();
+            let now = SimTime::from_secs(polls as f64);
+            let granted = format!("{:?}", engine.poll(now));
+            assert_eq!(granted, format!("{:?}", fresh.poll(now)), "poll {polls}");
+        }
+        assert_eq!(engine.take_completed().len(), 3);
+    }
+
+    #[test]
     fn empty_migration_completes_without_issuing() {
         let mut engine = BackgroundEngine::new();
         engine.push_migration(SimTime::ZERO, Vec::new(), 100.0);

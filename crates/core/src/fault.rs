@@ -135,6 +135,47 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_that_avoids_the_failed_disk_passes_through() {
+        let plan = vec![
+            io(0, 0, 2, IoKind::Read),
+            io(1, 4, 1, IoKind::Write),
+            io(3, 8, 8, IoKind::Read),
+        ];
+        let mut stats = FaultStats::default();
+        let mut out = vec![io(2, 0, 1, IoKind::Read)];
+        degrade_plan(
+            &plan,
+            &mut out,
+            2,
+            false,
+            |_| unreachable!("no I/O touches the failed disk"),
+            &mut stats,
+        );
+        assert_eq!(out, plan);
+        assert_eq!(stats, FaultStats::default());
+    }
+
+    #[test]
+    fn reads_of_a_rebuilding_spare_still_reconstruct() {
+        // The spare accepts writes but holds no data yet: its reads still
+        // fan out to the surviving peers.
+        let plan = vec![io(2, 10, 4, IoKind::Read), io(2, 20, 2, IoKind::Write)];
+        let mut stats = FaultStats::default();
+        let mut out = Vec::new();
+        degrade_plan(&plan, &mut out, 2, true, |_| vec![0, 1, 3], &mut stats);
+        assert_eq!(out.len(), 4);
+        for (rec, peer) in out[..3].iter().zip([0, 1, 3]) {
+            assert_eq!(rec.disk, peer);
+            assert_eq!(rec.range, BlockRange::new(10, 4));
+            assert_eq!(rec.purpose, IoPurpose::ReconstructRead);
+        }
+        assert_eq!(out[3], plan[1], "the write lands on the spare");
+        assert_eq!(stats.degraded_reads, 1);
+        assert_eq!(stats.reconstruction_ios, 3);
+        assert_eq!(stats.parity_absorbed_writes, 0);
+    }
+
+    #[test]
     fn live_region_scales_with_usage() {
         assert_eq!(live_blocks(1_000, 800, 400), 500);
         assert_eq!(live_blocks(1_000, 800, 0), 0);

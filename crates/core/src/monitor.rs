@@ -452,6 +452,29 @@ mod tests {
     }
 
     #[test]
+    fn every_access_yields_at_most_one_eviction() {
+        let mut pc = pc(1); // capacity 3
+        let mut m = monitor(pc.capacity());
+        let mut evictions = 0u64;
+        for i in 0..200u64 {
+            let kind = if i % 4 == 0 {
+                IoKind::Write
+            } else {
+                IoKind::Read
+            };
+            let (decision, evicted) = m.access(i * 7 % 11, kind, 1, &mut pc);
+            assert!(evicted.len() <= 1, "access {i}");
+            if decision.is_hit() {
+                assert_eq!(evicted.len(), 0, "a hit evicts nothing (access {i})");
+            }
+            evictions += evicted.len() as u64;
+        }
+        let stats = m.stats();
+        assert!(evictions > 0);
+        assert_eq!(evictions, stats.read_evictions + stats.write_evictions);
+    }
+
+    #[test]
     fn write_hit_marks_mapping_dirty() {
         let mut pc = pc(4);
         let mut m = monitor(pc.capacity());

@@ -393,6 +393,73 @@ mod tests {
     }
 
     #[test]
+    fn a_range_plans_as_one_run_like_its_blocks() {
+        let layout = ArchiveLayout::Ideal(Raid5Layout::new(8, 4, 4, 64).unwrap());
+        let part = Partition::new(layout, 1, 40);
+        let mut buffers = PlanBuffers::default();
+        for kind in [IoKind::Read, IoKind::Write] {
+            for range in [
+                BlockRange::new(0, 1),
+                BlockRange::new(5, 30),
+                BlockRange::new(90, 64),
+            ] {
+                let blocks: Vec<u64> = range.blocks().collect();
+                let mut plan = Vec::new();
+                part.plan_runs_into(kind, &[range], &mut buffers, &mut plan);
+                assert_eq!(plan, part.plan_blocks(kind, &blocks), "{kind} of {range:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cache_partition_appends_slot_plans_on_its_own_devices() {
+        let mut p = CachePartition::new(Raid5Layout::new(4, 4, 2, 8).unwrap(), 8, 0);
+        let slots: Vec<u64> = (0..5).filter_map(|_| p.allocate()).collect();
+        let prefix = PartitionIo {
+            disk: 3,
+            range: BlockRange::new(0, 2),
+            kind: IoKind::Write,
+            purpose: IoPurpose::Data,
+        };
+        let mut plan = vec![prefix];
+        p.plan_blocks_into(
+            IoKind::Write,
+            &slots,
+            &mut PlanBuffers::default(),
+            &mut plan,
+        );
+        assert_eq!(plan[0], prefix);
+        assert_eq!(plan[1..], p.plan_blocks(IoKind::Write, &slots)[..]);
+        assert!(plan[1..].iter().all(|io| (8..12).contains(&io.disk)));
+    }
+
+    #[test]
+    fn an_aggregated_archive_plans_a_run_inside_its_owning_set() {
+        // Sets of 4 and 3 disks; the first holds logical blocks 0..48.
+        let layout = ArchiveLayout::Aggregated(Raid5PlusLayout::new(&[4, 3], 2, 16).unwrap());
+        let part = Partition::new(layout, 2, 10);
+        let mut buffers = PlanBuffers::default();
+        let mut plan = Vec::new();
+        part.plan_runs_into(
+            IoKind::Write,
+            &[BlockRange::new(50, 10)],
+            &mut buffers,
+            &mut plan,
+        );
+        assert!(plan.iter().any(|io| io.purpose == IoPurpose::ParityWrite));
+        assert!(plan.iter().all(|io| (6..9).contains(&io.disk)));
+        assert!(plan.iter().all(|io| io.range.start() >= 10));
+        plan.clear();
+        part.plan_runs_into(
+            IoKind::Write,
+            &[BlockRange::new(0, 10)],
+            &mut buffers,
+            &mut plan,
+        );
+        assert!(plan.iter().all(|io| (2..6).contains(&io.disk)));
+    }
+
+    #[test]
     fn write_plans_carry_parity_to_shifted_devices() {
         let p = pc();
         let plan = p.plan_blocks(IoKind::Write, &[0]);

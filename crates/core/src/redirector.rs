@@ -519,6 +519,150 @@ mod tests {
     }
 
     #[test]
+    fn scratch_lists_hold_only_the_latest_request() {
+        let (mut monitor, mut pc, pa) = setup(4);
+        let mut scratch = PlanScratch::default();
+        let range = BlockRange::new(10, 4);
+        for (cold, hits) in [(true, 0), (false, 4)] {
+            let counts = plan_request_iter(
+                &mut monitor,
+                &mut pc,
+                &mut ArchiveAccess::Plain(&pa),
+                IoKind::Read,
+                range.blocks(),
+                range.len(),
+                &mut scratch,
+            );
+            assert_eq!(counts.cache_hit_blocks, hits);
+            // A cold read copies into PC in the background; a warm one
+            // leaves nothing of it behind.
+            assert_eq!(!scratch.background.is_empty(), cold);
+            assert_eq!(
+                scratch.foreground.iter().all(|io| io.range.start() < 8),
+                !cold
+            );
+        }
+    }
+
+    #[test]
+    fn a_plain_archive_plans_a_range_like_its_blocks() {
+        let (_, _, pa) = setup(4);
+        let mut scratch = ArchiveScratch::default();
+        let range = BlockRange::new(13, 21);
+        let blocks: Vec<u64> = range.blocks().collect();
+        for kind in [IoKind::Read, IoKind::Write] {
+            let mut plan = Vec::new();
+            ArchiveAccess::Plain(&pa).plan_range(kind, range, &mut scratch, &mut plan);
+            assert_eq!(plan, pa.plan_blocks(kind, &blocks), "{kind}");
+        }
+    }
+
+    /// An archive mid-restripe from 4 disks onto 8 over its first 100
+    /// blocks: the live volume and the reshape.
+    fn restriping() -> (Partition<ArchiveLayout>, RestripeState) {
+        let volume = |disks| {
+            let layout = ArchiveLayout::Ideal(Raid5Layout::new(disks, 4, 2, 64).unwrap());
+            Partition::new(layout, 0, 8)
+        };
+        let current = volume(8);
+        let state = RestripeState::new(volume(4), &current, 100);
+        (current, state)
+    }
+
+    #[test]
+    fn mid_restripe_reads_split_between_old_and_new_homes() {
+        let (current, mut state) = restriping();
+        let old = state.old.clone();
+        let blocks: Vec<u64> = (0..120).rev().collect();
+        let (pending, settled): (Vec<u64>, Vec<u64>) = blocks
+            .iter()
+            .copied()
+            .partition(|&b| state.is_pending(&current, b));
+        assert!(!pending.is_empty() && !settled.is_empty());
+        let prefix = PartitionIo {
+            disk: 0,
+            range: BlockRange::new(8, 1),
+            kind: IoKind::Read,
+            purpose: IoPurpose::Data,
+        };
+        let mut plan = vec![prefix];
+        let mut scratch = ArchiveScratch::default();
+        let access = ArchiveAccess::Restriping {
+            current: &current,
+            restripe: &mut state,
+        };
+        access.plan_reads(&blocks, &mut scratch, &mut plan);
+        let mut expected = vec![prefix];
+        expected.extend(current.plan_blocks(IoKind::Read, &settled));
+        expected.extend(old.plan_blocks(IoKind::Read, &pending));
+        assert_eq!(plan, expected);
+        // A later, settled-only read reuses the split lists from scratch.
+        plan.clear();
+        access.plan_reads(&settled[..3], &mut scratch, &mut plan);
+        assert_eq!(plan, current.plan_blocks(IoKind::Read, &settled[..3]));
+        assert_eq!(state.take_forfeits(), 0, "reads supersede nothing");
+    }
+
+    #[test]
+    fn mid_restripe_writes_land_at_new_homes_and_supersede_pending_moves() {
+        let (current, mut state) = restriping();
+        let blocks: Vec<u64> = (0..30).collect();
+        let pending = blocks
+            .iter()
+            .filter(|&&b| state.is_pending(&current, b))
+            .count() as u64;
+        assert!(pending > 0);
+        let mut plan = Vec::new();
+        ArchiveAccess::Restriping {
+            current: &current,
+            restripe: &mut state,
+        }
+        .plan_writes(&blocks, &mut ArchiveScratch::default(), &mut plan);
+        assert_eq!(plan, current.plan_blocks(IoKind::Write, &blocks));
+        assert_eq!(state.take_forfeits(), pending);
+        assert!(blocks.iter().all(|&b| !state.is_pending(&current, b)));
+    }
+
+    #[test]
+    fn mid_restripe_ranges_plan_like_their_block_lists() {
+        let (current, mut by_range) = restriping();
+        let (_, mut by_blocks) = restriping();
+        let mut scratch = ArchiveScratch::default();
+        for (i, (kind, range)) in [
+            (IoKind::Read, BlockRange::new(20, 30)),
+            (IoKind::Write, BlockRange::new(30, 12)),
+            (IoKind::Read, BlockRange::new(25, 30)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut plan = Vec::new();
+            ArchiveAccess::Restriping {
+                current: &current,
+                restripe: &mut by_range,
+            }
+            .plan_range(kind, range, &mut scratch, &mut plan);
+            let blocks: Vec<u64> = range.blocks().collect();
+            let mut expected = Vec::new();
+            let mut access = ArchiveAccess::Restriping {
+                current: &current,
+                restripe: &mut by_blocks,
+            };
+            match kind {
+                IoKind::Read => {
+                    access.plan_reads(&blocks, &mut ArchiveScratch::default(), &mut expected)
+                }
+                IoKind::Write => {
+                    access.plan_writes(&blocks, &mut ArchiveScratch::default(), &mut expected)
+                }
+            }
+            assert_eq!(plan, expected, "request {i}");
+            assert_eq!(by_range.take_forfeits(), by_blocks.take_forfeits());
+        }
+        assert!(by_range.superseded_count > 0);
+    }
+
+    #[test]
     fn multi_block_requests_are_split_across_partitions() {
         let (mut monitor, mut pc, pa) = setup(4);
         // Warm up only the first block of a later 2-block request.

@@ -369,6 +369,71 @@ mod tests {
         assert!(next_runs(&mut state, &new, 0).is_empty());
     }
 
+    #[test]
+    fn next_runs_never_merges_with_a_run_the_list_held() {
+        let old = volume(8);
+        let new = volume(12);
+        let mut state = RestripeState::new(old, &new, 1_000);
+        let first = next_runs(&mut state.clone(), &new, 5);
+        assert!(first[0].start() > 0);
+        // A run ending exactly where this batch starts.
+        let held = BlockRange::new(0, first[0].start());
+        let mut runs = vec![held];
+        state.next_runs(&new, 5, &mut runs);
+        assert_eq!(runs[0], held);
+        assert_eq!(runs[1..], first[..]);
+    }
+
+    #[test]
+    fn plan_batch_refills_its_runs_and_appends_its_plan() {
+        let old = volume(8);
+        let new = volume(12);
+        let mut state = RestripeState::new(old, &new, 1_000);
+        let expected_runs = next_runs(&mut state.clone(), &new, 6);
+        let prefix = PlannedIo {
+            disk: 11,
+            range: BlockRange::new(0, 1),
+            kind: IoKind::Read,
+            purpose: IoPurpose::Data,
+        };
+        let mut runs = vec![BlockRange::new(999, 1)];
+        let mut plan = vec![prefix];
+        let moved = state.plan_batch(&new, 6, &mut runs, &mut PlanBuffers::default(), &mut plan);
+        assert_eq!(moved, 6);
+        assert_eq!(runs, expected_runs, "the stale run is gone");
+        assert_eq!(plan[0], prefix);
+        let blocks = |purpose: IoPurpose| -> u64 {
+            plan[1..]
+                .iter()
+                .filter(|io| io.purpose == purpose)
+                .map(|io| io.range.len())
+                .sum()
+        };
+        assert_eq!(blocks(IoPurpose::MigrateRead), 6);
+        assert_eq!(blocks(IoPurpose::MigrateWrite), 6);
+        assert_eq!(blocks(IoPurpose::Data), 0);
+    }
+
+    #[test]
+    fn a_drained_restripe_plans_nothing() {
+        let old = volume(8);
+        let new = volume(12);
+        let mut state = RestripeState::new(old, &new, 200);
+        let (mut runs, mut buffers, mut plan) = (Vec::new(), PlanBuffers::default(), Vec::new());
+        let mut moved = 0;
+        while !state.drained() {
+            moved += state.plan_batch(&new, 16, &mut runs, &mut buffers, &mut plan);
+        }
+        assert_eq!(moved, state.total_moves());
+        let len = plan.len();
+        assert_eq!(
+            state.plan_batch(&new, 16, &mut runs, &mut buffers, &mut plan),
+            0
+        );
+        assert!(runs.is_empty());
+        assert_eq!(plan.len(), len);
+    }
+
     /// The block-by-block cursor the run cursor replaced: the reference its
     /// batches, cursor positions and superseded sets must match.
     struct BlockCursor {

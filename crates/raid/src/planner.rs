@@ -574,6 +574,96 @@ mod tests {
         p.plan_runs(IoKind::Read, &[BlockRange::new(cap - 1, 2)]);
     }
 
+    #[test]
+    fn empty_requests_append_nothing() {
+        let p = raid5_planner();
+        let mut buffers = PlanBuffers::default();
+        let mut plan = Vec::new();
+        // Leave a write's pieces in the buffers first.
+        p.plan_blocks_into(IoKind::Write, &[3], &mut buffers, &mut plan);
+        let before = plan.clone();
+        for kind in [IoKind::Read, IoKind::Write] {
+            p.plan_runs_into(kind, &[], &mut buffers, &mut plan);
+            p.plan_blocks_into(kind, &[], &mut buffers, &mut plan);
+        }
+        assert_eq!(plan, before);
+    }
+
+    #[test]
+    fn a_read_after_a_write_in_the_same_buffers_has_no_parity_traffic() {
+        let p = raid5_planner();
+        let run = [BlockRange::new(1, 5)];
+        let mut buffers = PlanBuffers::default();
+        let mut plan = Vec::new();
+        p.plan_runs_into(IoKind::Write, &run, &mut buffers, &mut plan);
+        assert!(plan.iter().any(|io| io.purpose == IoPurpose::ParityRead));
+        plan.clear();
+        p.plan_runs_into(IoKind::Read, &run, &mut buffers, &mut plan);
+        assert!(plan
+            .iter()
+            .all(|io| io.purpose == IoPurpose::Data && io.kind == IoKind::Read));
+        assert_eq!(plan, p.plan_runs(IoKind::Read, &run));
+    }
+
+    #[test]
+    fn a_full_column_write_after_a_small_one_reads_nothing() {
+        let p = raid5_planner();
+        let mut buffers = PlanBuffers::default();
+        let mut plan = Vec::new();
+        p.plan_blocks_into(IoKind::Write, &[7], &mut buffers, &mut plan);
+        assert_eq!(plan.len(), 4, "the small write reads old data and parity");
+        plan.clear();
+        // Logical 0, 2 and 4 fill row 0's first parity column.
+        p.plan_blocks_into(IoKind::Write, &[4, 2, 0], &mut buffers, &mut plan);
+        assert!(plan
+            .iter()
+            .all(|io| !matches!(io.purpose, IoPurpose::OldDataRead | IoPurpose::ParityRead)));
+        assert_eq!(plan, p.plan_blocks(IoKind::Write, &[0, 2, 4]));
+    }
+
+    #[test]
+    fn an_ascending_block_list_ignores_a_stale_sorted_copy() {
+        let p = raid5_planner();
+        let mut buffers = PlanBuffers::default();
+        let mut plan = Vec::new();
+        // Unsorted, with a duplicate: planned from a sorted copy.
+        p.plan_blocks_into(IoKind::Read, &[9, 3, 4, 3], &mut buffers, &mut plan);
+        assert_eq!(
+            plan,
+            p.plan_runs(
+                IoKind::Read,
+                &[BlockRange::new(3, 2), BlockRange::new(9, 1)]
+            )
+        );
+        // Strictly ascending: planned as given, not from the old copy.
+        plan.clear();
+        p.plan_blocks_into(IoKind::Read, &[0, 1], &mut buffers, &mut plan);
+        assert_eq!(plan, p.plan_runs(IoKind::Read, &[BlockRange::new(0, 2)]));
+        // A shorter unsorted list replaces the copy entirely.
+        plan.clear();
+        p.plan_blocks_into(IoKind::Read, &[12, 11], &mut buffers, &mut plan);
+        assert_eq!(plan, p.plan_runs(IoKind::Read, &[BlockRange::new(11, 2)]));
+    }
+
+    #[test]
+    fn a_plan_never_merges_with_an_adjacent_io_the_list_held() {
+        let p = raid5_planner();
+        // Logical 6..8 is row 1's first stripe unit: not at offset 0.
+        let run = [BlockRange::new(6, 2)];
+        let fresh = p.plan_runs(IoKind::Read, &run);
+        assert_eq!(fresh.len(), 1);
+        let io = fresh[0];
+        assert!(io.range.start() > 0);
+        // The block just before it on the same disk, already in the list.
+        let held = PlannedIo {
+            range: BlockRange::new(io.range.start() - 1, 1),
+            ..io
+        };
+        let mut plan = vec![held];
+        p.plan_runs_into(IoKind::Read, &run, &mut PlanBuffers::default(), &mut plan);
+        assert_eq!(plan, [held, io]);
+    }
+
     /// SplitMix64: a deterministic shuffle key.
     fn mix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

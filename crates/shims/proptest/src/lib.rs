@@ -210,6 +210,25 @@ mod tests {
         }
     }
 
+    thread_local! {
+        static CASES_RUN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    proptest! {
+        /// Carries no `#[test]`: the test below calls it.
+        fn counts_its_cases(x in 0u64..10) {
+            prop_assert!(x < 10);
+            CASES_RUN.with(|n| n.set(n.get() + 1));
+        }
+    }
+
+    #[test]
+    fn a_property_runs_every_case_in_one_call() {
+        CASES_RUN.with(|n| n.set(0));
+        counts_its_cases();
+        assert_eq!(CASES_RUN.with(std::cell::Cell::get), crate::NUM_CASES);
+    }
+
     #[test]
     fn deterministic_across_runs() {
         use crate::strategy::Strategy;

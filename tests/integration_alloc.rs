@@ -13,10 +13,15 @@
 //!   the redirector, the planner, the devices and the metrics fold must
 //!   allocate nothing per record: the extra records may add at most N/100
 //!   allocations;
+//! * the same holds for the RAID-5 baseline, whose requests skip the
+//!   monitor and plan straight onto the archive, for the aggregated
+//!   CRAID-5+ archive, and for CRAID-5 with its cache partition on
+//!   dedicated SSDs;
 //! * on a RAID-5 restripe of `proj` with a disk failure and repair inside
-//!   it, the background engine's returned batches still allocate when a
-//!   poll issues work (fewer than one poll per record), so the extra
-//!   records may add at most N allocations.
+//!   it, and on a CRAID-5 hot-first upgrade of `deasna` under a QoS target
+//!   with a disk failure and repair, the background engine's returned
+//!   batches still allocate when a poll issues work (fewer than one poll
+//!   per record), so the extra records may add at most N allocations.
 //!
 //! Before the planner, the array and the replay loop reused their buffers,
 //! both replays made 12–14 allocations per record.
@@ -24,7 +29,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use craid::{NullObserver, Scenario, ScheduledEvent, StrategyKind};
+use craid::{BackgroundPriority, NullObserver, Scenario, ScheduledEvent, SloSpec, StrategyKind};
 use craid_simkit::SimTime;
 use craid_trace::WorkloadId;
 
@@ -102,16 +107,32 @@ fn extra_allocations(build: impl Fn(u64) -> Scenario, requests: u64) -> (u64, u6
     (n, large.saturating_sub(small))
 }
 
-/// The paper-preset CRAID-5 array replaying `wdev`, with no events.
-fn craid5_wdev(requests: u64) -> Scenario {
+/// The paper-preset `strategy` array replaying `wdev`, with no events.
+fn steady_wdev(strategy: StrategyKind, requests: u64) -> Scenario {
     Scenario::builder()
-        .strategy(StrategyKind::Craid5)
+        .strategy(strategy)
         .workload(WorkloadId::Wdev)
         .requests(requests)
         .seed(2)
         .paper()
         .pc_fraction(0.2)
         .build()
+}
+
+/// The paper-preset CRAID-5 array replaying `wdev`, with no events.
+fn craid5_wdev(requests: u64) -> Scenario {
+    steady_wdev(StrategyKind::Craid5, requests)
+}
+
+/// Asserts that replaying `strategy`'s steady `wdev` scenario at 2N
+/// records allocates at most N/100 more times than at N.
+fn assert_steady_wdev_allocates_nothing_per_record(strategy: StrategyKind) {
+    let (n, extra) = extra_allocations(|requests| steady_wdev(strategy, requests), 20_000);
+    assert!(
+        extra <= n / 100,
+        "{strategy}: {n} more records made {extra} more allocations (at most {} allowed)",
+        n / 100
+    );
 }
 
 /// A RAID-5 array replaying `proj` through a paced restripe onto 10 more
@@ -139,6 +160,34 @@ fn raid5_restripe_proj(requests: u64) -> Scenario {
     scenario
 }
 
+/// A CRAID-5 array replaying `deasna` through a hot-first paced upgrade
+/// onto 10 more disks under a 10 ms QoS latency target, with a disk
+/// failing and being repaired after it (the replay benchmark's
+/// `upgrade_qos_deasna` drill, shrunk).
+fn craid5_upgrade_qos_deasna(requests: u64) -> Scenario {
+    let mut scenario = Scenario::builder()
+        .strategy(StrategyKind::Craid5)
+        .workload(WorkloadId::Deasna)
+        .requests(requests)
+        .seed(2)
+        .paper()
+        .pc_fraction(0.2)
+        .build();
+    let duration = scenario.static_duration_secs();
+    let rate = scenario.static_footprint_blocks() as f64 / (duration * 0.5);
+    scenario.array.background_priority = Some(BackgroundPriority::HotFirst);
+    scenario.array.qos = Some(SloSpec::latency_target(10.0));
+    scenario.array.migration_rate = Some(rate);
+    scenario.array.rebuild_rate = Some(rate);
+    let at = |fraction: f64| SimTime::from_secs(duration * fraction);
+    scenario.events = vec![
+        ScheduledEvent::expand(at(0.25), 10),
+        ScheduledEvent::disk_failure(at(0.45), 3),
+        ScheduledEvent::disk_repair(at(0.5), 3),
+    ];
+    scenario
+}
+
 #[test]
 fn craid5_wdev_replay_allocates_nothing_per_record() {
     let (n, extra) = extra_allocations(craid5_wdev, 20_000);
@@ -162,4 +211,38 @@ fn raid5_restripe_replay_allocates_under_one_per_record() {
         .expect("the scenario runs");
     assert_eq!(outcome.report.migration.migrations_completed, 1);
     assert_eq!(outcome.report.fault.rebuilds_completed, 1);
+}
+
+#[test]
+fn raid5_wdev_replay_allocates_nothing_per_record() {
+    assert_steady_wdev_allocates_nothing_per_record(StrategyKind::Raid5);
+}
+
+#[test]
+fn craid5plus_wdev_replay_allocates_nothing_per_record() {
+    assert_steady_wdev_allocates_nothing_per_record(StrategyKind::Craid5Plus);
+}
+
+#[test]
+fn craid5_ssd_wdev_replay_allocates_nothing_per_record() {
+    assert_steady_wdev_allocates_nothing_per_record(StrategyKind::Craid5Ssd);
+}
+
+#[test]
+fn craid5_upgrade_qos_replay_allocates_under_one_per_record() {
+    let (n, extra) = extra_allocations(craid5_upgrade_qos_deasna, 20_000);
+    assert!(
+        extra <= n,
+        "{n} more records made {extra} more allocations (at most {n} allowed)"
+    );
+    // The upgrade, the rebuild and the QoS controller really ran.
+    let report = craid5_upgrade_qos_deasna(20_000)
+        .run()
+        .expect("the scenario runs")
+        .report;
+    assert_eq!(report.migration.migrations_completed, 1);
+    assert_eq!(report.migration.archive_restripes_completed, 1);
+    assert_eq!(report.fault.rebuilds_completed, 1);
+    assert!(report.fault.degraded_reads > 0);
+    assert!(report.qos.throttle_changes > 0);
 }
