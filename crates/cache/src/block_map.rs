@@ -7,9 +7,9 @@ const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 /// of the hash and the table never needs a shift of 64.
 const MIN_SLOTS: usize = 8;
 
-/// Most slots in one page: 64 KiB of 16-byte slots, under the 128 KiB
-/// above which the system allocator maps a block on its own. A power of two.
-const PAGE_SLOTS: usize = 4096;
+/// Most bytes in one page: half the 128 KiB above which the system
+/// allocator maps a block on its own.
+const PAGE_BYTES: usize = 64 * 1024;
 
 /// An open-addressed table from block ids to small `Copy` values.
 ///
@@ -19,15 +19,19 @@ const PAGE_SLOTS: usize = 4096;
 /// hole when their home slot allows it (backward-shift deletion), so the
 /// table keeps no tombstones. Occupancy lives in a bitset beside the slots,
 /// so every `u64`, `0` and `u64::MAX` included, is an ordinary key. The
-/// table doubles before it passes 7/8 full.
+/// table doubles before it passes 7/8 full, or grows once to a size given
+/// ahead ([`BlockMap::reserve`]).
 ///
-/// The slots live in pages of at most 4,096, so even a table of a few MiB
-/// is made of blocks the allocator hands out and takes back like any small
-/// allocation, and the pages a doubling frees serve later ones. Kept in
-/// one block, the table's 2–4 MiB frees moved glibc's threshold for
-/// mapping blocks on their own, and the replay benchmark's peak RSS on
-/// `steady_wdev` swung between about 91 and 107 MiB with the seed and the
-/// replay count (2-vCPU Xeon VM); in pages it stayed within 95–97 MiB.
+/// The slots live in pages of at most 64 KiB: as many slots as fit, rounded
+/// down to a power of two, which is 4,096 slots of a `u64` value and 2,048
+/// of a 24-byte one. So even a table of a few MiB is made of blocks the
+/// allocator hands out and takes back like any small allocation, and the
+/// pages a doubling frees serve later ones. Kept in one block, the table's
+/// 2–4 MiB frees moved glibc's threshold for mapping blocks on their own,
+/// and the replay benchmark's peak RSS on `steady_wdev` swung between
+/// about 91 and 107 MiB with the seed and the replay count (2-vCPU Xeon
+/// VM); in pages it stayed within 95–97 MiB. A page of 128 KiB or more
+/// would move that threshold again.
 ///
 /// The hash is not collision-resistant: keys chosen to share home slots
 /// degrade lookups to a scan of their cluster. The keys here are archive
@@ -69,6 +73,14 @@ impl<V: Copy + Default> Default for BlockMap<V> {
 }
 
 impl<V: Copy + Default> BlockMap<V> {
+    /// Most slots in one page: as many as fit [`PAGE_BYTES`], rounded down
+    /// to a power of two.
+    const PAGE_SLOTS: usize = {
+        let fit = PAGE_BYTES / std::mem::size_of::<(u64, V)>();
+        assert!(fit > 0, "a slot is smaller than a page");
+        1 << fit.ilog2()
+    };
+
     /// Creates an empty table of the smallest size; it grows as keys arrive.
     pub fn new() -> Self {
         Self::with_slots(MIN_SLOTS)
@@ -76,18 +88,23 @@ impl<V: Copy + Default> BlockMap<V> {
 
     /// Creates an empty table that holds `keys` entries without growing.
     pub fn with_capacity(keys: usize) -> Self {
+        Self::with_slots(Self::slots_for(keys))
+    }
+
+    /// The fewest slots, at least [`MIN_SLOTS`], that hold `keys` entries.
+    fn slots_for(keys: usize) -> usize {
         let mut slots = MIN_SLOTS;
         while Self::max_len(slots) < keys {
             slots *= 2;
         }
-        Self::with_slots(slots)
+        slots
     }
 
     fn with_slots(slots: usize) -> Self {
         debug_assert!(slots.is_power_of_two() && slots >= MIN_SLOTS);
-        let page = vec![(0, V::default()); slots.min(PAGE_SLOTS)].into_boxed_slice();
+        let page = vec![(0, V::default()); slots.min(Self::PAGE_SLOTS)].into_boxed_slice();
         BlockMap {
-            pages: vec![page; slots.div_ceil(PAGE_SLOTS)],
+            pages: vec![page; slots.div_ceil(Self::PAGE_SLOTS)],
             used: vec![0; slots.div_ceil(64)],
             len: 0,
             shift: 64 - slots.trailing_zeros(),
@@ -119,11 +136,11 @@ impl<V: Copy + Default> BlockMap<V> {
     }
 
     fn slot(&self, slot: usize) -> &(u64, V) {
-        &self.pages[slot / PAGE_SLOTS][slot % PAGE_SLOTS]
+        &self.pages[slot / Self::PAGE_SLOTS][slot % Self::PAGE_SLOTS]
     }
 
     fn slot_mut(&mut self, slot: usize) -> &mut (u64, V) {
-        &mut self.pages[slot / PAGE_SLOTS][slot % PAGE_SLOTS]
+        &mut self.pages[slot / Self::PAGE_SLOTS][slot % Self::PAGE_SLOTS]
     }
 
     fn home(&self, key: u64) -> usize {
@@ -204,7 +221,7 @@ impl<V: Copy + Default> BlockMap<V> {
         let slot = if self.len < Self::max_len(self.slots()) {
             empty
         } else {
-            self.grow();
+            self.rehash(self.slots() * 2);
             self.find(key)
                 .expect_err("the key was absent before the table grew")
         };
@@ -214,8 +231,18 @@ impl<V: Copy + Default> BlockMap<V> {
         slot
     }
 
-    fn grow(&mut self) {
-        let mut bigger = Self::with_slots(self.slots() * 2);
+    /// Grows the table once, if needed, so that `additional` more entries
+    /// fit without a doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        let keys = self.len.saturating_add(additional);
+        if keys > Self::max_len(self.slots()) {
+            self.rehash(Self::slots_for(keys));
+        }
+    }
+
+    /// Moves every entry into a table of `slots` slots.
+    fn rehash(&mut self, slots: usize) {
+        let mut bigger = Self::with_slots(slots);
         for slot in 0..self.slots() {
             if self.is_used(slot) {
                 let (key, value) = *self.slot(slot);
@@ -300,6 +327,45 @@ mod tests {
         m.insert(7, 7);
         assert_eq!((m.slots(), m.len()), (16, 8));
         assert!((0..8).all(|key| m.get(key) == Some(key)));
+    }
+
+    #[test]
+    fn pages_hold_at_most_64_kib() {
+        // A `u64` value makes 16-byte slots, three of them 32-byte slots and
+        // five 48-byte slots, of which 1,365 fit a page and 1,024 are used.
+        assert_eq!(BlockMap::<u64>::PAGE_SLOTS, 4_096);
+        assert_eq!(BlockMap::<(u64, u64, u64)>::PAGE_SLOTS, 2_048);
+        assert_eq!(BlockMap::<(u64, u64, u64, u64, u64)>::PAGE_SLOTS, 1_024);
+        let m = BlockMap::<(u64, u64, u64)>::with_capacity(30_000);
+        assert_eq!((m.slots(), m.pages.len()), (65_536, 32));
+        assert!(m
+            .pages
+            .iter()
+            .all(|page| std::mem::size_of_val(&**page) == PAGE_BYTES));
+    }
+
+    #[test]
+    fn reserve_grows_once_and_keeps_every_entry() {
+        let key = |i: u64| i * 1_000_003;
+        let mut m = BlockMap::new();
+        for i in 0..5 {
+            m.insert(key(i), i);
+        }
+        // 20,005 entries need 32,768 slots (7/8 of 16,384 is 14,336).
+        m.reserve(20_000);
+        assert_eq!((m.slots(), m.len()), (32_768, 5));
+        for i in 5..20_005 {
+            m.insert(key(i), i);
+        }
+        assert_eq!(m.slots(), 32_768, "no doubling after the reserve");
+        assert!((0..20_005).all(|i| m.get(key(i)) == Some(i)));
+        // 28,005 entries still fit 7/8 of 32,768 slots.
+        m.reserve(8_000);
+        assert_eq!(
+            m.slots(),
+            32_768,
+            "a reserve the table holds changes nothing"
+        );
     }
 
     #[test]

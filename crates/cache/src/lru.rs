@@ -3,63 +3,14 @@
 use crate::block_map::BlockMap;
 use crate::policy::{AccessMeta, AccessOutcome, ReplacementPolicy};
 
-/// The node index that ends a [`Chain`].
+/// The node index that ends the recency chain.
 const NIL: u32 = u32::MAX;
 
-/// A slab node's neighbours in one [`Chain`].
+/// A slab node's neighbours in the recency chain.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
     next: u32,
-}
-
-impl Link {
-    const DETACHED: Link = Link {
-        prev: NIL,
-        next: NIL,
-    };
-}
-
-/// A doubly linked list of slab nodes, oldest first. The chain holds its
-/// two ends; the caller holds every node's [`Link`] in a slice indexed by
-/// node.
-#[derive(Debug, Clone, Copy)]
-struct Chain {
-    head: u32,
-    tail: u32,
-}
-
-impl Chain {
-    const EMPTY: Chain = Chain {
-        head: NIL,
-        tail: NIL,
-    };
-
-    /// Links `node` in as the newest entry.
-    fn push_back(&mut self, links: &mut [Link], node: u32) {
-        links[node as usize] = Link {
-            prev: self.tail,
-            next: NIL,
-        };
-        match self.tail {
-            NIL => self.head = node,
-            tail => links[tail as usize].next = node,
-        }
-        self.tail = node;
-    }
-
-    /// Unlinks `node`, which must be in this chain.
-    fn unlink(&mut self, links: &mut [Link], node: u32) {
-        let Link { prev, next } = links[node as usize];
-        match prev {
-            NIL => self.head = next,
-            prev => links[prev as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            next => links[next as usize].prev = prev,
-        }
-    }
 }
 
 /// A recency list: a [`BlockMap`] from each block to its node in a slab,
@@ -74,7 +25,10 @@ pub(crate) struct LruList {
     /// node -> block
     blocks: Vec<u64>,
     links: Vec<Link>,
-    order: Chain,
+    /// Least recently used node, [`NIL`] while the list is empty.
+    head: u32,
+    /// Most recently used node, [`NIL`] while the list is empty.
+    tail: u32,
     /// Nodes released by removals, reused last-freed first.
     free: Vec<u32>,
 }
@@ -91,7 +45,8 @@ impl LruList {
             index: BlockMap::with_capacity(blocks),
             blocks: Vec::with_capacity(blocks),
             links: Vec::with_capacity(blocks),
-            order: Chain::EMPTY,
+            head: NIL,
+            tail: NIL,
             free: Vec::new(),
         }
     }
@@ -138,13 +93,39 @@ impl LruList {
 
     /// The least recently used node.
     fn lru(&self) -> Option<u32> {
-        Some(self.order.head).filter(|&node| node != NIL)
+        Some(self.head).filter(|&node| node != NIL)
     }
 
     /// Makes `node` the most recently used.
     fn move_to_mru(&mut self, node: u32) {
-        self.order.unlink(&mut self.links, node);
-        self.order.push_back(&mut self.links, node);
+        self.unlink(node);
+        self.link_mru(node);
+    }
+
+    /// Links `node` in as the most recently used.
+    fn link_mru(&mut self, node: u32) {
+        self.links[node as usize] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = node,
+            tail => self.links[tail as usize].next = node,
+        }
+        self.tail = node;
+    }
+
+    /// Unlinks `node`, which must be listed.
+    fn unlink(&mut self, node: u32) {
+        let Link { prev, next } = self.links[node as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => self.links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.links[next as usize].prev = prev,
+        }
     }
 
     /// Adds `block`, which must be absent, as the most recently used entry
@@ -161,12 +142,15 @@ impl LruList {
                     .filter(|&node| node != NIL)
                     .expect("a recency list holds fewer than u32::MAX blocks");
                 self.blocks.push(block);
-                self.links.push(Link::DETACHED);
+                self.links.push(Link {
+                    prev: NIL,
+                    next: NIL,
+                });
                 node
             }
         };
         self.index.insert(block, node);
-        self.order.push_back(&mut self.links, node);
+        self.link_mru(node);
         node
     }
 
@@ -174,15 +158,22 @@ impl LruList {
     fn remove_node(&mut self, node: u32) -> u64 {
         let block = self.blocks[node as usize];
         self.index.remove(block);
-        self.order.unlink(&mut self.links, node);
+        self.unlink(node);
         self.free.push(node);
         block
     }
 
+    /// The node after `node` toward the most recently used end, [`NIL`]
+    /// after the last.
+    fn next(&self, node: u32) -> u32 {
+        self.links[node as usize].next
+    }
+
     /// The listed nodes, least recently used first.
+    #[cfg(test)]
     fn nodes_lru_first(&self) -> impl Iterator<Item = u32> + '_ {
         std::iter::successors(self.lru(), |&node| {
-            Some(self.links[node as usize].next).filter(|&next| next != NIL)
+            Some(self.next(node)).filter(|&next| next != NIL)
         })
     }
 }
@@ -225,59 +216,6 @@ impl ReplacementPolicy for LruPolicy {
     }
 }
 
-/// A Fenwick (binary-indexed) tree counting resident recency stamps, so the
-/// LRU rank of a stamp — "how many resident blocks are older?" — is an
-/// O(log n) prefix sum instead of an O(n) list walk.
-///
-/// Stamps index the tree directly, so the stamp space must stay inside the
-/// window the tree was built for; [`WlruPolicy`] renumbers all live stamps
-/// (compaction) whenever `next_stamp` would leave the window.
-#[derive(Debug, Clone, Default)]
-struct StampRanks {
-    /// 1-based Fenwick array; `tree.len() - 1` is the stamp window.
-    tree: Vec<u32>,
-}
-
-impl StampRanks {
-    fn new(window: u32) -> Self {
-        StampRanks {
-            tree: vec![0; window as usize + 1],
-        }
-    }
-
-    fn window(&self) -> u32 {
-        (self.tree.len() - 1) as u32
-    }
-
-    fn add(&mut self, stamp: u32) {
-        let mut i = stamp as usize + 1;
-        while i < self.tree.len() {
-            self.tree[i] += 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn remove(&mut self, stamp: u32) {
-        let mut i = stamp as usize + 1;
-        while i < self.tree.len() {
-            self.tree[i] -= 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Number of resident stamps strictly below `stamp` — the stamp's
-    /// 0-based position from the LRU end.
-    fn count_below(&self, stamp: u32) -> usize {
-        let mut i = stamp as usize;
-        let mut sum = 0u32;
-        while i > 0 {
-            sum += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        sum as usize
-    }
-}
-
 /// Weighted LRU (the paper's WLRUw, §4.1): prefer evicting a *clean* block,
 /// considering at most the `⌈k·w⌉` least-recently-used candidates; fall back
 /// to the plain LRU victim if every candidate in that window is dirty.
@@ -286,27 +224,46 @@ impl StampRanks {
 /// eligible. The reference algorithm scans the recency list from the LRU end,
 /// an `O(k·w)` walk per eviction that dominated replay time on large cache
 /// partitions. This implementation keeps its residents in a slab of at most
-/// `k` nodes, chained twice by `u32` indices: every resident in recency
-/// order (an `LruList`), and the clean ones, oldest first. A Fenwick tree
-/// over recency stamps (`StampRanks`) ranks the oldest clean block, so every
-/// access, eviction included, is `O(log k)` while selecting the exact victim
-/// the reference scan would: the oldest clean block when its LRU rank falls
-/// inside the scan window, the LRU head otherwise. The arriving block takes
-/// over the victim's node.
+/// `k` nodes chained in recency order (an `LruList`), knows the oldest clean
+/// resident, and counts the residents older than it, with a flag on each
+/// (on every resident while none is clean). Those are exactly the dirty
+/// candidates the reference scan skips first, so the victim is
+/// the oldest clean resident while the count is below `⌈k·w⌉`, else the LRU
+/// head, as the scan would pick. A resident stays dirty until it leaves, so
+/// the oldest clean resident only ever moves toward the MRU end: when it
+/// leaves its place, a walk from its recency successor to the next clean
+/// resident (or the MRU end) flags what it passes. A flag lasts until its
+/// node moves, so each node is walked at most once per access that moved
+/// it, and every access is amortized `O(1)`. The arriving block takes over
+/// the victim's node.
 #[derive(Debug, Clone)]
 pub struct WlruPolicy {
     capacity: usize,
     w: f64,
-    /// Residents in recency order; its node indices also index the three
-    /// per-node vectors below.
+    /// `⌈k·w⌉`: how many residents the reference scan considers.
+    scan_limit: usize,
+    /// Residents in recency order; its node indices also index `marks`.
     list: LruList,
-    stamps: Vec<u32>,
-    dirty: Vec<bool>,
-    clean_links: Vec<Link>,
-    /// Clean residents, oldest first (the eviction candidates).
-    clean: Chain,
-    ranks: StampRanks,
-    next_stamp: u32,
+    marks: Vec<Mark>,
+    /// The oldest clean resident's node, [`NIL`] while none is clean.
+    oldest_clean: u32,
+    /// Residents flagged [`Mark::Older`].
+    older: usize,
+    /// Nodes the walks have passed, for the amortization test.
+    #[cfg(test)]
+    walked: usize,
+}
+
+/// A WLRU resident's dirt, and whether it is older than the oldest clean
+/// resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    Clean,
+    /// Dirty, and more recently used than the oldest clean resident.
+    Dirty,
+    /// Dirty, and older than the oldest clean resident (or no resident is
+    /// clean).
+    Older,
 }
 
 impl WlruPolicy {
@@ -314,26 +271,23 @@ impl WlruPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or `w` is outside `[0, 1]`, or if twice
-    /// `capacity`, the stamp window, does not fit a `u32`.
+    /// Panics if `capacity` is zero or `w` is outside `[0, 1]`.
     pub fn new(capacity: usize, w: f64) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         assert!(
             (0.0..=1.0).contains(&w),
             "WLRU weight must be in [0,1], got {w}"
         );
-        let window = u32::try_from(Self::stamp_window(capacity))
-            .expect("the stamp window, twice the capacity, fits a u32");
         WlruPolicy {
             capacity,
             w,
+            scan_limit: ((capacity as f64) * w).ceil() as usize,
             list: LruList::with_capacity(capacity),
-            stamps: vec![0; capacity],
-            dirty: vec![false; capacity],
-            clean_links: vec![Link::DETACHED; capacity],
-            clean: Chain::EMPTY,
-            ranks: StampRanks::new(window),
-            next_stamp: 0,
+            marks: vec![Mark::Clean; capacity],
+            oldest_clean: NIL,
+            older: 0,
+            #[cfg(test)]
+            walked: 0,
         }
     }
 
@@ -342,63 +296,27 @@ impl WlruPolicy {
         self.w
     }
 
-    /// Stamp window: the at most `capacity` live stamps fit with at least a
-    /// same-sized headroom of fresh stamps before the next compaction, so
-    /// compaction cost amortizes to O(1) per access.
-    fn stamp_window(capacity: usize) -> usize {
-        capacity.saturating_mul(2).max(64)
-    }
-
-    /// Renumbers all live stamps densely from 0 in LRU order (order
-    /// preserved, so behaviour is unchanged) and rebuilds the rank tree.
-    fn compact(&mut self) {
-        self.ranks = StampRanks::new(self.ranks.window());
-        for (fresh, node) in self.list.nodes_lru_first().enumerate() {
-            let fresh = fresh as u32;
-            self.stamps[node as usize] = fresh;
-            self.ranks.add(fresh);
+    /// Walks from `node` toward the MRU end, flagging every dirty resident
+    /// it passes, and makes the first clean one the oldest clean resident
+    /// ([`NIL`] if it reaches the end).
+    fn advance_oldest_clean(&mut self, mut node: u32) {
+        while node != NIL && self.marks[node as usize] != Mark::Clean {
+            self.marks[node as usize] = Mark::Older;
+            self.older += 1;
+            #[cfg(test)]
+            {
+                self.walked += 1;
+            }
+            node = self.list.next(node);
         }
-        self.next_stamp = self.list.len() as u32;
-    }
-
-    /// Takes `node` out of the rank tree and the clean chain, returning its
-    /// dirty flag.
-    fn forget(&mut self, node: u32) -> bool {
-        let i = node as usize;
-        self.ranks.remove(self.stamps[i]);
-        if !self.dirty[i] {
-            self.clean.unlink(&mut self.clean_links, node);
-        }
-        self.dirty[i]
-    }
-
-    /// Gives `node`, just made the most recently used, the next stamp and
-    /// dirty flag `dirty`.
-    fn remember(&mut self, node: u32, dirty: bool) {
-        let i = node as usize;
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.stamps[i] = stamp;
-        self.dirty[i] = dirty;
-        self.ranks.add(stamp);
-        if !dirty {
-            self.clean.push_back(&mut self.clean_links, node);
-        }
+        self.oldest_clean = node;
     }
 
     /// The victim the reference WLRU scan would pick: the oldest clean block
-    /// when its LRU rank is inside the first `⌈k·w⌉` positions, otherwise the
-    /// LRU head.
+    /// when fewer than `⌈k·w⌉` residents are older, otherwise the LRU head.
     fn pick_victim(&self) -> u32 {
-        let scan_limit = ((self.capacity as f64) * self.w).ceil() as usize;
-        let oldest_clean = self.clean.head;
-        // Every resident stamp below the oldest clean one belongs to a dirty
-        // block, so `count_below` is exactly the number of dirty candidates
-        // the reference scan would skip first.
-        if oldest_clean != NIL
-            && self.ranks.count_below(self.stamps[oldest_clean as usize]) < scan_limit
-        {
-            return oldest_clean;
+        if self.oldest_clean != NIL && self.older < self.scan_limit {
+            return self.oldest_clean;
         }
         self.list.lru().expect("cache is full, a victim must exist")
     }
@@ -406,26 +324,59 @@ impl WlruPolicy {
 
 impl ReplacementPolicy for WlruPolicy {
     fn access(&mut self, block: u64, meta: AccessMeta) -> AccessOutcome {
-        // An access takes one stamp, and a compaction leaves at least
-        // `capacity` free.
-        if self.next_stamp >= self.ranks.window() {
-            self.compact();
-        }
         if let Some(node) = self.list.node(block) {
-            let dirty = self.forget(node) || meta.is_write;
+            let next = self.list.next(node);
             self.list.move_to_mru(node);
-            self.remember(node, dirty);
+            let mark = &mut self.marks[node as usize];
+            match *mark {
+                // Now more recently used than the oldest clean resident, if
+                // there is one.
+                Mark::Older if self.oldest_clean != NIL => {
+                    *mark = Mark::Dirty;
+                    self.older -= 1;
+                }
+                Mark::Older | Mark::Dirty => {}
+                Mark::Clean => {
+                    if meta.is_write {
+                        *mark = Mark::Dirty;
+                    }
+                    if node == self.oldest_clean {
+                        // The walk ends at this node, now the MRU one, if no
+                        // other clean resident comes first.
+                        self.advance_oldest_clean(if next == NIL { node } else { next });
+                    }
+                }
+            }
             return AccessOutcome::Hit;
         }
         let evicted = if self.list.len() >= self.capacity {
             let victim = self.pick_victim();
-            self.forget(victim);
-            Some(self.list.remove_node(victim))
+            let next = self.list.next(victim);
+            let block = self.list.remove_node(victim);
+            if victim == self.oldest_clean {
+                self.advance_oldest_clean(next);
+            } else {
+                // The LRU head, older than the oldest clean resident.
+                debug_assert_eq!(self.marks[victim as usize], Mark::Older);
+                self.older -= 1;
+            }
+            Some(block)
         } else {
             None
         };
         let node = self.list.insert(block);
-        self.remember(node, meta.is_write);
+        self.marks[node as usize] = match (meta.is_write, self.oldest_clean) {
+            (false, NIL) => {
+                self.oldest_clean = node;
+                Mark::Clean
+            }
+            (false, _) => Mark::Clean,
+            (true, NIL) => {
+                self.older += 1;
+                Mark::Older
+            }
+            (true, _) => Mark::Dirty,
+        };
         AccessOutcome::inserted(evicted)
     }
 }
@@ -441,8 +392,29 @@ mod tests {
     fn residents(p: &WlruPolicy) -> Vec<(u64, bool)> {
         p.list
             .nodes_lru_first()
-            .map(|node| (p.list.blocks[node as usize], p.dirty[node as usize]))
+            .map(|node| {
+                let dirty = p.marks[node as usize] != Mark::Clean;
+                (p.list.blocks[node as usize], dirty)
+            })
             .collect()
+    }
+
+    /// Recounts WLRU's bookkeeping along the recency list: the residents
+    /// before the first clean one, and only they, are flagged older, their
+    /// number is the count kept, and the first clean one is the oldest clean
+    /// resident kept.
+    fn assert_older_recounts(p: &WlruPolicy) {
+        let nodes: Vec<u32> = p.list.nodes_lru_first().collect();
+        let first_clean = nodes
+            .iter()
+            .position(|&node| p.marks[node as usize] == Mark::Clean);
+        let older = first_clean.unwrap_or(nodes.len());
+        for (at, &node) in nodes.iter().enumerate() {
+            let flagged = p.marks[node as usize] == Mark::Older;
+            assert_eq!(flagged, at < older, "resident #{at} of {}", nodes.len());
+        }
+        assert_eq!(p.older, older, "the count of older residents");
+        assert_eq!(p.oldest_clean, first_clean.map_or(NIL, |at| nodes[at]));
     }
 
     #[test]
@@ -586,27 +558,63 @@ mod tests {
     }
 
     #[test]
-    fn wlru_stamp_compaction_preserves_order() {
-        // Small capacity → small stamp window, so a long access run forces
-        // many compactions; the recency order must survive each one.
+    fn wlru_long_mixed_run_matches_the_reference_scan() {
+        // Seven blocks cycle through four slots, every third access a
+        // write, so dirty runs form, are walked and leave again for 10,000
+        // accesses.
         let mut p = WlruPolicy::new(4, 0.5);
+        let mut reference = ScanWlru::new(4, 0.5);
         for i in 0..10_000u64 {
-            p.access(i % 7, if i % 3 == 0 { W } else { R });
+            let meta = if i % 3 == 0 { W } else { R };
+            assert_eq!(
+                p.access(i % 7, meta),
+                reference.access(i % 7, meta),
+                "access {i}"
+            );
         }
-        let mut reference = WlruPolicy::new(4, 0.5);
-        // Replaying into a fresh policy must land in the same state: the
-        // windows differ but the observable order and dirt must match.
-        for i in 0..10_000u64 {
-            reference.access(i % 7, if i % 3 == 0 { W } else { R });
+        assert_eq!(residents(&p), reference.list);
+        assert_older_recounts(&p);
+    }
+
+    #[test]
+    fn wlru_walks_each_node_once_per_move() {
+        // Half the accesses hit the oldest clean resident, by a write (it
+        // turns dirty, and the walk passes the dirty run behind it) or a
+        // read; the rest add a written or a read block, so dirty runs keep
+        // forming between the clean residents. Rescanning from the LRU head
+        // on every access would pass about 63 nodes each time, over 1.2
+        // million in all; the walks pass about 5,000.
+        let capacity = 64;
+        let mut p = WlruPolicy::new(capacity, 1.0);
+        let mut reference = ScanWlru::new(capacity, 1.0);
+        let mut fresh = 0u64..;
+        let accesses = 20_000;
+        for i in 0..accesses {
+            let block = match (i % 4, p.oldest_clean) {
+                (0 | 1, _) | (_, NIL) => fresh.next().expect("an unbounded range"),
+                (_, node) => p.list.blocks[node as usize],
+            };
+            let meta = if i % 2 == 0 { W } else { R };
+            assert_eq!(
+                p.access(block, meta),
+                reference.access(block, meta),
+                "access {i}"
+            );
         }
-        assert_eq!(residents(&p), residents(&reference));
+        assert_older_recounts(&p);
+        assert!(
+            p.walked <= accesses + capacity,
+            "{} nodes walked in {accesses} accesses",
+            p.walked
+        );
+        assert!(p.walked >= accesses / 8, "the stream walks dirty runs");
     }
 
     /// The reference WLRU victim selection from the paper: scan the recency
     /// list from the LRU end, return the first clean block among the first
     /// `⌈k·w⌉` candidates, else the LRU head. Kept as the oracle for the
-    /// equivalence property below; the shipping [`WlruPolicy`] answers the
-    /// same question with an order-statistic index instead of a scan.
+    /// equivalence tests; the shipping [`WlruPolicy`] answers the same
+    /// question from its count of residents older than the oldest clean one.
     #[derive(Debug, Clone)]
     struct ScanWlru {
         capacity: usize,
@@ -653,10 +661,11 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The indexed WLRU is access-for-access identical to the reference
-        /// scan: same outcomes (same victims) and the same resident set, in
-        /// the same recency order with the same dirty flags, after every
-        /// access of a mixed read/write stream.
+        /// WLRU is access-for-access identical to the reference scan: same
+        /// outcomes (same victims) and the same resident set, in the same
+        /// recency order with the same dirty flags, after every access of a
+        /// mixed read/write stream; and its count of older residents always
+        /// recounts.
         #[test]
         fn prop_wlru_index_matches_reference_scan(
             cap in 1usize..12,
@@ -670,8 +679,32 @@ mod tests {
                 let meta = if write { W } else { R };
                 prop_assert_eq!(fast.access(block, meta), oracle.access(block, meta));
                 prop_assert_eq!(residents(&fast), oracle.list.clone());
+                assert_older_recounts(&fast);
                 prop_assert!(fast.list.blocks.len() <= cap, "the slab outgrew the capacity");
             }
+        }
+
+        /// The same agreement at capacities up to 64 and weights whose scan
+        /// window falls between slots, on streams of up to 600 accesses
+        /// over a pool of blocks sized against the capacity: every outcome,
+        /// the recount after every access and the final resident order.
+        #[test]
+        fn prop_wlru_matches_reference_scan_up_to_64_blocks(
+            cap in 1usize..65,
+            wsel in 0usize..7,
+            pool in 1u64..160,
+            ops in proptest::collection::vec((0u64..1_000, any::<bool>()), 1..601),
+        ) {
+            let w = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0][wsel];
+            let mut fast = WlruPolicy::new(cap, w);
+            let mut oracle = ScanWlru::new(cap, w);
+            for (raw, write) in ops {
+                let block = raw % pool;
+                let meta = if write { W } else { R };
+                prop_assert_eq!(fast.access(block, meta), oracle.access(block, meta));
+                assert_older_recounts(&fast);
+            }
+            prop_assert_eq!(residents(&fast), oracle.list);
         }
     }
 }

@@ -528,23 +528,23 @@ impl CraidArray {
             None => cache.pc.layout(),
         });
         let pa_layout = self.pa.layout();
-        let peers_for = |io: &PartitionIo| match pc_layout {
+        let peers_for = |io: &PartitionIo, peers: &mut Vec<usize>| match pc_layout {
             Some(pc_layout) if io.range.start() < pc_limit => {
-                pc_layout.reconstruction_peers(io.disk)
+                pc_layout.reconstruction_peers(io.disk, peers)
             }
-            _ => pa_layout.reconstruction_peers(io.disk),
+            _ => pa_layout.reconstruction_peers(io.disk, peers),
         };
-        let degraded = &mut self.scratch.degraded;
         fault::degrade_plan(
             &plan[from..],
-            degraded,
+            &mut self.scratch.degraded,
             failed,
             state == DiskState::Rebuilding,
             peers_for,
+            &mut self.scratch.peers,
             &mut self.fault_stats,
         );
         plan.truncate(from);
-        plan.extend_from_slice(degraded);
+        plan.extend_from_slice(&self.scratch.degraded);
     }
 
     /// Serves a request on an array without a cache partition: every block
@@ -669,6 +669,7 @@ impl CraidArray {
                             .expect("paced expansions have a finite rate"),
                     );
                     cache.old_pcs.insert(generation, cache.pc.clone());
+                    cache.migration.reserve(drained.len());
                     for (pa_block, mapping) in drained {
                         cache.migration.insert(
                             pa_block,
@@ -995,7 +996,8 @@ impl StorageArray for CraidArray {
             .min(self.devices.capacity_blocks(disk))
             .max(1);
         let segments = self.rebuild_plan(disk, live);
-        let peers = self.pa.layout().reconstruction_peers(disk);
+        let mut peers = Vec::new();
+        self.pa.layout().reconstruction_peers(disk, &mut peers);
         self.background.push_rebuild(
             now,
             disk,

@@ -41,8 +41,9 @@
 //! every request so reads stay correct mid-upgrade while writes land at the
 //! new home (and supersede the pending move).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
+use craid_cache::BlockMap;
 use craid_diskmodel::BlockRange;
 use craid_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
@@ -860,7 +861,7 @@ impl BackgroundEngine {
 }
 
 /// Where a not-yet-migrated block's authoritative copy still lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OldHome {
     /// The cache-partition slot holding the pre-upgrade copy (CRAID
     /// redistribution).
@@ -880,9 +881,14 @@ pub struct OldHome {
 /// the new home and supersede the pending move. Lives alongside the
 /// [`MappingCache`](crate::MappingCache), which only knows post-upgrade
 /// placements.
+///
+/// The pending blocks live in a [`BlockMap`], which the array sizes once
+/// for a drained cache partition ([`MigrationMap::reserve`]) and which is
+/// freed when the last pending block leaves. Only [`MigrationMap::iter`]
+/// sorts.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationMap {
-    map: BTreeMap<u64, OldHome>,
+    map: BlockMap<OldHome>,
 }
 
 impl MigrationMap {
@@ -901,6 +907,12 @@ impl MigrationMap {
         self.map.is_empty()
     }
 
+    /// Makes room for `blocks` more pending blocks, so that inserting them
+    /// grows the table at most once.
+    pub fn reserve(&mut self, blocks: usize) {
+        self.map.reserve(blocks);
+    }
+
     /// Marks `logical` as pending, with its old home.
     pub fn insert(&mut self, logical: u64, home: OldHome) {
         self.map.insert(logical, home);
@@ -908,23 +920,28 @@ impl MigrationMap {
 
     /// The old home of `logical`, if it is still pending.
     pub fn get(&self, logical: u64) -> Option<OldHome> {
-        self.map.get(&logical).copied()
+        self.map.get(logical)
     }
 
     /// True if `logical` has not been moved (or superseded) yet.
     pub fn contains(&self, logical: u64) -> bool {
-        self.map.contains_key(&logical)
+        self.map.contains_key(logical)
     }
 
     /// Removes `logical` (it was migrated, or a client write superseded the
-    /// move), returning its old home if it was pending.
+    /// move), returning its old home if it was pending. Removing the last
+    /// pending block frees the table.
     pub fn remove(&mut self, logical: u64) -> Option<OldHome> {
-        self.map.remove(&logical)
+        let home = self.map.remove(logical);
+        if home.is_some() && self.map.is_empty() {
+            self.map = BlockMap::new();
+        }
+        home
     }
 
     /// Iterates over pending blocks in ascending logical order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, OldHome)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, OldHome)> {
+        self.map.sorted().into_iter()
     }
 }
 
@@ -1542,6 +1559,41 @@ mod tests {
     }
 
     proptest! {
+        /// The migration map answers every insert, get, contains and remove
+        /// as a `BTreeMap` does, with or without room reserved ahead, and
+        /// after every step `iter` walks the pending blocks by ascending
+        /// block, the order the model checker's `Colocated` observations
+        /// follow. The small key pool empties the map now and then.
+        #[test]
+        fn prop_migration_map_matches_a_btree_map(
+            reserve in 0usize..100,
+            ops in proptest::collection::vec((0u8..4, 0u64..40, 0u64..1_000, any::<bool>()), 1..300),
+        ) {
+            let block = |k: u64| match k {
+                0 => u64::MAX,
+                k => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            };
+            let mut map = MigrationMap::new();
+            map.reserve(reserve);
+            let mut model = std::collections::BTreeMap::new();
+            for (op, k, slot, dirty) in ops {
+                let b = block(k);
+                let home = OldHome { pc_slot: slot, dirty, generation: slot % 3 };
+                match op {
+                    0 => {
+                        map.insert(b, home);
+                        model.insert(b, home);
+                    }
+                    1 => prop_assert_eq!(map.get(b), model.get(&b).copied()),
+                    2 => prop_assert_eq!(map.contains(b), model.contains_key(&b)),
+                    _ => prop_assert_eq!(map.remove(b), model.remove(&b)),
+                }
+                prop_assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
+                let walk: Vec<(u64, OldHome)> = model.iter().map(|(&b, &h)| (b, h)).collect();
+                prop_assert_eq!(map.iter().collect::<Vec<_>>(), walk);
+            }
+        }
+
         /// Event-clocked pumping is exactly per-request pumping with the
         /// guaranteed-idle polls deleted: engine A is polled at every
         /// instant, engine B only when `work_due` says a poll could do

@@ -110,7 +110,10 @@ impl DeviceUnit {
 #[derive(Debug, Clone)]
 pub struct DeviceSet {
     devices: Vec<DeviceUnit>,
-    states: Vec<DiskState>,
+    /// The one non-healthy device and its state; every other device is
+    /// healthy. Only a mechanical disk fails, and added disks are spliced
+    /// in after the existing ones, so the index never shifts.
+    fault: Option<(usize, DiskState)>,
     hdd_count: usize,
     /// The mechanical disks' parameters, capacity included: upgrades add
     /// disks of the same model.
@@ -122,7 +125,7 @@ impl DeviceSet {
     pub fn from_config(config: &ArrayConfig) -> Self {
         let mut set = DeviceSet {
             devices: Vec::with_capacity(config.disks + config.ssd_cache_devices),
-            states: Vec::new(),
+            fault: None,
             hdd_count: 0,
             hdd_params: HddParameters {
                 capacity_blocks: config.hdd_capacity_blocks,
@@ -144,7 +147,6 @@ impl DeviceSet {
                 config.disks + id,
                 SsdModel::new(params),
             )));
-            set.states.push(DiskState::Healthy);
         }
         set
     }
@@ -179,17 +181,21 @@ impl DeviceSet {
             // New disks are spliced in just after the existing HDDs so that
             // HDD indices stay contiguous and SSDs keep trailing.
             self.devices.insert(self.hdd_count + i, unit);
-            self.states.insert(self.hdd_count + i, DiskState::Healthy);
         }
         self.hdd_count += count;
     }
 
     /// The single non-healthy device, with its state, if any.
     pub fn degraded_disk(&self) -> Option<(usize, DiskState)> {
-        self.states
-            .iter()
-            .position(|&s| s != DiskState::Healthy)
-            .map(|d| (d, self.states[d]))
+        self.fault
+    }
+
+    /// The state of `device`.
+    fn state(&self, device: usize) -> DiskState {
+        match self.fault {
+            Some((faulty, state)) if faulty == device => state,
+            _ => DiskState::Healthy,
+        }
     }
 
     /// Marks mechanical disk `device` as failed.
@@ -206,12 +212,12 @@ impl DeviceSet {
                 self.hdd_count
             )));
         }
-        if let Some((other, state)) = self.degraded_disk() {
+        if let Some((other, state)) = self.fault {
             return Err(CraidError::InvalidFault(format!(
                 "disk {other} is already {state:?}; only one concurrent fault is supported"
             )));
         }
-        self.states[device] = DiskState::Failed;
+        self.fault = Some((device, DiskState::Failed));
         Ok(())
     }
 
@@ -222,12 +228,12 @@ impl DeviceSet {
     /// Returns [`CraidError::InvalidFault`] unless `device` is currently
     /// failed.
     pub fn start_rebuild(&mut self, device: usize) -> Result<(), CraidError> {
-        if self.states.get(device).copied() != Some(DiskState::Failed) {
+        if self.state(device) != DiskState::Failed {
             return Err(CraidError::InvalidFault(format!(
                 "disk {device} is not failed; nothing to repair"
             )));
         }
-        self.states[device] = DiskState::Rebuilding;
+        self.fault = Some((device, DiskState::Rebuilding));
         Ok(())
     }
 
@@ -239,11 +245,11 @@ impl DeviceSet {
     /// [`DeviceSet::start_rebuild`] is a driver bug.
     pub fn complete_rebuild(&mut self, device: usize) {
         assert_eq!(
-            self.states[device],
+            self.state(device),
             DiskState::Rebuilding,
             "disk {device} was not rebuilding"
         );
-        self.states[device] = DiskState::Healthy;
+        self.fault = None;
     }
 
     /// Submits one physical I/O to device `device` and returns its event
@@ -264,7 +270,7 @@ impl DeviceSet {
     ) -> DeviceIoEvent {
         assert!(device < self.devices.len(), "device {device} out of range");
         assert_ne!(
-            self.states[device],
+            self.state(device),
             DiskState::Failed,
             "I/O submitted to failed device {device}"
         );
@@ -405,11 +411,11 @@ mod tests {
     #[test]
     fn disk_state_lifecycle_fail_rebuild_heal() {
         let mut set = DeviceSet::from_config(&cfg(StrategyKind::Raid5));
-        assert_eq!(set.states[3], DiskState::Healthy);
+        assert_eq!(set.state(3), DiskState::Healthy);
         assert_eq!(set.degraded_disk(), None);
 
         set.fail_disk(3).unwrap();
-        assert_eq!(set.states[3], DiskState::Failed);
+        assert_eq!(set.state(3), DiskState::Failed);
         assert_eq!(set.degraded_disk(), Some((3, DiskState::Failed)));
         // Single-fault world: a second failure is rejected.
         assert!(matches!(set.fail_disk(5), Err(CraidError::InvalidFault(_))));
@@ -417,7 +423,7 @@ mod tests {
         assert!(set.start_rebuild(5).is_err());
 
         set.start_rebuild(3).unwrap();
-        assert_eq!(set.states[3], DiskState::Rebuilding);
+        assert_eq!(set.state(3), DiskState::Rebuilding);
         // A rebuilding spare accepts writes.
         let ev = set.submit(
             SimTime::ZERO,
@@ -429,8 +435,59 @@ mod tests {
         assert_eq!(ev.purpose, IoPurpose::RebuildWrite);
 
         set.complete_rebuild(3);
-        assert_eq!(set.states[3], DiskState::Healthy);
+        assert_eq!(set.state(3), DiskState::Healthy);
         assert_eq!(set.degraded_disk(), None);
+    }
+
+    #[test]
+    fn the_fault_keeps_its_index_while_ssds_shift() {
+        let mut set = DeviceSet::from_config(&cfg(StrategyKind::Craid5Ssd));
+        let read = |set: &mut DeviceSet, device| {
+            set.submit(
+                SimTime::ZERO,
+                device,
+                IoKind::Read,
+                BlockRange::new(0, 1),
+                IoPurpose::Data,
+            )
+        };
+        set.fail_disk(5).unwrap();
+        // Four disks join after the eight: the SSDs move from 8..11 to
+        // 12..15, the failed disk stays 5.
+        set.add_hdds(4);
+        assert_eq!(set.degraded_disk(), Some((5, DiskState::Failed)));
+        assert!(set.fail_disk(10).is_err(), "one fault at a time");
+        assert!(set.fail_disk(12).is_err(), "device 12 is an SSD now");
+        assert!(matches!(set.devices[12], DeviceUnit::Ssd(_)));
+        for device in [4, 6, 8, 11, 12, 14] {
+            read(&mut set, device);
+        }
+        set.start_rebuild(5).unwrap();
+        set.add_hdds(2);
+        assert_eq!(set.degraded_disk(), Some((5, DiskState::Rebuilding)));
+        assert!(set.start_rebuild(5).is_err(), "the spare is in already");
+        read(&mut set, 5);
+        set.complete_rebuild(5);
+        assert_eq!(set.degraded_disk(), None);
+        assert!((0..set.len()).all(|d| set.state(d) == DiskState::Healthy));
+        // Fourteen disks now, so disk 13 can fail.
+        set.fail_disk(13).unwrap();
+        assert_eq!(set.degraded_disk(), Some((13, DiskState::Failed)));
+    }
+
+    #[test]
+    #[should_panic(expected = "failed device 7")]
+    fn io_to_a_failed_disk_panics_after_an_upgrade() {
+        let mut set = DeviceSet::from_config(&cfg(StrategyKind::Craid5Ssd));
+        set.fail_disk(7).unwrap();
+        set.add_hdds(4);
+        set.submit(
+            SimTime::ZERO,
+            7,
+            IoKind::Read,
+            BlockRange::new(0, 1),
+            IoPurpose::Data,
+        );
     }
 
     #[test]
@@ -446,12 +503,12 @@ mod tests {
         set.fail_disk(2).unwrap();
         set.start_rebuild(2).unwrap();
         set.add_hdds(4);
-        assert_eq!(set.states[2], DiskState::Rebuilding);
+        assert_eq!(set.state(2), DiskState::Rebuilding);
         for d in 8..12 {
-            assert_eq!(set.states[d], DiskState::Healthy);
+            assert_eq!(set.state(d), DiskState::Healthy);
         }
         // SSD state slots trail along with the spliced devices.
-        assert_eq!(set.states[set.len() - 1], DiskState::Healthy);
+        assert_eq!(set.state(set.len() - 1), DiskState::Healthy);
     }
 
     #[test]

@@ -38,9 +38,10 @@ pub(crate) const MAX_HOT_REBUILD_BLOCKS: usize = 4_096;
 /// into `out` (cleared first, so a caller can keep it as a spare list).
 ///
 /// Reads targeting the failed disk fan out as [`IoPurpose::ReconstructRead`]
-/// to the peers `peers_for` reports for that I/O (the surviving members of
-/// its parity group); writes are dropped when `accepts_writes` is false (a
-/// dead disk — parity absorbs the update) and passed through when it is
+/// to the peers `peers_for` appends for that I/O (the surviving members of
+/// its parity group) to `peers`, which is cleared first and serves as the
+/// caller's spare list; writes are dropped when `accepts_writes` is false
+/// (a dead disk — parity absorbs the update) and passed through when it is
 /// true (a rebuilding hot spare). Counters for the report accumulate into
 /// `stats`.
 pub(crate) fn degrade_plan(
@@ -48,7 +49,8 @@ pub(crate) fn degrade_plan(
     out: &mut Vec<PartitionIo>,
     failed: usize,
     accepts_writes: bool,
-    peers_for: impl Fn(&PartitionIo) -> Vec<usize>,
+    peers_for: impl Fn(&PartitionIo, &mut Vec<usize>),
+    peers: &mut Vec<usize>,
     stats: &mut FaultStats,
 ) {
     out.clear();
@@ -60,7 +62,9 @@ pub(crate) fn degrade_plan(
         match io.kind {
             IoKind::Read => {
                 stats.degraded_reads += 1;
-                for peer in peers_for(&io) {
+                peers.clear();
+                peers_for(&io, peers);
+                for &peer in peers.iter() {
                     stats.reconstruction_ios += 1;
                     stats.reconstruction_blocks += io.range.len();
                     out.push(PartitionIo {
@@ -106,7 +110,10 @@ mod tests {
         let mut stats = FaultStats::default();
         // The output list's old contents are cleared, not kept.
         let mut out = vec![io(5, 0, 1, IoKind::Write)];
-        degrade_plan(&plan, &mut out, 2, false, |_| vec![0, 1, 3], &mut stats);
+        // So are the peer list's.
+        let mut peers = vec![7];
+        let peers_for = |_: &PartitionIo, peers: &mut Vec<usize>| peers.extend([0, 1, 3]);
+        degrade_plan(&plan, &mut out, 2, false, peers_for, &mut peers, &mut stats);
         // Disk 0's read survives untouched; disk 2's read becomes three
         // reconstruction reads at the same range.
         assert_eq!(out.len(), 4);
@@ -126,11 +133,13 @@ mod tests {
         let plan = vec![io(2, 0, 2, IoKind::Write)];
         let mut stats = FaultStats::default();
         let mut out = Vec::new();
-        degrade_plan(&plan, &mut out, 2, false, |_| vec![0, 1], &mut stats);
+        let mut peers = Vec::new();
+        let peers_for = |_: &PartitionIo, peers: &mut Vec<usize>| peers.extend([0, 1]);
+        degrade_plan(&plan, &mut out, 2, false, peers_for, &mut peers, &mut stats);
         assert!(out.is_empty(), "a dead disk cannot take the write");
         assert_eq!(stats.parity_absorbed_writes, 1);
 
-        degrade_plan(&plan, &mut out, 2, true, |_| vec![0, 1], &mut stats);
+        degrade_plan(&plan, &mut out, 2, true, peers_for, &mut peers, &mut stats);
         assert_eq!(out, plan, "a rebuilding spare accepts writes");
     }
 
@@ -148,7 +157,8 @@ mod tests {
             &mut out,
             2,
             false,
-            |_| unreachable!("no I/O touches the failed disk"),
+            |_, _| unreachable!("no I/O touches the failed disk"),
+            &mut Vec::new(),
             &mut stats,
         );
         assert_eq!(out, plan);
@@ -162,7 +172,16 @@ mod tests {
         let plan = vec![io(2, 10, 4, IoKind::Read), io(2, 20, 2, IoKind::Write)];
         let mut stats = FaultStats::default();
         let mut out = Vec::new();
-        degrade_plan(&plan, &mut out, 2, true, |_| vec![0, 1, 3], &mut stats);
+        let peers_for = |_: &PartitionIo, peers: &mut Vec<usize>| peers.extend([0, 1, 3]);
+        degrade_plan(
+            &plan,
+            &mut out,
+            2,
+            true,
+            peers_for,
+            &mut Vec::new(),
+            &mut stats,
+        );
         assert_eq!(out.len(), 4);
         for (rec, peer) in out[..3].iter().zip([0, 1, 3]) {
             assert_eq!(rec.disk, peer);

@@ -122,15 +122,13 @@ impl MappingCache {
             .insert(pa_block, Mapping { pc_block, dirty }.pack());
     }
 
-    /// Marks the cached copy of `pa_block` as modified. Returns true if the
-    /// block was mapped.
-    pub fn mark_dirty(&mut self, pa_block: u64) -> bool {
-        if let Some(word) = self.map.get_mut(pa_block) {
-            *word |= 1;
-            true
-        } else {
-            false
-        }
+    /// Marks the cached copy of `pa_block` as modified and returns its
+    /// slot, or `None` if the block is not mapped: one probe of the table
+    /// for a write hit.
+    pub fn mark_dirty(&mut self, pa_block: u64) -> Option<u64> {
+        let word = self.map.get_mut(pa_block)?;
+        *word |= 1;
+        Some(Mapping::unpack(*word).pc_block)
     }
 
     /// Removes the translation for `pa_block`, returning it if present.
@@ -223,9 +221,18 @@ mod tests {
     fn dirty_transitions() {
         let mut m = MappingCache::new();
         m.insert(5, 9, false);
-        assert!(m.mark_dirty(5));
+        assert_eq!(m.mark_dirty(5), Some(9), "the marked copy's slot");
         assert!(m.lookup(5).unwrap().dirty);
-        assert!(!m.mark_dirty(999), "unknown blocks are not marked");
+        assert_eq!(m.mark_dirty(5), Some(9), "marking twice keeps the slot");
+        assert_eq!(
+            m.lookup(5),
+            Some(Mapping {
+                pc_block: 9,
+                dirty: true
+            })
+        );
+        assert_eq!(m.mark_dirty(999), None, "unknown blocks are not marked");
+        assert_eq!(m.len(), 1);
     }
 
     #[test]

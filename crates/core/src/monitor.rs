@@ -212,14 +212,11 @@ impl IoMonitor {
                 IoKind::Read => self.stats.read_hits += 1,
                 IoKind::Write => self.stats.write_hits += 1,
             }
-            if kind.is_write() {
-                self.mapping.mark_dirty(pa_block);
+            let slot = match kind {
+                IoKind::Read => self.cached_slot(pa_block),
+                IoKind::Write => self.mapping.mark_dirty(pa_block),
             }
-            let slot = self
-                .mapping
-                .lookup(pa_block)
-                .expect("policy residency and mapping cache are in lock-step")
-                .pc_block;
+            .expect("policy residency and mapping cache are in lock-step");
             return (BlockDecision::Cached { slot }, None.into_iter());
         }
         let (slot, eviction) = self.admit(pa_block, kind.is_write(), outcome.evicted(), pc);
@@ -353,9 +350,9 @@ impl IoMonitor {
     }
 
     /// Sorts `blocks` hottest-first (ties broken by ascending block number,
-    /// so the order is deterministic).
+    /// so the order is deterministic), reading each block's heat once.
     pub fn rank_hot_desc(&self, blocks: &mut [u64]) {
-        blocks.sort_by_key(|&b| (std::cmp::Reverse(self.heat_of(b)), b));
+        blocks.sort_by_cached_key(|&b| (std::cmp::Reverse(self.heat_of(b)), b));
     }
 
     /// Up to `limit` of the hottest blocks ever observed, hottest first
@@ -478,9 +475,15 @@ mod tests {
     fn write_hit_marks_mapping_dirty() {
         let mut pc = pc(4);
         let mut m = monitor(pc.capacity());
-        m.access(5, IoKind::Read, 1, &mut pc);
+        let (admitted, _) = m.access(5, IoKind::Read, 1, &mut pc);
         assert!(!m.mapping().lookup(5).unwrap().dirty);
-        m.access(5, IoKind::Write, 1, &mut pc);
+        let (hit, _) = m.access(5, IoKind::Write, 1, &mut pc);
+        assert_eq!(
+            hit,
+            BlockDecision::Cached {
+                slot: admitted.slot()
+            }
+        );
         assert!(m.mapping().lookup(5).unwrap().dirty);
         assert_eq!(m.stats().write_hits, 1);
     }
@@ -640,6 +643,28 @@ mod tests {
         expected.sort_by_key(|&b| (std::cmp::Reverse(b % 3), b));
         assert_eq!(m.hottest_blocks(usize::MAX), expected);
         assert_eq!(m.hottest_blocks(5), expected[..5]);
+    }
+
+    #[test]
+    fn rank_hot_desc_orders_as_the_heat_comparator() {
+        // 600 scrambled blocks: the first 400 read once, twice or three
+        // times, so heats tie by the hundred, and the last 200 never read,
+        // at zero heat. Ten repeat, as equal keys.
+        let mut pc = pc(400); // capacity 1200, so nothing is evicted
+        let mut m = monitor(pc.capacity());
+        let block = |i: u64| i * 7_919 % 600 * 5_003;
+        for b in (0..400).map(block) {
+            for _ in 0..1 + b % 3 {
+                m.access(b, IoKind::Read, 1, &mut pc);
+            }
+        }
+        let mut blocks: Vec<u64> = (0..600).chain(590..600).map(block).collect();
+        let mut expected = blocks.clone();
+        expected.sort_by_key(|&b| (std::cmp::Reverse(m.heat_of(b)), b));
+        m.rank_hot_desc(&mut blocks);
+        assert_eq!(blocks, expected);
+        assert_eq!(m.heat_of(blocks[0]), 3);
+        assert!(blocks[400..].iter().all(|&b| m.heat_of(b) == 0));
     }
 
     #[test]

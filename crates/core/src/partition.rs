@@ -174,10 +174,10 @@ impl Layout for ArchiveLayout {
         }
     }
 
-    fn reconstruction_peers(&self, disk: usize) -> Vec<usize> {
+    fn reconstruction_peers(&self, disk: usize, peers: &mut Vec<usize>) {
         match self {
-            ArchiveLayout::Ideal(l) => l.reconstruction_peers(disk),
-            ArchiveLayout::Aggregated(l) => l.reconstruction_peers(disk),
+            ArchiveLayout::Ideal(l) => l.reconstruction_peers(disk, peers),
+            ArchiveLayout::Aggregated(l) => l.reconstruction_peers(disk, peers),
         }
     }
 }
@@ -497,8 +497,10 @@ mod tests {
     fn archive_layout_delegates() {
         let ideal = ArchiveLayout::Ideal(Raid5Layout::new(4, 4, 2, 8).unwrap());
         let agg = ArchiveLayout::Aggregated(Raid5PlusLayout::new(&[4, 3], 2, 8).unwrap());
-        assert_eq!(ideal.reconstruction_peers(1), vec![0, 2, 3]);
-        assert_eq!(agg.reconstruction_peers(5), vec![4, 6]);
+        let mut peers = Vec::new();
+        ideal.reconstruction_peers(1, &mut peers);
+        agg.reconstruction_peers(5, &mut peers);
+        assert_eq!(peers, vec![0, 2, 3, 4, 6]);
         assert_eq!(ideal.disk_count(), 4);
         assert_eq!(agg.disk_count(), 7);
         assert!(ideal.data_capacity() > 0);

@@ -170,6 +170,8 @@ pub struct PlanScratch {
     pub(crate) background: Vec<PartitionIo>,
     /// The array's spare list for degraded-mode rewrites.
     pub(crate) degraded: Vec<PartitionIo>,
+    /// The parity-group peers of one degraded read's disk.
+    pub(crate) peers: Vec<usize>,
     /// The blocks of a request that flow through the monitor while a
     /// cache-partition migration is in flight.
     pub(crate) fresh: Vec<u64>,

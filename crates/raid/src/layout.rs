@@ -59,13 +59,13 @@ pub trait Layout {
     /// so that callers can still reason about full-stripe writes uniformly.
     fn data_blocks_per_parity_stripe(&self) -> u64;
 
-    /// The other members of `disk`'s parity group — the `G - 1` disks whose
-    /// blocks at the same row offset reconstruct any block lost from `disk`
-    /// (degraded reads, rebuild onto a hot spare). Empty for layouts without
-    /// redundancy or when `disk` is outside the layout.
-    fn reconstruction_peers(&self, _disk: usize) -> Vec<usize> {
-        Vec::new()
-    }
+    /// Appends to `peers` the other members of `disk`'s parity group — the
+    /// `G - 1` disks whose blocks at the same row offset reconstruct any
+    /// block lost from `disk` (degraded reads, rebuild onto a hot spare).
+    /// Appends nothing for layouts without redundancy or when `disk` is
+    /// outside the layout. The caller's list is kept, so a degraded read
+    /// can reuse one buffer.
+    fn reconstruction_peers(&self, _disk: usize, _peers: &mut Vec<usize>) {}
 
     /// True if every device index in `0..disk_count()` receives at least one
     /// data or parity block. Useful as a sanity check in tests.

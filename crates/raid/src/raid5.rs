@@ -183,14 +183,12 @@ impl Layout for Raid5Layout {
         (self.group as u64 - 1) * self.stripe_unit
     }
 
-    fn reconstruction_peers(&self, disk: usize) -> Vec<usize> {
+    fn reconstruction_peers(&self, disk: usize, peers: &mut Vec<usize>) {
         if disk >= self.disks {
-            return Vec::new();
+            return;
         }
         let g = disk / self.group;
-        (g * self.group..(g + 1) * self.group)
-            .filter(|&d| d != disk)
-            .collect()
+        peers.extend((g * self.group..(g + 1) * self.group).filter(|&d| d != disk));
     }
 }
 
@@ -272,16 +270,26 @@ mod tests {
     #[test]
     fn reconstruction_peers_are_the_rest_of_the_parity_group() {
         let l = small(); // 8 disks, groups of 4
-        assert_eq!(l.reconstruction_peers(0), vec![1, 2, 3]);
-        assert_eq!(l.reconstruction_peers(2), vec![0, 1, 3]);
-        assert_eq!(l.reconstruction_peers(5), vec![4, 6, 7]);
-        assert!(l.reconstruction_peers(8).is_empty(), "out of range");
+        let peers = |disk| {
+            let mut peers = Vec::new();
+            l.reconstruction_peers(disk, &mut peers);
+            peers
+        };
+        assert_eq!(peers(0), vec![1, 2, 3]);
+        assert_eq!(peers(2), vec![0, 1, 3]);
+        assert_eq!(peers(5), vec![4, 6, 7]);
+        assert!(peers(8).is_empty(), "out of range");
+        // The list is appended to, not replaced.
+        let mut listed = vec![9];
+        l.reconstruction_peers(6, &mut listed);
+        l.reconstruction_peers(8, &mut listed);
+        assert_eq!(listed, vec![9, 4, 5, 7]);
         // Reading the peers at a lost block's row offset covers the row's
         // surviving data and parity — exactly the reconstruction set.
         for b in 0..l.data_capacity() {
             let d = l.locate(b);
             let p = l.parity_for(b).unwrap();
-            let peers = l.reconstruction_peers(d.disk);
+            let peers = peers(d.disk);
             assert_eq!(peers.len(), 3);
             assert!(peers.contains(&p.disk), "parity disk is a peer of its data");
             assert!(!peers.contains(&d.disk));

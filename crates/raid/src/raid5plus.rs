@@ -153,20 +153,20 @@ impl Layout for Raid5PlusLayout {
             .unwrap_or(1)
     }
 
-    fn reconstruction_peers(&self, disk: usize) -> Vec<usize> {
+    fn reconstruction_peers(&self, disk: usize, peers: &mut Vec<usize>) {
         // Redundancy never crosses member sets: the peers are the other
         // disks of whichever independent RAID-5 set owns `disk`.
-        self.sets
+        let owner = self
+            .sets
             .iter()
-            .find(|s| (s.first_disk..s.first_disk + s.layout.disk_count()).contains(&disk))
-            .map(|s| {
-                s.layout
-                    .reconstruction_peers(disk - s.first_disk)
-                    .into_iter()
-                    .map(|d| d + s.first_disk)
-                    .collect()
-            })
-            .unwrap_or_default()
+            .find(|s| (s.first_disk..s.first_disk + s.layout.disk_count()).contains(&disk));
+        if let Some(s) = owner {
+            let from = peers.len();
+            s.layout.reconstruction_peers(disk - s.first_disk, peers);
+            for peer in &mut peers[from..] {
+                *peer += s.first_disk;
+            }
+        }
     }
 }
 
@@ -244,10 +244,19 @@ mod tests {
     #[test]
     fn reconstruction_peers_stay_within_the_member_set() {
         let l = Raid5PlusLayout::new(&[4, 3, 5], 2, 8).unwrap();
-        assert_eq!(l.reconstruction_peers(0), vec![1, 2, 3]);
-        assert_eq!(l.reconstruction_peers(5), vec![4, 6]);
-        assert_eq!(l.reconstruction_peers(7), vec![8, 9, 10, 11]);
-        assert!(l.reconstruction_peers(12).is_empty(), "out of range");
+        let peers = |disk| {
+            let mut peers = Vec::new();
+            l.reconstruction_peers(disk, &mut peers);
+            peers
+        };
+        assert_eq!(peers(0), vec![1, 2, 3]);
+        assert_eq!(peers(5), vec![4, 6]);
+        assert_eq!(peers(7), vec![8, 9, 10, 11]);
+        assert!(peers(12).is_empty(), "out of range");
+        // Only the appended peers are shifted to the member set's disks.
+        let mut listed = vec![1];
+        l.reconstruction_peers(8, &mut listed);
+        assert_eq!(listed, vec![1, 7, 9, 10, 11]);
     }
 
     #[test]

@@ -4,14 +4,26 @@
 //! `proptest!` macro over functions whose arguments bind `pattern in
 //! strategy`, range strategies over integers and floats, tuple strategies,
 //! `proptest::collection::vec`, `any::<bool>()`, and the `prop_assert*`
-//! macros. Each test runs a fixed number of random cases from a
-//! deterministic seed; there is no shrinking — a failing case prints its
-//! inputs via the assertion message instead.
+//! macros. Each test runs [`cases`] random cases from a deterministic seed;
+//! there is no shrinking — a failing case prints its inputs via the
+//! assertion message instead.
 
 #![forbid(unsafe_code)]
 
-/// Number of random cases each property runs.
+/// Number of random cases each property runs when `PROPTEST_CASES` does not
+/// set it.
 pub const NUM_CASES: u32 = 96;
+
+/// Number of random cases each property runs: the value of the
+/// `PROPTEST_CASES` environment variable, as in the real crate, or
+/// [`NUM_CASES`] when it is unset or not a number. A deep run is, for
+/// example, `PROPTEST_CASES=2048 cargo test --release -p craid-cache`.
+pub fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|cases| cases.parse().ok())
+        .unwrap_or(NUM_CASES)
+}
 
 /// Deterministic RNG for test-case generation.
 pub mod test_runner {
@@ -140,7 +152,7 @@ pub mod collection {
 }
 
 /// Turns each `fn name(bindings in strategies) { body }` into a function
-/// executing [`NUM_CASES`] random cases. As in the real crate, the
+/// executing [`cases`] random cases. As in the real crate, the
 /// function's attributes pass through unchanged and none is added: a
 /// property is a test when it carries its own `#[test]`, so libtest
 /// registers it once.
@@ -151,7 +163,7 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let mut proptest_rng = $crate::test_runner::deterministic();
-                for proptest_case in 0..$crate::NUM_CASES {
+                for proptest_case in 0..$crate::cases() {
                     let _ = proptest_case;
                     $(let $pat = $crate::strategy::Strategy::sample(&($strat), &mut proptest_rng);)+
                     $body
@@ -226,7 +238,14 @@ mod tests {
     fn a_property_runs_every_case_in_one_call() {
         CASES_RUN.with(|n| n.set(0));
         counts_its_cases();
-        assert_eq!(CASES_RUN.with(std::cell::Cell::get), crate::NUM_CASES);
+        assert_eq!(CASES_RUN.with(std::cell::Cell::get), crate::cases());
+    }
+
+    #[test]
+    fn ninety_six_cases_unless_proptest_cases_says_otherwise() {
+        if std::env::var_os("PROPTEST_CASES").is_none() {
+            assert_eq!(crate::cases(), 96);
+        }
     }
 
     #[test]
