@@ -110,10 +110,10 @@ pub fn check_config(config: &ArrayConfig) -> Vec<Diagnostic> {
         }
     }
 
-    if config.hdd_capacity_blocks < config.stripe_unit {
+    if config.hdd.capacity_blocks < config.stripe_unit {
         out.push(Diagnostic::error(
             codes::DISK_TOO_SMALL,
-            "array.hdd_capacity_blocks",
+            "array.hdd.capacity_blocks",
             "disks are smaller than one stripe unit",
         ));
     }
@@ -321,7 +321,7 @@ mod tests {
         let mut config = ArrayConfig::small_test(StrategyKind::Craid5Plus, 10_000);
         config.pc_capacity_blocks = 0;
         config.expansion_sets.clear();
-        config.hdd_capacity_blocks = config.stripe_unit - 1;
+        config.hdd.capacity_blocks = config.stripe_unit - 1;
         config.rebuild_rate_blocks_per_sec = 0.0;
         config.migration_share = -1.0;
         config.qos = Some(SloSpec::latency_target(25.0).with_floor(1.5));
@@ -383,7 +383,7 @@ mod tests {
             (Craid5Plus, |c| c.expansion_sets = Vec::new()),
             (Craid5Plus, |c| c.expansion_sets = vec![4, 2]),
             (Craid5Plus, |c| c.expansion_sets = vec![7, 1]),
-            (Raid5, |c| c.hdd_capacity_blocks = 2),
+            (Raid5, |c| c.hdd.capacity_blocks = 2),
             (Craid5, |c| c.rebuild_rate_blocks_per_sec = 0.0),
             (Craid5, |c| {
                 (c.rebuild_share, c.migration_share) = (-1.0, f64::NAN)
@@ -423,7 +423,7 @@ error[CRAID-E107] array.expansion_sets: an aggregated archive needs at least one
 error[CRAID-E108] array.expansion_sets: expansion sets [4, 2] must sum to the disk count 8
   help: each entry is the disk count of one aggregation step
 error[CRAID-E109] array.expansion_sets: every RAID set needs at least 2 disks
-error[CRAID-E110] array.hdd_capacity_blocks: disks are smaller than one stripe unit
+error[CRAID-E110] array.hdd.capacity_blocks: disks are smaller than one stripe unit
 error[CRAID-E114] array.dataset_blocks: archive partition (0 blocks) cannot hold the dataset (10000 blocks)
   help: shrink pc_fraction, add disks, or scale the workload down
 error[CRAID-E111] array.rebuild_rate: rebuild rate must be finite and positive, got 0

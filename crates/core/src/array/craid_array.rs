@@ -7,14 +7,12 @@ use craid_diskmodel::{BlockRange, DeviceLoadStats, IoKind};
 use craid_raid::{IoPurpose, Layout, Raid5Layout, Raid5PlusLayout};
 use craid_simkit::SimTime;
 
-use crate::background::{
-    merge_blocks_to_ranges, prioritized_segments, BackgroundEngine, BackgroundPriority, Batch,
-    MigrationMap, OldHome, TaskId, TaskKind,
-};
+use crate::background::{BackgroundEngine, BackgroundPriority, Batch, TaskId, TaskKind};
 use crate::config::{ArrayConfig, StrategyKind};
 use crate::devices::{DeviceIoEvent, DeviceSet, DiskState};
 use crate::error::CraidError;
 use crate::fault;
+use crate::mapping::{MigrationMap, OldHome};
 use crate::monitor::{IoMonitor, MonitorStats};
 use crate::partition::{ArchiveLayout, CachePartition, Partition, PartitionIo};
 use crate::redirector::{self, ArchiveAccess, PlanScratch};
@@ -62,14 +60,36 @@ struct CacheTier {
     pc: CachePartition,
     /// Blocks paced upgrades have not yet redistributed, keyed by archive
     /// LBA; each entry names the migration generation whose preserved
-    /// geometry in `old_pcs` its slot refers to.
+    /// geometry in `generations` its slot refers to.
     migration: MigrationMap,
-    /// Pre-upgrade cache-partition geometries, keyed by the migration task
-    /// that still has blocks in them. Several can be live at once: a
-    /// second `expand` may start its own PC redistribution while an
-    /// earlier one is still streaming (the exactly-one-location invariant
-    /// keeps their block sets disjoint).
-    old_pcs: BTreeMap<TaskId, CachePartition>,
+    /// The in-flight paced redistributions, keyed by their migration task.
+    /// Several can be live at once: a second `expand` may start its own PC
+    /// redistribution while an earlier one is still streaming (the
+    /// exactly-one-location invariant keeps their block sets disjoint).
+    generations: BTreeMap<TaskId, Generation>,
+}
+
+/// One paced cache-partition redistribution: the pre-upgrade geometry its
+/// pending blocks' old slots refer to, and the order the engine's budgets
+/// walk its drained blocks in.
+#[derive(Debug)]
+struct Generation {
+    old_pc: CachePartition,
+    /// The drained blocks in issue order (hottest first, or ascending).
+    order: Vec<u64>,
+    /// How far the engine's budgets have walked `order`.
+    cursor: usize,
+}
+
+impl Generation {
+    /// The next `budget` blocks of the issue order; the cursor moves past
+    /// them. The engine counts the order's length, so a budget never runs
+    /// past its end.
+    fn take(&mut self, budget: u64) -> &[u64] {
+        let from = self.cursor;
+        self.cursor += budget as usize;
+        &self.order[from..self.cursor]
+    }
 }
 
 /// A simulated volume: the archive partition `PA` holds every block and,
@@ -109,6 +129,10 @@ pub struct CraidArray {
     /// Counters as the array records them: every archive restripe on the
     /// `archive_*` line. [`StorageArray::migration_stats`] reports them.
     migration_stats: MigrationStats,
+    /// The surviving parity-group members the in-flight rebuild reads
+    /// from, as `repair_disk` computed them (one disk fails at a time, so
+    /// at most one rebuild is live).
+    rebuild_peers: Vec<usize>,
 }
 
 impl CraidArray {
@@ -128,7 +152,7 @@ impl CraidArray {
                 monitor: IoMonitor::new(config.policy, pc.capacity()),
                 pc,
                 migration: MigrationMap::new(),
-                old_pcs: BTreeMap::new(),
+                generations: BTreeMap::new(),
             })
         } else {
             None
@@ -154,6 +178,7 @@ impl CraidArray {
             activation: super::activation::ActivationQueue::new(),
             fault_stats: FaultStats::default(),
             migration_stats: MigrationStats::default(),
+            rebuild_peers: Vec::new(),
         })
     }
 
@@ -340,9 +365,9 @@ impl CraidArray {
             physical.truncate(fault::MAX_HOT_REBUILD_BLOCKS);
             physical.sort_unstable();
             physical.dedup();
-            hot.extend(merge_blocks_to_ranges(&physical));
+            hot.extend(fault::merge_blocks_to_ranges(&physical));
         }
-        prioritized_segments(live, hot)
+        fault::prioritized_segments(live, hot)
     }
 
     /// Forwards supersessions the redirector recorded against the archive
@@ -357,19 +382,20 @@ impl CraidArray {
         }
     }
 
-    /// Issues the device I/O moving one batch of migrated blocks into the
-    /// rebuilt cache partition: read the pre-upgrade copy from its old
-    /// slot, re-admit it (dirty bit preserved), write the new slot, and pay
-    /// the write-backs of whatever the re-admissions displaced. The device
-    /// events are appended to `events`.
+    /// Issues the device I/O moving the next `budget` queued blocks of
+    /// migration `id` into the rebuilt cache partition: read the
+    /// pre-upgrade copy from its old slot, re-admit it (dirty bit
+    /// preserved), write the new slot, and pay the write-backs of whatever
+    /// the re-admissions displaced. The device events are appended to
+    /// `events`.
     fn apply_migration_batch(
         &mut self,
         now: SimTime,
         id: TaskId,
-        blocks: &[u64],
+        budget: u64,
         events: &mut Vec<DeviceIoEvent>,
     ) {
-        // Only a cache partition enqueues block-list migrations.
+        // Only a cache partition enqueues migrations.
         let Some(cache) = self.cache.as_mut() else {
             return;
         };
@@ -382,7 +408,11 @@ impl CraidArray {
         scratch.moves.clear();
         scratch.writeback_slots.clear();
         scratch.writeback_pa_blocks.clear();
-        for &pa_block in blocks {
+        let generation = cache
+            .generations
+            .get_mut(&id)
+            .expect("a migration task implies its generation");
+        for &pa_block in generation.take(budget) {
             // A block no longer pending *for this generation* was superseded
             // by client traffic (already counted) — the engine's budget
             // simply skips over it. The block may since have re-entered the
@@ -419,10 +449,7 @@ impl CraidArray {
                 }
             }
         }
-        let old_pc = cache
-            .old_pcs
-            .get(&id)
-            .expect("a migration task implies a preserved old PC geometry");
+        let old_pc = &cache.generations[&id].old_pc;
         let mut old_ios = std::mem::take(&mut scratch.foreground);
         let mut new_ios = std::mem::take(&mut scratch.background);
         old_ios.clear();
@@ -474,6 +501,38 @@ impl CraidArray {
         self.scratch.background = new_ios;
     }
 
+    /// Issues the device I/O reconstructing `ranges` of `disk` onto its hot
+    /// spare: per range, a read from every surviving peer, then the spare's
+    /// write. The device events are appended to `events`.
+    fn apply_rebuild_batch(
+        &mut self,
+        now: SimTime,
+        disk: usize,
+        ranges: &[BlockRange],
+        events: &mut Vec<DeviceIoEvent>,
+    ) {
+        let mut ios = std::mem::take(&mut self.scratch.background);
+        ios.clear();
+        for &range in ranges {
+            ios.extend(self.rebuild_peers.iter().map(|&peer| PartitionIo {
+                disk: peer,
+                range,
+                kind: IoKind::Read,
+                purpose: IoPurpose::RebuildRead,
+            }));
+            ios.push(PartitionIo {
+                disk,
+                range,
+                kind: IoKind::Write,
+                purpose: IoPurpose::RebuildWrite,
+            });
+            self.fault_stats.rebuild_read_blocks += range.len() * self.rebuild_peers.len() as u64;
+            self.fault_stats.rebuild_write_blocks += range.len();
+        }
+        self.devices.issue(now, &ios, events);
+        self.scratch.background = ios;
+    }
+
     /// Issues the device I/O for the next `budget` archive-restripe moves:
     /// advance the cursor, read each block's pre-reshape location, write
     /// its reshaped home (parity maintenance included). The device events
@@ -521,9 +580,10 @@ impl CraidArray {
         let pc_limit = self.config.pc_blocks_per_hdd();
         let pc_layout = self.cache.as_ref().map(|cache| match generation {
             Some(id) => cache
-                .old_pcs
+                .generations
                 .get(&id)
                 .expect("old-geometry I/O implies a preserved old PC")
+                .old_pc
                 .layout(),
             None => cache.pc.layout(),
         });
@@ -663,12 +723,19 @@ impl CraidArray {
                     report.enqueued_blocks = order.len() as u64;
                     let generation = self.background.push_migration(
                         now,
-                        order,
+                        report.enqueued_blocks,
                         self.config
                             .migration_rate_blocks_per_sec
                             .expect("paced expansions have a finite rate"),
                     );
-                    cache.old_pcs.insert(generation, cache.pc.clone());
+                    cache.generations.insert(
+                        generation,
+                        Generation {
+                            old_pc: cache.pc.clone(),
+                            order,
+                            cursor: 0,
+                        },
+                    );
                     cache.migration.reserve(drained.len());
                     for (pa_block, mapping) in drained {
                         cache.migration.insert(
@@ -887,8 +954,9 @@ impl StorageArray for CraidArray {
             let from = foreground.len();
             self.cache
                 .as_ref()
-                .and_then(|cache| cache.old_pcs.get(&generation))
+                .and_then(|cache| cache.generations.get(&generation))
                 .expect("pending dirty blocks imply a preserved old PC geometry")
+                .old_pc
                 .plan_blocks_into(
                     IoKind::Read,
                     &scratch.old_slots,
@@ -996,15 +1064,12 @@ impl StorageArray for CraidArray {
             .min(self.devices.capacity_blocks(disk))
             .max(1);
         let segments = self.rebuild_plan(disk, live);
-        let mut peers = Vec::new();
-        self.pa.layout().reconstruction_peers(disk, &mut peers);
-        self.background.push_rebuild(
-            now,
-            disk,
-            peers,
-            segments,
-            self.config.rebuild_rate_blocks_per_sec,
-        );
+        self.rebuild_peers.clear();
+        self.pa
+            .layout()
+            .reconstruction_peers(disk, &mut self.rebuild_peers);
+        self.background
+            .push_rebuild(now, disk, segments, self.config.rebuild_rate_blocks_per_sec);
         self.fault_stats.disk_repairs += 1;
         Ok(())
     }
@@ -1012,37 +1077,11 @@ impl StorageArray for CraidArray {
     fn pump_background_into(&mut self, now: SimTime, events: &mut Vec<DeviceIoEvent>) {
         for batch in self.background.poll(now) {
             match batch {
-                Batch::Rebuild {
-                    disk,
-                    peers,
-                    ranges,
-                    ..
-                } => {
-                    // Every range is read from every surviving peer and
-                    // its reconstruction written onto the spare.
-                    for range in ranges {
-                        for &peer in &peers {
-                            events.push(self.devices.submit(
-                                now,
-                                peer,
-                                IoKind::Read,
-                                range,
-                                IoPurpose::RebuildRead,
-                            ));
-                        }
-                        events.push(self.devices.submit(
-                            now,
-                            disk,
-                            IoKind::Write,
-                            range,
-                            IoPurpose::RebuildWrite,
-                        ));
-                        self.fault_stats.rebuild_read_blocks += range.len() * peers.len() as u64;
-                        self.fault_stats.rebuild_write_blocks += range.len();
-                    }
+                Batch::Rebuild { disk, ranges, .. } => {
+                    self.apply_rebuild_batch(now, disk, &ranges, events);
                 }
-                Batch::Migration { id, blocks } => {
-                    self.apply_migration_batch(now, id, &blocks, events);
+                Batch::Migration { id, budget } => {
+                    self.apply_migration_batch(now, id, budget, events);
                 }
                 Batch::Restripe { budget, .. } => self.apply_archive_batch(now, budget, events),
             }
@@ -1060,7 +1099,7 @@ impl StorageArray for CraidArray {
                             cache.migration.iter().all(|(_, h)| h.generation != done.id),
                             "a drained migration leaves no pending blocks of its generation"
                         );
-                        cache.old_pcs.remove(&done.id);
+                        cache.generations.remove(&done.id);
                     }
                     self.migration_stats.migrations_completed += 1;
                     self.migration_stats.migration_secs += done.window_secs;
@@ -1704,6 +1743,65 @@ mod tests {
     }
 
     #[test]
+    fn a_rebuild_pump_issues_what_per_range_submits_would() {
+        // A hot-first rebuild chases scattered hot blocks, so its batches
+        // stop at the engine's range cap. Every pump must produce the
+        // events of a twin device set fed one submit per surviving peer's
+        // read, then one for the spare's write, range by range, and the
+        // rebuild counters must match that loop's.
+        let mut config = ArrayConfig::small_test(StrategyKind::Craid5, 60_000)
+            .with_background_priority(BackgroundPriority::HotFirst);
+        config.rebuild_rate_blocks_per_sec = 100_000.0;
+        let mut a = CraidArray::new(config).unwrap();
+        for start in (0..40_000).step_by(500) {
+            a.submit(SimTime::ZERO, IoKind::Read, BlockRange::new(start, 500))
+                .unwrap();
+        }
+        a.fail_disk(SimTime::from_secs(1.0), 2).unwrap();
+        a.repair_disk(SimTime::from_secs(1.0), 2).unwrap();
+        let mut peers = Vec::new();
+        a.pa.layout().reconstruction_peers(2, &mut peers);
+        assert_eq!(peers, [0, 1, 3]);
+        let (mut pumps, mut widest) = (0, 0);
+        while a.fault_stats().rebuilds_completed == 0 {
+            pumps += 1;
+            let now = SimTime::from_secs(1.0 + 0.01 * pumps as f64);
+            let mut twin = a.devices.clone();
+            let stats = a.fault_stats();
+            let mut reads = stats.rebuild_read_blocks;
+            let mut writes = stats.rebuild_write_blocks;
+            let mut expected = Vec::new();
+            for batch in a.background.clone().poll(now) {
+                let Batch::Rebuild { disk, ranges, .. } = batch else {
+                    panic!("only the rebuild is live");
+                };
+                widest = widest.max(ranges.len());
+                for range in ranges {
+                    for &peer in &peers {
+                        let read = IoPurpose::RebuildRead;
+                        expected.push(twin.submit(now, peer, IoKind::Read, range, read));
+                    }
+                    let write = IoPurpose::RebuildWrite;
+                    expected.push(twin.submit(now, disk, IoKind::Write, range, write));
+                    reads += range.len() * peers.len() as u64;
+                    writes += range.len();
+                }
+            }
+            assert_eq!(a.pump_background(now), expected, "pump {pumps}");
+            let stats = a.fault_stats();
+            assert_eq!(
+                (stats.rebuild_read_blocks, stats.rebuild_write_blocks),
+                (reads, writes)
+            );
+        }
+        assert_eq!(widest, 64, "the hot ranges fill batches to the range cap");
+        assert_eq!(
+            a.fault_stats().rebuild_write_blocks,
+            a.live_blocks_per_hdd()
+        );
+    }
+
+    #[test]
     fn repairing_a_disk_the_array_lacks_is_a_fault_error() {
         let mut a = array(StrategyKind::Craid5);
         assert!(matches!(
@@ -2061,7 +2159,7 @@ mod tests {
         assert!(!second.deferred, "aggregated archives pipeline upgrades");
         assert_eq!(a.disk_count(), 16);
         assert_eq!(
-            tier(&a).old_pcs.len(),
+            tier(&a).generations.len(),
             2,
             "two preserved geometries are live"
         );
@@ -2090,7 +2188,94 @@ mod tests {
         assert_eq!(stats.migrations_started, 2);
         assert_eq!(stats.migrations_completed, 2);
         assert_eq!(stats.pending_blocks, 0);
-        assert!(tier(&a).old_pcs.is_empty(), "both geometries were released");
+        assert!(
+            tier(&a).generations.is_empty(),
+            "both geometries were released"
+        );
+    }
+
+    #[test]
+    fn streaming_generations_apply_each_drained_block_at_most_once() {
+        // Two hot-first CRAID-5+ redistributions stream at once (an
+        // aggregated archive pipelines upgrades) while client writes
+        // supersede pending blocks of both. Each generation may apply each
+        // of its drained blocks at most once, and every enqueued block ends
+        // migrated or superseded.
+        use crate::choice::{self, Chooser, DecisionPoint, Observation};
+        use std::cell::RefCell;
+        use std::collections::BTreeSet;
+        use std::rc::Rc;
+
+        #[derive(Default)]
+        struct Record(Vec<Observation>);
+        impl Chooser for Record {
+            fn choose(&mut self, _point: DecisionPoint, _arity: usize) -> usize {
+                0
+            }
+            fn observe(&mut self, observation: Observation) {
+                self.0.push(observation);
+            }
+        }
+        // Pumps a tenth of a second apart, each followed by a client write
+        // over blocks the warm-up cached.
+        fn stream(a: &mut CraidArray, t: &mut f64, writes: std::ops::Range<u64>) {
+            for i in writes {
+                *t += 0.1;
+                a.pump_background(SimTime::from_secs(*t));
+                let range = BlockRange::new(i * 48 % 960, 4);
+                a.submit(SimTime::from_secs(*t), IoKind::Write, range)
+                    .unwrap();
+            }
+        }
+        let record = Rc::new(RefCell::new(Record::default()));
+        let stats = choice::with_chooser(record.clone(), || {
+            let mut a = paced(StrategyKind::Craid5Plus, 20.0, BackgroundPriority::HotFirst);
+            warm(&mut a);
+            warm(&mut a);
+            let first = a.expand(SimTime::from_secs(1.0), 4).unwrap();
+            assert!(first.enqueued_blocks > 0);
+            let mut t = 1.0;
+            stream(&mut a, &mut t, 0..20);
+            assert!(a.pending_migration_blocks() > 0, "the first still streams");
+            let second = a.expand(SimTime::from_secs(t), 4).unwrap();
+            assert!(!second.deferred && second.enqueued_blocks > 0);
+            assert_eq!(tier(&a).generations.len(), 2);
+            stream(&mut a, &mut t, 20..40);
+            let _ = drain(&mut a, t + 1.0);
+            assert!(tier(&a).generations.is_empty());
+            a.migration_stats()
+        });
+        let mut applied = BTreeSet::new();
+        let mut enqueued = 0;
+        for observation in &record.borrow().0 {
+            match *observation {
+                Observation::MigrationApply {
+                    block,
+                    entry_generation,
+                    task_generation,
+                } => {
+                    assert_eq!(entry_generation, task_generation, "block {block}");
+                    assert!(
+                        applied.insert((task_generation, block)),
+                        "generation {task_generation} applied block {block} twice"
+                    );
+                }
+                Observation::MoveSetEnqueued {
+                    kind: TaskKind::ExpansionMigration,
+                    blocks,
+                } => enqueued += blocks,
+                _ => {}
+            }
+        }
+        let generations: BTreeSet<TaskId> = applied.iter().map(|&(g, _)| g).collect();
+        assert_eq!(generations.len(), 2, "both generations migrated blocks");
+        assert_eq!(stats.migrations_completed, 2);
+        assert_eq!(stats.pending_blocks, 0);
+        assert!(
+            stats.superseded_blocks > 0,
+            "client writes superseded moves"
+        );
+        assert_eq!(stats.migrated_blocks + stats.superseded_blocks, enqueued);
     }
 
     #[test]

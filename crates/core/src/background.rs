@@ -30,20 +30,18 @@
 //!   the hot working set regains its steady-state placement (and the cache
 //!   partition its hit ratio) long before the cold tail has moved.
 //!
-//! Work bodies come in three shapes: physical ranges (rebuilds), explicit
-//! block lists (cache-partition redistributions, bounded by PC capacity),
-//! and **streams** — a bare remaining-count whose blocks the owning array
-//! produces lazily from a cursor ([`crate::restripe`]), so a paced archive
-//! restripe never materialises its O(dataset) move set.
-//!
-//! A [`MigrationMap`] records, per logical block, where the authoritative
-//! copy of a not-yet-migrated block still lives; the arrays consult it on
-//! every request so reads stay correct mid-upgrade while writes land at the
-//! new home (and supersede the pending move).
+//! The engine only paces: a task holds its id, kind, rate, pacing clock and
+//! issued count, plus one work body. Expansion migrations and archive
+//! restripes are a bare **count**: the owning array keeps each one's issue
+//! order (a migration's drained queue, a restripe's cursor in
+//! [`crate::restripe`]) and walks a batch's budget through it, so the
+//! engine never holds a block id. A rebuild's body is its disk and physical
+//! segments, which the engine cuts itself because the per-batch range cap is
+//! decided inside [`BackgroundEngine::poll`]; the parity peers it reads
+//! from stay with the array.
 
 use std::collections::VecDeque;
 
-use craid_cache::BlockMap;
 use craid_diskmodel::BlockRange;
 use craid_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
@@ -186,82 +184,46 @@ impl FairShares {
     }
 }
 
-/// The body of work a task walks through, in issue order.
+/// The body of work a task walks through.
 #[derive(Debug, Clone)]
 enum Work {
-    /// Contiguous physical ranges on one device (a rebuild's segments,
-    /// already ordered by the priority policy).
-    Ranges {
+    /// Blocks still to issue, in an order the owning array keeps
+    /// (expansion migrations and archive restripes).
+    /// [`BackgroundEngine::forfeit`] shrinks it when client writes supersede
+    /// pending restripe moves.
+    Count { remaining: u64 },
+    /// The contiguous physical `segments` of `disk` a rebuild reconstructs,
+    /// already ordered by the priority policy, walked from segment `seg` at
+    /// offset `off`.
+    Rebuild {
+        disk: usize,
         segments: Vec<BlockRange>,
         seg: usize,
         off: u64,
     },
-    /// An explicit logical-block order (a PC redistribution's queue, already
-    /// ordered by the priority policy; bounded by the cache partition's
-    /// capacity).
-    Blocks { blocks: Vec<u64>, cursor: usize },
-    /// A bare count of blocks the owning array produces lazily from its own
-    /// cursor (archive restripes — O(1) memory regardless of dataset size).
-    /// [`BackgroundEngine::forfeit`] shrinks it when client writes supersede
-    /// pending moves.
-    Stream { remaining: u64 },
 }
 
 impl Work {
     fn remaining(&self) -> u64 {
         match self {
-            Work::Ranges { segments, seg, off } => segments[*seg..]
+            Work::Count { remaining } => *remaining,
+            Work::Rebuild {
+                segments, seg, off, ..
+            } => segments[*seg..]
                 .iter()
                 .map(|r| r.len())
                 .sum::<u64>()
                 .saturating_sub(*off),
-            Work::Blocks { blocks, cursor } => (blocks.len() - cursor) as u64,
-            Work::Stream { remaining } => *remaining,
         }
     }
 
-    /// Takes up to `budget` blocks off the front of the work body.
-    fn take(&mut self, budget: u64) -> WorkBatch {
+    /// The device slot a rebuild reconstructs (0 for counted work).
+    fn disk(&self) -> usize {
         match self {
-            Work::Ranges { segments, seg, off } => {
-                let mut out = Vec::new();
-                let mut left = budget;
-                while left > 0 && *seg < segments.len() && out.len() < MAX_RANGES_PER_BATCH {
-                    let segment = segments[*seg];
-                    let available = segment.len() - *off;
-                    let len = available.min(left);
-                    out.push(BlockRange::new(segment.start() + *off, len));
-                    left -= len;
-                    if len == available {
-                        *seg += 1;
-                        *off = 0;
-                    } else {
-                        *off += len;
-                    }
-                }
-                WorkBatch::Ranges(out)
-            }
-            Work::Blocks { blocks, cursor } => {
-                let take = (budget as usize).min(blocks.len() - *cursor);
-                let batch = blocks[*cursor..*cursor + take].to_vec();
-                *cursor += take;
-                WorkBatch::Blocks(batch)
-            }
-            Work::Stream { remaining } => {
-                let take = budget.min(*remaining);
-                *remaining -= take;
-                WorkBatch::Budget(take)
-            }
+            Work::Count { .. } => 0,
+            Work::Rebuild { disk, .. } => *disk,
         }
     }
-}
-
-/// The blocks one engine poll hands the array to issue I/O for.
-#[derive(Debug, Clone)]
-enum WorkBatch {
-    Ranges(Vec<BlockRange>),
-    Blocks(Vec<u64>),
-    Budget(u64),
 }
 
 /// The QoS throttle attached to an engine: the controller's current scale
@@ -283,10 +245,6 @@ struct Throttle {
 struct BackgroundTask {
     id: TaskId,
     kind: TaskKind,
-    /// The device slot a rebuild reconstructs (unused for migrations).
-    disk: usize,
-    /// Surviving parity-group members feeding a rebuild.
-    peers: Vec<usize>,
     work: Work,
     rate_blocks_per_sec: f64,
     /// When the task was pushed — its pacing clock starts immediately
@@ -338,29 +296,72 @@ impl BackgroundTask {
         let total = self.issued + self.work.remaining();
         self.paced_instant(total as f64 / self.rate_blocks_per_sec, scale)
     }
+
+    /// Takes up to `budget` blocks off the front of the work body as one
+    /// batch and counts them as issued. A rebuild batch stops early at
+    /// [`MAX_RANGES_PER_BATCH`] ranges.
+    fn take(&mut self, budget: u64) -> Batch {
+        let id = self.id;
+        let (taken, batch) = match &mut self.work {
+            Work::Count { remaining } => {
+                let budget = budget.min(*remaining);
+                *remaining -= budget;
+                let batch = match self.kind {
+                    TaskKind::ArchiveRestripe => Batch::Restripe { id, budget },
+                    _ => Batch::Migration { id, budget },
+                };
+                (budget, batch)
+            }
+            Work::Rebuild {
+                disk,
+                segments,
+                seg,
+                off,
+            } => {
+                let mut ranges = Vec::new();
+                let mut left = budget;
+                while left > 0 && *seg < segments.len() && ranges.len() < MAX_RANGES_PER_BATCH {
+                    let segment = segments[*seg];
+                    let available = segment.len() - *off;
+                    let len = available.min(left);
+                    ranges.push(BlockRange::new(segment.start() + *off, len));
+                    left -= len;
+                    if len == available {
+                        *seg += 1;
+                        *off = 0;
+                    } else {
+                        *off += len;
+                    }
+                }
+                let disk = *disk;
+                (budget - left, Batch::Rebuild { id, disk, ranges })
+            }
+        };
+        self.issued += taken;
+        batch
+    }
 }
 
 /// A batch of work the engine has decided is due; the array turns it into
 /// device I/O.
 #[derive(Debug, Clone)]
 pub enum Batch {
-    /// Reconstruct these physical ranges of `disk` from `peers`.
+    /// Reconstruct these physical ranges of `disk` onto its hot spare.
     Rebuild {
         /// The issuing task.
         id: TaskId,
         /// The device slot being rebuilt.
         disk: usize,
-        /// Surviving parity-group members to read from.
-        peers: Vec<usize>,
         /// Physical ranges to reconstruct in this step.
         ranges: Vec<BlockRange>,
     },
-    /// Migrate these logical blocks to their post-upgrade home.
+    /// Migrate the next `budget` blocks of a cache-partition
+    /// redistribution; the owning array walks its issue order to find them.
     Migration {
         /// The issuing task.
         id: TaskId,
-        /// Logical blocks to move in this step (priority order).
-        blocks: Vec<u64>,
+        /// Number of queued blocks to walk in this step.
+        budget: u64,
     },
     /// Issue the next `budget` moves of a streamed restripe; the owning
     /// array advances its cursor to find them.
@@ -568,10 +569,10 @@ impl BackgroundEngine {
         }
     }
 
-    /// Enqueues a rebuild of `disk` (ranges in `segments` order, fed by
-    /// `peers`) paced at `rate_blocks_per_sec`. The task is live — its
-    /// pacing clock starts at `now` — and contends with every other live
-    /// task under the engine's fair shares.
+    /// Enqueues a rebuild of `disk` (ranges in `segments` order) paced at
+    /// `rate_blocks_per_sec`. The task is live — its pacing clock starts at
+    /// `now` — and contends with every other live task under the engine's
+    /// fair shares.
     ///
     /// # Panics
     ///
@@ -580,26 +581,22 @@ impl BackgroundEngine {
         &mut self,
         now: SimTime,
         disk: usize,
-        peers: Vec<usize>,
         segments: Vec<BlockRange>,
         rate_blocks_per_sec: f64,
     ) -> TaskId {
-        self.push(
-            TaskKind::Rebuild,
+        let work = Work::Rebuild {
             disk,
-            peers,
-            Work::Ranges {
-                segments,
-                seg: 0,
-                off: 0,
-            },
-            rate_blocks_per_sec,
-            now,
-        )
+            segments,
+            seg: 0,
+            off: 0,
+        };
+        self.push(TaskKind::Rebuild, work, rate_blocks_per_sec, now)
     }
 
-    /// Enqueues an expansion migration over `blocks` (already in priority
-    /// order) paced at `rate_blocks_per_sec`.
+    /// Enqueues an expansion migration of `blocks` queued blocks paced at
+    /// `rate_blocks_per_sec`. The engine tracks only the count; the owning
+    /// array walks its own issue order when a [`Batch::Migration`] asks for
+    /// the next blocks.
     ///
     /// # Panics
     ///
@@ -607,17 +604,11 @@ impl BackgroundEngine {
     pub fn push_migration(
         &mut self,
         now: SimTime,
-        blocks: Vec<u64>,
+        blocks: u64,
         rate_blocks_per_sec: f64,
     ) -> TaskId {
-        self.push(
-            TaskKind::ExpansionMigration,
-            0,
-            Vec::new(),
-            Work::Blocks { blocks, cursor: 0 },
-            rate_blocks_per_sec,
-            now,
-        )
+        let work = Work::Count { remaining: blocks };
+        self.push(TaskKind::ExpansionMigration, work, rate_blocks_per_sec, now)
     }
 
     /// Enqueues a streamed archive restripe of `total_moves` blocks paced at
@@ -634,23 +625,15 @@ impl BackgroundEngine {
         total_moves: u64,
         rate_blocks_per_sec: f64,
     ) -> TaskId {
-        self.push(
-            TaskKind::ArchiveRestripe,
-            0,
-            Vec::new(),
-            Work::Stream {
-                remaining: total_moves,
-            },
-            rate_blocks_per_sec,
-            now,
-        )
+        let work = Work::Count {
+            remaining: total_moves,
+        };
+        self.push(TaskKind::ArchiveRestripe, work, rate_blocks_per_sec, now)
     }
 
     fn push(
         &mut self,
         kind: TaskKind,
-        disk: usize,
-        peers: Vec<usize>,
         work: Work,
         rate_blocks_per_sec: f64,
         now: SimTime,
@@ -668,8 +651,6 @@ impl BackgroundEngine {
         self.queue.push_back(BackgroundTask {
             id,
             kind,
-            disk,
-            peers,
             work,
             rate_blocks_per_sec,
             started: now,
@@ -681,16 +662,16 @@ impl BackgroundEngine {
         id
     }
 
-    /// Removes `count` blocks of work from streamed task `id` (client
+    /// Removes `count` blocks of work from counted task `id` (client
     /// traffic superseded pending restripe moves — they no longer need
     /// background I/O). A no-op for unknown ids (the task already drained)
-    /// and for non-stream work bodies.
+    /// and for rebuilds.
     pub fn forfeit(&mut self, id: TaskId, count: u64) {
         if count == 0 {
             return;
         }
         if let Some(task) = self.queue.iter_mut().find(|t| t.id == id) {
-            if let Work::Stream { remaining } = &mut task.work {
+            if let Work::Count { remaining } = &mut task.work {
                 *remaining = remaining.saturating_sub(count);
                 self.next_due_cache = None;
             }
@@ -797,29 +778,7 @@ impl BackgroundEngine {
                 budget -= budget / 2;
             }
             if budget > 0 {
-                let batch = task.work.take(budget);
-                let taken = match &batch {
-                    WorkBatch::Ranges(ranges) => ranges.iter().map(|r| r.len()).sum(),
-                    WorkBatch::Blocks(blocks) => blocks.len() as u64,
-                    WorkBatch::Budget(count) => *count,
-                };
-                task.issued += taken;
-                batches.push(match batch {
-                    WorkBatch::Ranges(ranges) => Batch::Rebuild {
-                        id: task.id,
-                        disk: task.disk,
-                        peers: task.peers.clone(),
-                        ranges,
-                    },
-                    WorkBatch::Blocks(blocks) => Batch::Migration {
-                        id: task.id,
-                        blocks,
-                    },
-                    WorkBatch::Budget(count) => Batch::Restripe {
-                        id: task.id,
-                        budget: count,
-                    },
-                });
+                batches.push(task.take(budget));
             }
             if task.work.remaining() == 0 {
                 // Drained (or empty from the start, or forfeited away):
@@ -832,14 +791,14 @@ impl BackgroundEngine {
                         now.saturating_since(task.started),
                     )
                     .arg("id", task.id)
-                    .arg("disk", task.disk as u64)
+                    .arg("disk", task.work.disk() as u64)
                     .arg("blocks_issued", task.issued)
                 });
                 craid_obs::counter_add("background.completions", 1);
                 self.completed.push(CompletedTask {
                     id: task.id,
                     kind: task.kind,
-                    disk: task.disk,
+                    disk: task.work.disk(),
                     blocks_issued: task.issued,
                     window_secs: now.saturating_since(task.started).as_secs(),
                 });
@@ -858,136 +817,6 @@ impl BackgroundEngine {
     pub fn take_completed(&mut self) -> Vec<CompletedTask> {
         std::mem::take(&mut self.completed)
     }
-}
-
-/// Where a not-yet-migrated block's authoritative copy still lives.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OldHome {
-    /// The cache-partition slot holding the pre-upgrade copy (CRAID
-    /// redistribution).
-    pub pc_slot: u64,
-    /// True if the copy differs from the archive's — the *only* valid copy.
-    pub dirty: bool,
-    /// The migration task ([`TaskId`]) this block was enqueued by — it keys
-    /// the preserved pre-upgrade cache-partition geometry the slot refers
-    /// to. With queued second expansions several geometries can be live at
-    /// once.
-    pub generation: TaskId,
-}
-
-/// Tracks, per logical block, the blocks an in-flight expansion migration
-/// has not yet moved. The redirector/planner layer consults it on every
-/// request: pending reads are served from the old location, writes land at
-/// the new home and supersede the pending move. Lives alongside the
-/// [`MappingCache`](crate::MappingCache), which only knows post-upgrade
-/// placements.
-///
-/// The pending blocks live in a [`BlockMap`], which the array sizes once
-/// for a drained cache partition ([`MigrationMap::reserve`]) and which is
-/// freed when the last pending block leaves. Only [`MigrationMap::iter`]
-/// sorts.
-#[derive(Debug, Clone, Default)]
-pub struct MigrationMap {
-    map: BlockMap<OldHome>,
-}
-
-impl MigrationMap {
-    /// An empty map (no migration in flight).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of blocks still awaiting migration.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Makes room for `blocks` more pending blocks, so that inserting them
-    /// grows the table at most once.
-    pub fn reserve(&mut self, blocks: usize) {
-        self.map.reserve(blocks);
-    }
-
-    /// Marks `logical` as pending, with its old home.
-    pub fn insert(&mut self, logical: u64, home: OldHome) {
-        self.map.insert(logical, home);
-    }
-
-    /// The old home of `logical`, if it is still pending.
-    pub fn get(&self, logical: u64) -> Option<OldHome> {
-        self.map.get(logical)
-    }
-
-    /// True if `logical` has not been moved (or superseded) yet.
-    pub fn contains(&self, logical: u64) -> bool {
-        self.map.contains_key(logical)
-    }
-
-    /// Removes `logical` (it was migrated, or a client write superseded the
-    /// move), returning its old home if it was pending. Removing the last
-    /// pending block frees the table.
-    pub fn remove(&mut self, logical: u64) -> Option<OldHome> {
-        let home = self.map.remove(logical);
-        if home.is_some() && self.map.is_empty() {
-            self.map = BlockMap::new();
-        }
-        home
-    }
-
-    /// Iterates over pending blocks in ascending logical order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, OldHome)> {
-        self.map.sorted().into_iter()
-    }
-}
-
-/// Builds a rebuild's segment order: the `hot` ranges first (in the order
-/// given), then the uncovered remainder of `[0, total)` in ascending order.
-/// The hot ranges must be disjoint; ranges reaching beyond `total` are
-/// clipped.
-pub(crate) fn prioritized_segments(total: u64, hot: Vec<BlockRange>) -> Vec<BlockRange> {
-    let hot: Vec<BlockRange> = hot
-        .into_iter()
-        .filter(|r| r.start() < total)
-        .map(|r| BlockRange::new(r.start(), r.len().min(total - r.start())))
-        .collect();
-    let mut covered = hot.clone();
-    covered.sort_by_key(|r| r.start());
-    debug_assert!(
-        covered.windows(2).all(|w| w[0].end() <= w[1].start()),
-        "hot ranges must be disjoint"
-    );
-    let mut segments = hot;
-    let mut cursor = 0;
-    for range in covered {
-        if range.start() > cursor {
-            segments.push(BlockRange::new(cursor, range.start() - cursor));
-        }
-        cursor = range.end();
-    }
-    if cursor < total {
-        segments.push(BlockRange::new(cursor, total - cursor));
-    }
-    segments
-}
-
-/// Merges a sorted, deduplicated list of block numbers into contiguous
-/// ranges.
-pub(crate) fn merge_blocks_to_ranges(blocks: &[u64]) -> Vec<BlockRange> {
-    let mut out: Vec<BlockRange> = Vec::new();
-    for &block in blocks {
-        match out.last_mut() {
-            Some(last) if last.end() == block => {
-                *last = BlockRange::new(last.start(), last.len() + 1)
-            }
-            _ => out.push(BlockRange::new(block, 1)),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1020,29 +849,16 @@ mod tests {
     #[test]
     fn rebuild_task_paces_by_rate_and_completes() {
         let mut engine = BackgroundEngine::new();
-        engine.push_rebuild(
-            SimTime::ZERO,
-            1,
-            vec![0, 2, 3],
-            vec![BlockRange::new(0, 1_000)],
-            100.0,
-        );
+        engine.push_rebuild(SimTime::ZERO, 1, vec![BlockRange::new(0, 1_000)], 100.0);
         // At t = 0 nothing is due yet.
         assert!(engine.poll(SimTime::ZERO).is_empty());
         // At t = 2s the pace demands 200 blocks in one batch.
         let batches = engine.poll(SimTime::from_secs(2.0));
         assert_eq!(batches.len(), 1);
-        let Batch::Rebuild {
-            disk,
-            peers,
-            ranges,
-            ..
-        } = &batches[0]
-        else {
+        let Batch::Rebuild { disk, ranges, .. } = &batches[0] else {
             panic!("a rebuild batch is due");
         };
         assert_eq!(*disk, 1);
-        assert_eq!(*peers, vec![0, 2, 3]);
         assert_eq!(*ranges, vec![BlockRange::new(0, 200)]);
         // Already at pace: an immediate second poll is a no-op.
         assert!(engine.poll(SimTime::from_secs(2.0)).is_empty());
@@ -1072,14 +888,8 @@ mod tests {
     #[test]
     fn concurrent_tasks_both_progress_every_poll() {
         let mut engine = BackgroundEngine::new();
-        engine.push_rebuild(
-            SimTime::ZERO,
-            0,
-            vec![1],
-            vec![BlockRange::new(0, 100_000)],
-            1e9,
-        );
-        engine.push_migration(SimTime::ZERO, (0..100_000).collect(), 1e9);
+        engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, 100_000)], 1e9);
+        engine.push_migration(SimTime::ZERO, 100_000, 1e9);
         assert!(engine.has_task(TaskKind::Rebuild));
         assert!(engine.has_task(TaskKind::ExpansionMigration));
         // Both are saturated: every poll issues work for both, splitting the
@@ -1090,7 +900,7 @@ mod tests {
         let migration: u64 = batches
             .iter()
             .map(|b| match b {
-                Batch::Migration { blocks, .. } => blocks.len() as u64,
+                Batch::Migration { budget, .. } => *budget,
                 _ => 0,
             })
             .sum();
@@ -1102,14 +912,8 @@ mod tests {
     #[test]
     fn contended_budget_follows_the_shares() {
         let mut engine = BackgroundEngine::with_shares(3.0, 1.0);
-        engine.push_rebuild(
-            SimTime::ZERO,
-            0,
-            vec![1],
-            vec![BlockRange::new(0, 1_000_000)],
-            1e9,
-        );
-        engine.push_migration(SimTime::ZERO, (0..100_000).collect(), 1e9);
+        engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, 1_000_000)], 1e9);
+        engine.push_migration(SimTime::ZERO, 100_000, 1e9);
         let mut rebuild = 0u64;
         let mut migration = 0u64;
         for i in 1..=20 {
@@ -1118,7 +922,7 @@ mod tests {
                     Batch::Rebuild { ranges, .. } => {
                         rebuild += ranges.iter().map(|r| r.len()).sum::<u64>()
                     }
-                    Batch::Migration { blocks, .. } => migration += blocks.len() as u64,
+                    Batch::Migration { budget, .. } => migration += budget,
                     Batch::Restripe { .. } => unreachable!("no stream task pushed"),
                 }
             }
@@ -1137,20 +941,14 @@ mod tests {
         let mut engine = BackgroundEngine::with_shares(5.0, 1.0);
         // Slow rates: at t = 1s only 10 + 20 blocks are due — far below the
         // cap, so both tasks get exactly their pace regardless of weights.
-        engine.push_rebuild(
-            SimTime::ZERO,
-            0,
-            vec![1],
-            vec![BlockRange::new(0, 500)],
-            10.0,
-        );
-        engine.push_migration(SimTime::ZERO, (0..500).collect(), 20.0);
+        engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, 500)], 10.0);
+        engine.push_migration(SimTime::ZERO, 500, 20.0);
         let batches = engine.poll(SimTime::from_secs(1.0));
         let rebuild: u64 = batches.iter().map(rebuild_blocks).sum();
         let migration: u64 = batches
             .iter()
             .map(|b| match b {
-                Batch::Migration { blocks, .. } => blocks.len() as u64,
+                Batch::Migration { budget, .. } => *budget,
                 _ => 0,
             })
             .sum();
@@ -1209,11 +1007,10 @@ mod tests {
         engine.push_rebuild(
             SimTime::ZERO,
             0,
-            vec![1, 2],
             vec![BlockRange::new(0, 3 * MAX_BATCH_BLOCKS)],
             1e9,
         );
-        engine.push_migration(SimTime::ZERO, (0..MAX_BATCH_BLOCKS).collect(), 1e9);
+        engine.push_migration(SimTime::ZERO, MAX_BATCH_BLOCKS, 1e9);
         engine.push_restripe(SimTime::ZERO, 5 * MAX_BATCH_BLOCKS, 1e9);
         let mut polls = 0;
         while !engine.is_idle() {
@@ -1231,7 +1028,7 @@ mod tests {
     #[test]
     fn empty_migration_completes_without_issuing() {
         let mut engine = BackgroundEngine::new();
-        engine.push_migration(SimTime::ZERO, Vec::new(), 100.0);
+        engine.push_migration(SimTime::ZERO, 0, 100.0);
         assert!(engine.poll(SimTime::from_secs(1.0)).is_empty());
         let done = engine.take_completed();
         assert_eq!(done.len(), 1);
@@ -1247,11 +1044,10 @@ mod tests {
         engine.push_rebuild(
             SimTime::from_secs(1.0),
             0,
-            vec![1],
             vec![BlockRange::new(0, 100)],
             10.0, // completes at t = 11
         );
-        engine.push_migration(SimTime::from_secs(2.0), (0..30).collect(), 10.0); // t = 5
+        engine.push_migration(SimTime::from_secs(2.0), 30, 10.0); // t = 5
         assert_eq!(engine.drain_eta().unwrap(), SimTime::from_secs(5.0));
         // Draining at the eta retires the migration; the rebuild remains.
         while engine
@@ -1272,7 +1068,6 @@ mod tests {
         engine.push_rebuild(
             SimTime::ZERO,
             2,
-            vec![0],
             vec![
                 BlockRange::new(100, 3),
                 BlockRange::new(10, 4),
@@ -1292,91 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_map_tracks_pending_blocks() {
-        let mut map = MigrationMap::new();
-        assert!(map.is_empty());
-        map.insert(
-            7,
-            OldHome {
-                pc_slot: 3,
-                dirty: true,
-                generation: 0,
-            },
-        );
-        map.insert(
-            2,
-            OldHome {
-                pc_slot: 9,
-                dirty: false,
-                generation: 1,
-            },
-        );
-        assert_eq!(map.len(), 2);
-        assert!(map.contains(7));
-        assert_eq!(map.get(7).unwrap().pc_slot, 3);
-        assert_eq!(map.get(2).unwrap().generation, 1);
-        assert_eq!(
-            map.iter().map(|(b, _)| b).collect::<Vec<_>>(),
-            vec![2, 7],
-            "iteration is in logical order"
-        );
-        assert_eq!(map.remove(2).unwrap().pc_slot, 9);
-        assert!(map.remove(2).is_none());
-        map.remove(7);
-        assert!(map.is_empty());
-    }
-
-    #[test]
-    fn prioritized_segments_cover_the_space_exactly_once() {
-        let segments = prioritized_segments(
-            100,
-            vec![
-                BlockRange::new(40, 10),
-                BlockRange::new(10, 5),
-                BlockRange::new(95, 20),
-            ],
-        );
-        // Hot first (clipped), then the ascending remainder.
-        assert_eq!(
-            segments,
-            vec![
-                BlockRange::new(40, 10),
-                BlockRange::new(10, 5),
-                BlockRange::new(95, 5),
-                BlockRange::new(0, 10),
-                BlockRange::new(15, 25),
-                BlockRange::new(50, 45),
-            ]
-        );
-        let total: u64 = segments.iter().map(|r| r.len()).sum();
-        assert_eq!(total, 100);
-        let mut blocks: Vec<u64> = segments.iter().flat_map(|r| r.blocks()).collect();
-        blocks.sort_unstable();
-        assert_eq!(blocks, (0..100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn no_hot_ranges_degenerates_to_sequential() {
-        assert_eq!(
-            prioritized_segments(64, Vec::new()),
-            vec![BlockRange::new(0, 64)]
-        );
-    }
-
-    #[test]
-    fn merge_blocks_groups_runs() {
-        assert_eq!(
-            merge_blocks_to_ranges(&[1, 2, 3, 7, 9, 10]),
-            vec![
-                BlockRange::new(1, 3),
-                BlockRange::new(7, 1),
-                BlockRange::new(9, 2)
-            ]
-        );
-        assert!(merge_blocks_to_ranges(&[]).is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "finite and positive")]
     fn invalid_shares_are_rejected() {
         BackgroundEngine::with_shares(0.0, 1.0);
@@ -1387,13 +1097,7 @@ mod tests {
         let mut engine = BackgroundEngine::new();
         engine.attach_throttle(0.1);
         assert_eq!(engine.throttle_scale(), Some(1.0));
-        engine.push_rebuild(
-            SimTime::ZERO,
-            1,
-            vec![0],
-            vec![BlockRange::new(0, 10_000)],
-            100.0,
-        );
+        engine.push_rebuild(SimTime::ZERO, 1, vec![BlockRange::new(0, 10_000)], 100.0);
         engine.set_throttle(SimTime::ZERO, 0.5);
         assert_eq!(engine.throttle_scale(), Some(0.5));
         // Two seconds at half scale: 100 blocks due instead of 200.
@@ -1417,13 +1121,7 @@ mod tests {
     fn throttle_clamps_to_the_floor_and_work_still_finishes() {
         let mut engine = BackgroundEngine::new();
         engine.attach_throttle(0.25);
-        engine.push_rebuild(
-            SimTime::ZERO,
-            0,
-            vec![1],
-            vec![BlockRange::new(0, 100)],
-            100.0,
-        );
+        engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, 100)], 100.0);
         // A zero request clamps to the floor: pacing continues at a quarter
         // of the configured rate, never below it.
         engine.set_throttle(SimTime::ZERO, 0.0);
@@ -1446,13 +1144,13 @@ mod tests {
     fn throttle_scales_the_batch_cap() {
         let mut engine = BackgroundEngine::new();
         engine.attach_throttle(0.01);
-        engine.push_migration(SimTime::ZERO, (0..100_000).collect(), 1e9);
+        engine.push_migration(SimTime::ZERO, 100_000, 1e9);
         engine.set_throttle(SimTime::ZERO, 0.25);
         let batches = engine.poll(SimTime::from_secs(1.0));
         let issued: u64 = batches
             .iter()
             .map(|b| match b {
-                Batch::Migration { blocks, .. } => blocks.len() as u64,
+                Batch::Migration { budget, .. } => *budget,
                 _ => 0,
             })
             .sum();
@@ -1468,13 +1166,7 @@ mod tests {
         let mut engine = BackgroundEngine::new();
         engine.set_throttle(SimTime::from_secs(1.0), 0.5);
         assert_eq!(engine.throttle_scale(), None);
-        engine.push_rebuild(
-            SimTime::ZERO,
-            0,
-            vec![1],
-            vec![BlockRange::new(0, 1_000)],
-            100.0,
-        );
+        engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, 1_000)], 100.0);
         let issued: u64 = engine
             .poll(SimTime::from_secs(2.0))
             .iter()
@@ -1495,8 +1187,8 @@ mod tests {
                 engine.attach_throttle(0.5);
             }
             let start = SimTime::from_secs(1.0);
-            engine.push_rebuild(start, 0, vec![1], vec![BlockRange::new(0, 1_000)], 32.0);
-            engine.push_migration(start, (0..160).collect(), 64.0);
+            engine.push_rebuild(start, 0, vec![BlockRange::new(0, 1_000)], 32.0);
+            engine.push_migration(start, 160, 64.0);
             engine
         });
         for secs in [1.0, 1.5, 2.25, 3.5, 4.0, 10.5, 32.25] {
@@ -1525,13 +1217,7 @@ mod tests {
             !engine.work_due(SimTime::from_secs(100.0)),
             "an idle engine is never due"
         );
-        engine.push_rebuild(
-            SimTime::ZERO,
-            0,
-            vec![1],
-            vec![BlockRange::new(0, 100)],
-            10.0,
-        );
+        engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, 100)], 10.0);
         // First block due at t = 0.1 s.
         assert!(!engine.work_due(SimTime::from_secs(0.05)));
         assert!(engine.work_due(SimTime::from_secs(0.1)));
@@ -1559,41 +1245,6 @@ mod tests {
     }
 
     proptest! {
-        /// The migration map answers every insert, get, contains and remove
-        /// as a `BTreeMap` does, with or without room reserved ahead, and
-        /// after every step `iter` walks the pending blocks by ascending
-        /// block, the order the model checker's `Colocated` observations
-        /// follow. The small key pool empties the map now and then.
-        #[test]
-        fn prop_migration_map_matches_a_btree_map(
-            reserve in 0usize..100,
-            ops in proptest::collection::vec((0u8..4, 0u64..40, 0u64..1_000, any::<bool>()), 1..300),
-        ) {
-            let block = |k: u64| match k {
-                0 => u64::MAX,
-                k => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            };
-            let mut map = MigrationMap::new();
-            map.reserve(reserve);
-            let mut model = std::collections::BTreeMap::new();
-            for (op, k, slot, dirty) in ops {
-                let b = block(k);
-                let home = OldHome { pc_slot: slot, dirty, generation: slot % 3 };
-                match op {
-                    0 => {
-                        map.insert(b, home);
-                        model.insert(b, home);
-                    }
-                    1 => prop_assert_eq!(map.get(b), model.get(&b).copied()),
-                    2 => prop_assert_eq!(map.contains(b), model.contains_key(&b)),
-                    _ => prop_assert_eq!(map.remove(b), model.remove(&b)),
-                }
-                prop_assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
-                let walk: Vec<(u64, OldHome)> = model.iter().map(|(&b, &h)| (b, h)).collect();
-                prop_assert_eq!(map.iter().collect::<Vec<_>>(), walk);
-            }
-        }
-
         /// Event-clocked pumping is exactly per-request pumping with the
         /// guaranteed-idle polls deleted: engine A is polled at every
         /// instant, engine B only when `work_due` says a poll could do
@@ -1606,8 +1257,8 @@ mod tests {
         ) {
             let (rb, mg, rs) = sizes;
             let build = |engine: &mut BackgroundEngine| {
-                engine.push_rebuild(SimTime::ZERO, 0, vec![1, 2], vec![BlockRange::new(0, rb)], 37.0);
-                engine.push_migration(SimTime::ZERO, (0..mg).collect(), 23.0);
+                engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, rb)], 37.0);
+                engine.push_migration(SimTime::ZERO, mg, 23.0);
                 engine.push_restripe(SimTime::ZERO, rs, 11.0)
             };
             let mut per_request = BackgroundEngine::new();
@@ -1659,15 +1310,15 @@ mod tests {
                     .iter()
                     .map(|b| match b {
                         Batch::Rebuild { ranges, .. } => ranges.iter().map(|r| r.len()).sum(),
-                        Batch::Migration { blocks, .. } => blocks.len() as u64,
+                        Batch::Migration { budget, .. } => *budget,
                         Batch::Restripe { budget, .. } => *budget,
                     })
                     .sum()
             };
             let build = |engine: &mut BackgroundEngine| {
                 engine.attach_throttle(0.1);
-                engine.push_rebuild(SimTime::ZERO, 0, vec![1], vec![BlockRange::new(0, 800)], 41.0);
-                engine.push_migration(SimTime::ZERO, (0..600).collect(), 17.0);
+                engine.push_rebuild(SimTime::ZERO, 0, vec![BlockRange::new(0, 800)], 41.0);
+                engine.push_migration(SimTime::ZERO, 600, 17.0);
             };
             let mut per_request = BackgroundEngine::new();
             let mut event_clocked = BackgroundEngine::new();

@@ -220,11 +220,10 @@ pub struct ArrayConfig {
     /// Disk counts of the aggregation steps used by RAID-5+ archives
     /// (the paper's schedule grows 10 → 50 disks in ≈30 % steps).
     pub expansion_sets: Vec<usize>,
-    /// Blocks per mechanical disk. Defaults to the full Cheetah 15K.5
-    /// capacity so seek distances stay realistic; the dataset is scattered
-    /// across the archive partition by the dataset mapper.
-    pub hdd_capacity_blocks: u64,
-    /// Parameters of the mechanical disks.
+    /// Parameters of the mechanical disks, their size in blocks
+    /// (`capacity_blocks`) included. The paper preset keeps the full
+    /// Cheetah 15K.5 capacity so seek distances stay realistic; the dataset
+    /// is scattered across the archive partition by the dataset mapper.
     pub hdd: HddParameters,
     /// Parameters of the dedicated SSDs.
     pub ssd: SsdParameters,
@@ -292,7 +291,6 @@ impl ArrayConfig {
             dataset_blocks,
             policy: PolicyKind::Wlru(0.5),
             expansion_sets: vec![10, 3, 4, 5, 7, 9, 12],
-            hdd_capacity_blocks: hdd.capacity_blocks,
             hdd,
             ssd: SsdParameters::msr_ideal(),
             seed: 0x5eed,
@@ -320,7 +318,6 @@ impl ArrayConfig {
             dataset_blocks,
             policy: PolicyKind::Wlru(0.5),
             expansion_sets: vec![4, 4],
-            hdd_capacity_blocks: hdd.capacity_blocks,
             hdd,
             ssd: SsdParameters::msr_ideal_scaled(1024 * 1024),
             seed: 7,
@@ -429,7 +426,8 @@ impl ArrayConfig {
     /// Archive-partition blocks available per mechanical disk.
     pub fn pa_blocks_per_hdd(&self) -> u64 {
         let remaining = self
-            .hdd_capacity_blocks
+            .hdd
+            .capacity_blocks
             .saturating_sub(self.pc_blocks_per_hdd());
         (remaining / self.stripe_unit) * self.stripe_unit
     }
@@ -437,10 +435,10 @@ impl ArrayConfig {
     /// The cache partition's size as a percentage of each disk's capacity —
     /// the x-axis of the paper's Figures 4 and 6.
     pub fn pc_percent_per_disk(&self) -> f64 {
-        if self.hdd_capacity_blocks == 0 {
+        if self.hdd.capacity_blocks == 0 {
             0.0
         } else {
-            100.0 * self.pc_blocks_per_hdd() as f64 / self.hdd_capacity_blocks as f64
+            100.0 * self.pc_blocks_per_hdd() as f64 / self.hdd.capacity_blocks as f64
         }
     }
 

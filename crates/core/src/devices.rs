@@ -9,8 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use craid_diskmodel::{
-    BlockRange, DeviceLoadStats, HddModel, HddParameters, IoKind, SsdModel, SsdParameters,
-    StorageDevice,
+    BlockRange, DeviceLoadStats, HddModel, HddParameters, IoKind, SsdModel, StorageDevice,
 };
 use craid_raid::{IoPurpose, PlannedIo};
 use craid_simkit::SimTime;
@@ -127,10 +126,7 @@ impl DeviceSet {
             devices: Vec::with_capacity(config.disks + config.ssd_cache_devices),
             fault: None,
             hdd_count: 0,
-            hdd_params: HddParameters {
-                capacity_blocks: config.hdd_capacity_blocks,
-                ..config.hdd.clone()
-            },
+            hdd_params: config.hdd.clone(),
         };
         set.add_hdds(config.disks);
         let ssd_count = if config.strategy.uses_ssd_cache() {
@@ -139,13 +135,9 @@ impl DeviceSet {
             0
         };
         for id in 0..ssd_count {
-            let params = SsdParameters {
-                capacity_blocks: config.ssd.capacity_blocks,
-                ..config.ssd.clone()
-            };
             set.devices.push(DeviceUnit::Ssd(StorageDevice::new(
                 config.disks + id,
-                SsdModel::new(params),
+                SsdModel::new(config.ssd.clone()),
             )));
         }
         set
@@ -290,8 +282,7 @@ impl DeviceSet {
 
     /// Submits every I/O of `plan` in order, appending one event per I/O
     /// to `events`, and returns the latest completion (`now` for an empty
-    /// plan). Every device I/O the array issues passes through here, the
-    /// rebuild stream aside.
+    /// plan). Every device I/O the array issues passes through here.
     ///
     /// # Panics
     ///
@@ -337,6 +328,25 @@ mod tests {
         assert_eq!(ssd.len(), 11);
         assert!(matches!(ssd.devices[0], DeviceUnit::Hdd(_)));
         assert!(matches!(ssd.devices[8], DeviceUnit::Ssd(_)));
+    }
+
+    #[test]
+    fn the_disk_model_sets_the_disk_size() {
+        let mut config = cfg(StrategyKind::Craid5);
+        let size = config.hdd.capacity_blocks / 2;
+        config.hdd.capacity_blocks = size;
+        let mut set = DeviceSet::from_config(&config);
+        set.add_hdds(2);
+        for disk in 0..set.len() {
+            assert_eq!(set.capacity_blocks(disk), size, "disk {disk}");
+        }
+        let pc = config.pc_blocks_per_hdd();
+        let unit = config.stripe_unit;
+        assert_eq!(config.pa_blocks_per_hdd(), (size - pc) / unit * unit);
+        assert_eq!(
+            config.pc_percent_per_disk(),
+            100.0 * pc as f64 / size as f64
+        );
     }
 
     #[test]

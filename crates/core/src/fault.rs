@@ -23,7 +23,7 @@
 //! background pump; the counters land in [`FaultStats`] on the final
 //! report.
 
-use craid_diskmodel::IoKind;
+use craid_diskmodel::{BlockRange, IoKind};
 use craid_raid::IoPurpose;
 
 use crate::partition::PartitionIo;
@@ -90,10 +90,54 @@ pub(crate) fn live_blocks(physical: u64, logical: u64, used_logical: u64) -> u64
     (physical as u128 * used).div_ceil(logical) as u64
 }
 
+/// Builds a rebuild's segment order: the `hot` ranges first (in the order
+/// given), then the uncovered remainder of `[0, total)` in ascending order.
+/// The hot ranges must be disjoint; ranges reaching beyond `total` are
+/// clipped.
+pub(crate) fn prioritized_segments(total: u64, hot: Vec<BlockRange>) -> Vec<BlockRange> {
+    let hot: Vec<BlockRange> = hot
+        .into_iter()
+        .filter(|r| r.start() < total)
+        .map(|r| BlockRange::new(r.start(), r.len().min(total - r.start())))
+        .collect();
+    let mut covered = hot.clone();
+    covered.sort_by_key(|r| r.start());
+    debug_assert!(
+        covered.windows(2).all(|w| w[0].end() <= w[1].start()),
+        "hot ranges must be disjoint"
+    );
+    let mut segments = hot;
+    let mut cursor = 0;
+    for range in covered {
+        if range.start() > cursor {
+            segments.push(BlockRange::new(cursor, range.start() - cursor));
+        }
+        cursor = range.end();
+    }
+    if cursor < total {
+        segments.push(BlockRange::new(cursor, total - cursor));
+    }
+    segments
+}
+
+/// Merges a sorted, deduplicated list of block numbers into contiguous
+/// ranges.
+pub(crate) fn merge_blocks_to_ranges(blocks: &[u64]) -> Vec<BlockRange> {
+    let mut out: Vec<BlockRange> = Vec::new();
+    for &block in blocks {
+        match out.last_mut() {
+            Some(last) if last.end() == block => {
+                *last = BlockRange::new(last.start(), last.len() + 1)
+            }
+            _ => out.push(BlockRange::new(block, 1)),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use craid_diskmodel::BlockRange;
 
     fn io(disk: usize, start: u64, len: u64, kind: IoKind) -> PartitionIo {
         PartitionIo {
@@ -200,5 +244,55 @@ mod tests {
         assert_eq!(live_blocks(1_000, 800, 0), 0);
         assert_eq!(live_blocks(1_000, 800, 10_000), 1_000, "clamped to full");
         assert_eq!(live_blocks(999, 1_000, 1), 1, "rounds up");
+    }
+
+    #[test]
+    fn prioritized_segments_cover_the_space_exactly_once() {
+        let segments = prioritized_segments(
+            100,
+            vec![
+                BlockRange::new(40, 10),
+                BlockRange::new(10, 5),
+                BlockRange::new(95, 20),
+            ],
+        );
+        // Hot first (clipped), then the ascending remainder.
+        assert_eq!(
+            segments,
+            vec![
+                BlockRange::new(40, 10),
+                BlockRange::new(10, 5),
+                BlockRange::new(95, 5),
+                BlockRange::new(0, 10),
+                BlockRange::new(15, 25),
+                BlockRange::new(50, 45),
+            ]
+        );
+        let total: u64 = segments.iter().map(|r| r.len()).sum();
+        assert_eq!(total, 100);
+        let mut blocks: Vec<u64> = segments.iter().flat_map(|r| r.blocks()).collect();
+        blocks.sort_unstable();
+        assert_eq!(blocks, (0..100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn no_hot_ranges_degenerates_to_sequential() {
+        assert_eq!(
+            prioritized_segments(64, Vec::new()),
+            vec![BlockRange::new(0, 64)]
+        );
+    }
+
+    #[test]
+    fn merge_blocks_groups_runs() {
+        assert_eq!(
+            merge_blocks_to_ranges(&[1, 2, 3, 7, 9, 10]),
+            vec![
+                BlockRange::new(1, 3),
+                BlockRange::new(7, 1),
+                BlockRange::new(9, 2)
+            ]
+        );
+        assert!(merge_blocks_to_ranges(&[]).is_empty());
     }
 }

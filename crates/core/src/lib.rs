@@ -122,15 +122,13 @@ pub use analyze::explore::{explore, Counterexample, Exploration, ExploreScope};
 pub use analyze::oracle::{InvariantOracle, RunEvidence};
 pub use analyze::{Analysis, Diagnostic, Severity};
 pub use array::{ActivatedExpansion, CraidArray, ExpansionReport, RequestReport, StorageArray};
-pub use background::{BackgroundEngine, BackgroundPriority, MigrationMap};
+pub use background::{BackgroundEngine, BackgroundPriority};
 pub use config::{ActivationPolicy, ArrayConfig, StrategyKind};
 pub use devices::DiskState;
 pub use error::CraidError;
-pub use mapping::MappingCache;
+pub use mapping::{MappingCache, MigrationMap};
 pub use monitor::IoMonitor;
-pub use observer::{
-    MetricsCollector, MultiObserver, NullObserver, Observer, ProgressObserver, RequestOutcome,
-};
+pub use observer::{MetricsCollector, NullObserver, Observer, ProgressObserver, RequestOutcome};
 pub use partition::CachePartition;
 pub use qos::{QosController, SloSpec};
 pub use report::{CraidStats, FaultStats, MigrationStats, QosStats, SimulationReport};

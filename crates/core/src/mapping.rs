@@ -18,9 +18,15 @@
 //! [`MappingCache::recover_from_log`] model that: after a crash, dirty
 //! entries are recovered from the log and clean entries are simply
 //! invalidated.
+//!
+//! Beside it, a [`MigrationMap`] keeps the other side of a paced upgrade:
+//! where each block the cache-partition redistribution has not moved yet
+//! still lives in the pre-upgrade geometry.
 
 use craid_cache::BlockMap;
 use serde::{Deserialize, Serialize};
+
+use crate::background::TaskId;
 
 /// One translation held by the mapping cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -178,6 +184,90 @@ impl MappingCache {
     }
 }
 
+/// Where a not-yet-migrated block's authoritative copy still lives.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OldHome {
+    /// The cache-partition slot holding the pre-upgrade copy (CRAID
+    /// redistribution).
+    pub pc_slot: u64,
+    /// True if the copy differs from the archive's — the *only* valid copy.
+    pub dirty: bool,
+    /// The migration task ([`TaskId`]) this block was enqueued by — it keys
+    /// the preserved pre-upgrade cache-partition geometry the slot refers
+    /// to. With queued second expansions several geometries can be live at
+    /// once.
+    pub generation: TaskId,
+}
+
+/// Tracks, per logical block, the blocks an in-flight expansion migration
+/// has not yet moved. The redirector/planner layer consults it on every
+/// request: pending reads are served from the old location, writes land at
+/// the new home and supersede the pending move. Lives alongside the
+/// [`MappingCache`], which only knows post-upgrade placements.
+///
+/// The pending blocks live in a [`BlockMap`], which the array sizes once
+/// for a drained cache partition ([`MigrationMap::reserve`]) and which is
+/// freed when the last pending block leaves. Only [`MigrationMap::iter`]
+/// sorts.
+#[derive(Debug, Clone, Default)]
+pub struct MigrationMap {
+    map: BlockMap<OldHome>,
+}
+
+impl MigrationMap {
+    /// An empty map (no migration in flight).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of blocks still awaiting migration.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True when nothing is pending.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Makes room for `blocks` more pending blocks, so that inserting them
+    /// grows the table at most once.
+    pub fn reserve(&mut self, blocks: usize) {
+        self.map.reserve(blocks);
+    }
+
+    /// Marks `logical` as pending, with its old home.
+    pub fn insert(&mut self, logical: u64, home: OldHome) {
+        self.map.insert(logical, home);
+    }
+
+    /// The old home of `logical`, if it is still pending.
+    pub fn get(&self, logical: u64) -> Option<OldHome> {
+        self.map.get(logical)
+    }
+
+    /// True if `logical` has not been moved (or superseded) yet.
+    pub fn contains(&self, logical: u64) -> bool {
+        self.map.contains_key(logical)
+    }
+
+    /// Removes `logical` (it was migrated, or a client write superseded the
+    /// move), returning its old home if it was pending. Removing the last
+    /// pending block frees the table.
+    pub fn remove(&mut self, logical: u64) -> Option<OldHome> {
+        let home = self.map.remove(logical);
+        if home.is_some() && self.map.is_empty() {
+            self.map = BlockMap::new();
+        }
+        home
+    }
+
+    /// Iterates over pending blocks in ascending logical order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, OldHome)> {
+        self.map.sorted().into_iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +393,41 @@ mod tests {
         assert_eq!(recovered.lookup(3).unwrap().pc_block, 12);
     }
 
+    #[test]
+    fn migration_map_tracks_pending_blocks() {
+        let mut map = MigrationMap::new();
+        assert!(map.is_empty());
+        map.insert(
+            7,
+            OldHome {
+                pc_slot: 3,
+                dirty: true,
+                generation: 0,
+            },
+        );
+        map.insert(
+            2,
+            OldHome {
+                pc_slot: 9,
+                dirty: false,
+                generation: 1,
+            },
+        );
+        assert_eq!(map.len(), 2);
+        assert!(map.contains(7));
+        assert_eq!(map.get(7).unwrap().pc_slot, 3);
+        assert_eq!(map.get(2).unwrap().generation, 1);
+        assert_eq!(
+            map.iter().map(|(b, _)| b).collect::<Vec<_>>(),
+            vec![2, 7],
+            "iteration is in logical order"
+        );
+        assert_eq!(map.remove(2).unwrap().pc_slot, 9);
+        assert!(map.remove(2).is_none());
+        map.remove(7);
+        assert!(map.is_empty());
+    }
+
     proptest! {
         /// The mapping cache behaves like a map: after a sequence of inserts
         /// and removals, lookups agree with a reference BTreeMap.
@@ -327,6 +452,41 @@ mod tests {
             // The dirty log covers exactly the dirty entries.
             let dirty_count = reference.values().filter(|(_, d)| *d).count();
             prop_assert_eq!(m.dirty_log().len(), dirty_count);
+        }
+
+        /// The migration map answers every insert, get, contains and remove
+        /// as a `BTreeMap` does, with or without room reserved ahead, and
+        /// after every step `iter` walks the pending blocks by ascending
+        /// block, the order the model checker's `Colocated` observations
+        /// follow. The small key pool empties the map now and then.
+        #[test]
+        fn prop_migration_map_matches_a_btree_map(
+            reserve in 0usize..100,
+            ops in proptest::collection::vec((0u8..4, 0u64..40, 0u64..1_000, any::<bool>()), 1..300),
+        ) {
+            let block = |k: u64| match k {
+                0 => u64::MAX,
+                k => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            };
+            let mut map = MigrationMap::new();
+            map.reserve(reserve);
+            let mut model = std::collections::BTreeMap::new();
+            for (op, k, slot, dirty) in ops {
+                let b = block(k);
+                let home = OldHome { pc_slot: slot, dirty, generation: slot % 3 };
+                match op {
+                    0 => {
+                        map.insert(b, home);
+                        model.insert(b, home);
+                    }
+                    1 => prop_assert_eq!(map.get(b), model.get(&b).copied()),
+                    2 => prop_assert_eq!(map.contains(b), model.contains_key(&b)),
+                    _ => prop_assert_eq!(map.remove(b), model.remove(&b)),
+                }
+                prop_assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
+                let walk: Vec<(u64, OldHome)> = model.iter().map(|(&b, &h)| (b, h)).collect();
+                prop_assert_eq!(map.iter().collect::<Vec<_>>(), walk);
+            }
         }
     }
 }

@@ -74,47 +74,40 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
-/// Fans hooks out to several owned observers, in order.
-#[derive(Default)]
-pub struct MultiObserver {
-    observers: Vec<Box<dyn Observer>>,
+/// Fans each hook out to a scenario's declared progress observers, in
+/// declaration order, and then to the caller's observer.
+pub(crate) struct MultiObserver<'a> {
+    pub(crate) declared: Vec<ProgressObserver>,
+    pub(crate) extra: &'a mut dyn Observer,
 }
 
-impl MultiObserver {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        MultiObserver::default()
-    }
-
-    /// Adds an observer to the fan-out.
-    pub fn push(&mut self, observer: Box<dyn Observer>) {
-        self.observers.push(observer);
-    }
-}
-
-impl Observer for MultiObserver {
+impl Observer for MultiObserver<'_> {
     fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
-        for o in &mut self.observers {
+        for o in &mut self.declared {
             o.on_request(record, outcome);
         }
+        self.extra.on_request(record, outcome);
     }
 
     fn on_event(&mut self, event: &ScheduledEvent, expansion: Option<&ExpansionReport>) {
-        for o in &mut self.observers {
+        for o in &mut self.declared {
             o.on_event(event, expansion);
         }
+        self.extra.on_event(event, expansion);
     }
 
     fn on_throttle(&mut self, now: craid_simkit::SimTime, scale: f64) {
-        for o in &mut self.observers {
+        for o in &mut self.declared {
             o.on_throttle(now, scale);
         }
+        self.extra.on_throttle(now, scale);
     }
 
     fn on_deferred_activation(&mut self, at: craid_simkit::SimTime, added_disks: usize) {
-        for o in &mut self.observers {
+        for o in &mut self.declared {
             o.on_deferred_activation(at, added_disks);
         }
+        self.extra.on_deferred_activation(at, added_disks);
     }
 }
 
@@ -329,8 +322,6 @@ fn summarize_response(summary: &StreamingSummary, quantiles: &mut Quantiles) -> 
 mod tests {
     use super::*;
     use craid_simkit::SimTime;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[derive(Default)]
     struct Counting {
@@ -340,32 +331,28 @@ mod tests {
         activations: u64,
     }
 
-    struct Shared(Rc<RefCell<Counting>>);
-
-    impl Observer for Shared {
+    impl Observer for Counting {
         fn on_request(&mut self, _r: &TraceRecord, _o: &RequestOutcome) {
-            self.0.borrow_mut().requests += 1;
+            self.requests += 1;
         }
         fn on_event(&mut self, _e: &ScheduledEvent, _x: Option<&ExpansionReport>) {
-            self.0.borrow_mut().events += 1;
+            self.events += 1;
         }
-        fn on_throttle(&mut self, _now: craid_simkit::SimTime, _scale: f64) {
-            self.0.borrow_mut().throttles += 1;
+        fn on_throttle(&mut self, _now: SimTime, _scale: f64) {
+            self.throttles += 1;
         }
-        fn on_deferred_activation(&mut self, _at: craid_simkit::SimTime, _added: usize) {
-            self.0.borrow_mut().activations += 1;
+        fn on_deferred_activation(&mut self, _at: SimTime, _added: usize) {
+            self.activations += 1;
         }
     }
 
     #[test]
     fn multi_observer_fans_out() {
-        let a = Rc::new(RefCell::new(Counting::default()));
-        let b = Rc::new(RefCell::new(Counting::default()));
-        let mut multi = MultiObserver::new();
-        multi.push(Box::new(Shared(a.clone())));
-        multi.push(Box::new(Shared(b.clone())));
-        assert_eq!(multi.observers.len(), 2);
-
+        let mut extra = Counting::default();
+        let mut multi = MultiObserver {
+            declared: vec![ProgressObserver::new("a", 1), ProgressObserver::new("b", 0)],
+            extra: &mut extra,
+        };
         let record = TraceRecord::new(SimTime::ZERO, IoKind::Read, 0, 8);
         let outcome = RequestOutcome {
             worst_ms: 1.0,
@@ -377,11 +364,10 @@ mod tests {
         multi.on_throttle(SimTime::from_secs(1.0), 0.5);
         multi.on_deferred_activation(SimTime::from_secs(2.0), 4);
 
-        for c in [a, b] {
-            let c = c.borrow();
-            assert_eq!((c.requests, c.events), (1, 1));
-            assert_eq!((c.throttles, c.activations), (1, 1));
-        }
+        let seen: Vec<u64> = multi.declared.iter().map(|o| o.seen).collect();
+        assert_eq!(seen, [1, 1], "every declared observer saw the request");
+        assert_eq!((extra.requests, extra.events), (1, 1));
+        assert_eq!((extra.throttles, extra.activations), (1, 1));
     }
 
     #[test]

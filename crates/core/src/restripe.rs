@@ -24,8 +24,8 @@
 //! The owning array keeps the pre-upgrade [`Partition`] alive for the
 //! restripe's lifetime so pending reads can be served from their old
 //! physical locations, and the background engine tracks only the *count*
-//! of outstanding moves ([`crate::background::TaskKind::ArchiveRestripe`],
-//! a [`Work::Stream`](crate::background)-shaped task).
+//! of outstanding moves ([`crate::background::TaskKind::ArchiveRestripe`]),
+//! as it does for a cache-partition redistribution.
 
 use std::collections::BTreeSet;
 

@@ -703,10 +703,16 @@ impl Scenario {
         // to guard trace *generation*, which asserts on its inputs.
         self.validate()?;
         let config = self.array_config(trace);
-        let mut declared = self.build_observers();
-        let mut observers = PairObserver {
-            first: &mut declared,
-            second: extra,
+        let mut observers = MultiObserver {
+            declared: self
+                .observers
+                .iter()
+                .map(|spec| match spec {
+                    ObserverSpec::Progress { every } => ProgressObserver::new(&self.name, *every),
+                    ObserverSpec::EventTrace => ProgressObserver::new(&self.name, 0),
+                })
+                .collect(),
+            extra,
         };
         let (report, expansions, applied_events) =
             Simulation::new(config).try_run_events(trace, &self.events, &mut observers)?;
@@ -755,54 +761,6 @@ impl Scenario {
         let mut outcome = outcome?;
         outcome.report.obs = Some(obs_trace.snapshot());
         Ok((outcome, obs_trace))
-    }
-
-    /// Instantiates the declared [`ObserverSpec`]s.
-    pub fn build_observers(&self) -> MultiObserver {
-        let mut multi = MultiObserver::new();
-        for spec in &self.observers {
-            match spec {
-                ObserverSpec::Progress { every } => {
-                    multi.push(Box::new(ProgressObserver::new(&self.name, *every)));
-                }
-                ObserverSpec::EventTrace => {
-                    multi.push(Box::new(ProgressObserver::new(&self.name, 0)));
-                }
-            }
-        }
-        multi
-    }
-}
-
-/// Forwards to two observers without boxing either.
-struct PairObserver<'a> {
-    first: &'a mut dyn Observer,
-    second: &'a mut dyn Observer,
-}
-
-impl Observer for PairObserver<'_> {
-    fn on_request(
-        &mut self,
-        record: &craid_trace::TraceRecord,
-        outcome: &crate::observer::RequestOutcome,
-    ) {
-        self.first.on_request(record, outcome);
-        self.second.on_request(record, outcome);
-    }
-
-    fn on_event(&mut self, event: &ScheduledEvent, expansion: Option<&ExpansionReport>) {
-        self.first.on_event(event, expansion);
-        self.second.on_event(event, expansion);
-    }
-
-    fn on_throttle(&mut self, now: SimTime, scale: f64) {
-        self.first.on_throttle(now, scale);
-        self.second.on_throttle(now, scale);
-    }
-
-    fn on_deferred_activation(&mut self, at: SimTime, added_disks: usize) {
-        self.first.on_deferred_activation(at, added_disks);
-        self.second.on_deferred_activation(at, added_disks);
     }
 }
 
@@ -1219,69 +1177,12 @@ mod tests {
             .build()
     }
 
-    /// Records which hooks fired, for the PairObserver forwarding tests.
-    #[derive(Default)]
-    struct Counting {
-        requests: u64,
-        events: u64,
-        throttles: u64,
-        activations: u64,
-    }
-
-    impl Observer for Counting {
-        fn on_request(
-            &mut self,
-            _record: &craid_trace::TraceRecord,
-            _outcome: &crate::observer::RequestOutcome,
-        ) {
-            self.requests += 1;
-        }
-
-        fn on_event(&mut self, _event: &ScheduledEvent, _expansion: Option<&ExpansionReport>) {
-            self.events += 1;
-        }
-
-        fn on_throttle(&mut self, _now: SimTime, _scale: f64) {
-            self.throttles += 1;
-        }
-
-        fn on_deferred_activation(&mut self, _at: SimTime, _added_disks: usize) {
-            self.activations += 1;
-        }
-    }
-
     #[test]
     fn static_duration_bounds_the_generated_trace() {
         let s = tiny();
         let secs = s.static_duration_secs();
         let traced = s.trace().duration().as_secs();
         assert!(traced <= secs && traced > 0.9 * secs, "{traced} vs {secs}");
-    }
-
-    #[test]
-    fn pair_observer_forwards_every_hook_to_both_sides() {
-        let mut a = Counting::default();
-        let mut b = Counting::default();
-        {
-            let mut pair = PairObserver {
-                first: &mut a,
-                second: &mut b,
-            };
-            let record =
-                craid_trace::TraceRecord::new(SimTime::ZERO, craid_diskmodel::IoKind::Read, 0, 8);
-            let outcome = crate::observer::RequestOutcome {
-                worst_ms: 1.0,
-                reports: Vec::new(),
-            };
-            pair.on_request(&record, &outcome);
-            pair.on_event(&ScheduledEvent::expand(SimTime::ZERO, 2), None);
-            pair.on_throttle(SimTime::from_secs(1.0), 0.5);
-            pair.on_deferred_activation(SimTime::from_secs(2.0), 4);
-        }
-        for side in [&a, &b] {
-            assert_eq!((side.requests, side.events), (1, 1));
-            assert_eq!((side.throttles, side.activations), (1, 1));
-        }
     }
 
     #[test]

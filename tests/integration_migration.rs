@@ -486,9 +486,11 @@ fn rebuild_and_migration_progress_in_the_same_window_per_the_weights() {
 
 proptest! {
     /// Under fair share a concurrent rebuild + migration never loses or
-    /// double-issues a block, both make progress on every pump while both
+    /// over-issues a block, both make progress on every pump while both
     /// have backlog, and the combined issue counts respect the configured
-    /// weights within one batch of tolerance.
+    /// weights within one batch of tolerance. (The engine hands a migration
+    /// only budgets; that the array applies each drained block at most once
+    /// is checked where the array walks its order.)
     #[test]
     fn prop_fair_share_conserves_and_splits_work(
         rebuild_blocks in 1_000u64..40_000,
@@ -503,10 +505,10 @@ proptest! {
         let mut engine =
             BackgroundEngine::with_shares(rebuild_share as f64, migration_share as f64);
         // Saturating rates: backlog, not pace, limits every poll.
-        engine.push_rebuild(SimTime::ZERO, 1, vec![0, 2], vec![BlockRange::new(0, rebuild_blocks)], 1e12);
-        engine.push_migration(SimTime::ZERO, (0..migration_blocks).collect(), 1e12);
+        engine.push_rebuild(SimTime::ZERO, 1, vec![BlockRange::new(0, rebuild_blocks)], 1e12);
+        engine.push_migration(SimTime::ZERO, migration_blocks, 1e12);
         let mut rebuilt: u64 = 0;
-        let mut seen_migration: Vec<u64> = Vec::new();
+        let mut migrated: u64 = 0;
         for i in 1..=steps {
             let had_rebuild_backlog = engine.backlog_blocks(TaskKind::Rebuild) > 0;
             let had_migration_backlog = engine.backlog_blocks(TaskKind::ExpansionMigration) > 0;
@@ -520,10 +522,7 @@ proptest! {
                         }
                         step_rebuilt += ranges.iter().map(|r| r.len()).sum::<u64>();
                     }
-                    Batch::Migration { blocks, .. } => {
-                        step_migrated += blocks.len() as u64;
-                        seen_migration.extend(blocks);
-                    }
+                    Batch::Migration { budget, .. } => step_migrated += budget,
                     Batch::Restripe { .. } => prop_assert!(false, "no stream task pushed"),
                 }
             }
@@ -532,31 +531,28 @@ proptest! {
                 prop_assert!(step_migrated > 0, "migration starved at step {}", i);
             }
             rebuilt += step_rebuilt;
+            migrated += step_migrated;
         }
-        // Conservation: nothing lost, nothing double-issued.
+        // Conservation: nothing lost, nothing issued twice.
         prop_assert!(rebuilt <= rebuild_blocks);
         prop_assert_eq!(
             rebuilt + engine.backlog_blocks(TaskKind::Rebuild),
             rebuild_blocks
         );
-        let mut unique = seen_migration.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        prop_assert_eq!(unique.len(), seen_migration.len(), "a block was double-issued");
+        prop_assert!(migrated <= migration_blocks);
         prop_assert_eq!(
-            seen_migration.len() as u64 + engine.backlog_blocks(TaskKind::ExpansionMigration),
+            migrated + engine.backlog_blocks(TaskKind::ExpansionMigration),
             migration_blocks
         );
         // While *both* were saturated the split follows the weights. Only
         // check the window before either side drained.
-        let both_live = rebuilt < rebuild_blocks && (seen_migration.len() as u64) < migration_blocks;
+        let both_live = rebuilt < rebuild_blocks && migrated < migration_blocks;
         if both_live && rebuilt > 0 {
-            let expected = seen_migration.len() as f64 * rebuild_share as f64
-                / migration_share as f64;
+            let expected = migrated as f64 * rebuild_share as f64 / migration_share as f64;
             prop_assert!(
                 (rebuilt as f64 - expected).abs() <= 2_048.0 + steps as f64,
                 "split drifted: rebuilt {} vs migrated {} at {}:{}",
-                rebuilt, seen_migration.len(), rebuild_share, migration_share
+                rebuilt, migrated, rebuild_share, migration_share
             );
         }
     }

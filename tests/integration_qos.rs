@@ -313,7 +313,7 @@ proptest! {
         let mut engine = BackgroundEngine::new();
         engine.attach_throttle(FLOOR);
         let total = 1_000_000u64;
-        engine.push_migration(SimTime::ZERO, (0..total).collect(), rate as f64);
+        engine.push_migration(SimTime::ZERO, total, rate as f64);
         let mut t = 0.0;
         let mut issued = 0u64;
         for scale_pct in scales {
@@ -322,8 +322,8 @@ proptest! {
             prop_assert!((FLOOR..=1.0).contains(&scale), "scale {} escaped [floor, 1]", scale);
             t += 1.0;
             for batch in engine.poll(SimTime::from_secs(t)) {
-                if let craid::background::Batch::Migration { blocks, .. } = batch {
-                    issued += blocks.len() as u64;
+                if let craid::background::Batch::Migration { budget, .. } = batch {
+                    issued += budget;
                 }
             }
             let floor_target = (FLOOR * rate as f64 * t) as u64;
