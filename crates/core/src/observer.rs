@@ -117,7 +117,7 @@ impl Observer for MultiObserver<'_> {
 #[derive(Debug, Clone)]
 pub struct ProgressObserver {
     every: u64,
-    seen: u64,
+    pub(crate) seen: u64,
     label: String,
 }
 

@@ -703,17 +703,7 @@ impl Scenario {
         // to guard trace *generation*, which asserts on its inputs.
         self.validate()?;
         let config = self.array_config(trace);
-        let mut observers = MultiObserver {
-            declared: self
-                .observers
-                .iter()
-                .map(|spec| match spec {
-                    ObserverSpec::Progress { every } => ProgressObserver::new(&self.name, *every),
-                    ObserverSpec::EventTrace => ProgressObserver::new(&self.name, 0),
-                })
-                .collect(),
-            extra,
-        };
+        let mut observers = self.fan_out(extra);
         let (report, expansions, applied_events) =
             Simulation::new(config).try_run_events(trace, &self.events, &mut observers)?;
         Ok(ScenarioOutcome {
@@ -761,6 +751,22 @@ impl Scenario {
         let mut outcome = outcome?;
         outcome.report.obs = Some(obs_trace.snapshot());
         Ok((outcome, obs_trace))
+    }
+
+    /// Pairs the scenario's declared observers with the caller's `extra`,
+    /// so every engine hook reaches both.
+    fn fan_out<'a>(&self, extra: &'a mut dyn Observer) -> MultiObserver<'a> {
+        MultiObserver {
+            declared: self
+                .observers
+                .iter()
+                .map(|spec| match spec {
+                    ObserverSpec::Progress { every } => ProgressObserver::new(&self.name, *every),
+                    ObserverSpec::EventTrace => ProgressObserver::new(&self.name, 0),
+                })
+                .collect(),
+            extra,
+        }
     }
 }
 
@@ -1183,6 +1189,67 @@ mod tests {
         let secs = s.static_duration_secs();
         let traced = s.trace().duration().as_secs();
         assert!(traced <= secs && traced > 0.9 * secs, "{traced} vs {secs}");
+    }
+
+    /// Records which hooks fired, for the fan-out forwarding test.
+    #[derive(Default)]
+    struct Counting {
+        requests: u64,
+        events: u64,
+        throttles: u64,
+        activations: u64,
+    }
+
+    impl Observer for Counting {
+        fn on_request(
+            &mut self,
+            _record: &craid_trace::TraceRecord,
+            _outcome: &crate::observer::RequestOutcome,
+        ) {
+            self.requests += 1;
+        }
+
+        fn on_event(&mut self, _event: &ScheduledEvent, _expansion: Option<&ExpansionReport>) {
+            self.events += 1;
+        }
+
+        fn on_throttle(&mut self, _now: SimTime, _scale: f64) {
+            self.throttles += 1;
+        }
+
+        fn on_deferred_activation(&mut self, _at: SimTime, _added_disks: usize) {
+            self.activations += 1;
+        }
+    }
+
+    /// `run_on` pairs the declared observers with the caller's: one side
+    /// per declared spec, the caller's observer on the other, and every
+    /// hook reaches both.
+    #[test]
+    fn pair_observer_forwards_every_hook_to_both_sides() {
+        let mut s = tiny();
+        s.observers = vec![
+            ObserverSpec::Progress { every: 0 },
+            ObserverSpec::EventTrace,
+        ];
+        let mut caller = Counting::default();
+        let declared_seen = {
+            let mut pair = s.fan_out(&mut caller);
+            let record =
+                craid_trace::TraceRecord::new(SimTime::ZERO, craid_diskmodel::IoKind::Read, 0, 8);
+            let outcome = crate::observer::RequestOutcome {
+                worst_ms: 1.0,
+                reports: Vec::new(),
+            };
+            pair.on_request(&record, &outcome);
+            pair.on_event(&ScheduledEvent::expand(SimTime::ZERO, 2), None);
+            pair.on_throttle(SimTime::from_secs(1.0), 0.5);
+            pair.on_deferred_activation(SimTime::from_secs(2.0), 4);
+            pair.declared.iter().map(|o| o.seen).collect::<Vec<_>>()
+        };
+        assert_eq!(declared_seen, [1, 1], "one declared observer per spec");
+        assert_eq!((caller.requests, caller.events), (1, 1));
+        assert_eq!((caller.throttles, caller.activations), (1, 1));
     }
 
     #[test]
